@@ -146,8 +146,6 @@ class _RoundGuard:
 class FullInformationTracker(_RoundGuard):
     """Composite prox-gradient tracking with exact per-round gradients."""
 
-    feedback_kind = "full"
-
     def __init__(self, schedule: StepSchedule, box: Box, params: LossParams, objective=None):
         super().__init__()
         if schedule.kind != "full":
@@ -179,8 +177,6 @@ class BanditTracker(_RoundGuard):
     The base signal lives in the shrunk box so the random perturbation
     played each round never leaves the decision set.
     """
-
-    feedback_kind = "aggregate"
 
     def __init__(self, schedule: StepSchedule, box: Box, params: LossParams, rng: np.random.Generator):
         super().__init__()
@@ -223,8 +219,6 @@ class PartialBanditTracker(_RoundGuard):
     joint proximal objective separates over the blocks, so the two
     closed-form steps together solve it exactly.
     """
-
-    feedback_kind = "partial"
 
     def __init__(
         self,

@@ -10,7 +10,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,13 @@ class UnsupportedBoxError(ValueError):
     """Box incompatible with the closed-form proximal update."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _vector(x, name: str = "vector") -> np.ndarray:
+    # Fast path: np.asarray would hand back this very array.
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1:
+        return x
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -68,21 +74,32 @@ def _same_length(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class Box:
-    """Per-coordinate decision box [lo, hi]."""
+    """Per-coordinate decision box [lo, hi].
+
+    The bounds are validated once and kept as read-only copies, so the
+    facts derived from them are cached for the life of the box: whether
+    0 lies inside (``contains_zero``) and each ``shrunk(delta)`` box.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
+    contains_zero: bool = field(init=False, repr=False, compare=False)
+    _shrunk: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = _vector(self.lo, "lo")
-        hi = _vector(self.hi, "hi")
+        lo = np.array(_vector(self.lo, "lo"))
+        hi = np.array(_vector(self.hi, "hi"))
         _same_length(lo, hi, "box bounds")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("box bounds must be finite")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValueError("box requires lo <= hi coordinate-wise")
+        lo.flags.writeable = False
+        hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "contains_zero", not ((lo > 0.0).any() or (hi < 0.0).any()))
+        object.__setattr__(self, "_shrunk", {})
 
     @classmethod
     def symmetric(cls, dim: int, half_width: float = 1.0) -> "Box":
@@ -96,17 +113,20 @@ class Box:
         return self.lo.shape[0]
 
     def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lo), self.hi)
 
     def contains(self, x, tol: float = BOX_MEMBERSHIP_TOL) -> bool:
         arr = np.asarray(x, dtype=float)
-        return bool(np.all(arr >= self.lo - tol) and np.all(arr <= self.hi + tol))
+        return bool((arr >= self.lo - tol).all() and (arr <= self.hi + tol).all())
 
     def shrunk(self, delta: float) -> "Box":
         """The set scaled by (1 - delta), so a delta-ball perturbation stays inside."""
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        return Box((1.0 - delta) * self.lo, (1.0 - delta) * self.hi)
+        inner = self._shrunk.get(delta)
+        if inner is None:
+            if not 0.0 < delta < 1.0:
+                raise ValueError("delta must lie in (0, 1)")
+            inner = self._shrunk[delta] = Box((1.0 - delta) * self.lo, (1.0 - delta) * self.hi)
+        return inner
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
@@ -129,7 +149,7 @@ class RunningMean:
         return cls(np.zeros(dim), 0)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mean))
+        return math.sqrt(self.mean @ self.mean)
 
 
 def running_mean_update(mean_prev: RunningMean, mu_t) -> RunningMean:
@@ -207,7 +227,7 @@ def gradient_estimate(loss_value: float, v, dim: int, delta: float) -> np.ndarra
     v = _vector(v, "v")
     if v.shape[0] != dim:
         raise ValueError(f"direction has length {v.shape[0]}, expected {dim}")
-    nrm = float(np.linalg.norm(v))
+    nrm = math.sqrt(v @ v)
     if abs(nrm - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"direction must be unit norm, got {nrm!r}")
     return (dim / delta) * float(loss_value) * v
@@ -221,7 +241,7 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
         return np.array([1.0 if rng.random() < 0.5 else -1.0])
     while True:
         g = rng.standard_normal(dim)
-        nrm = float(np.linalg.norm(g))
+        nrm = math.sqrt(g @ g)
         if nrm > DEGENERATE_NORM_FLOOR:
             return g / nrm
 
@@ -229,6 +249,9 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
 def soft_threshold(y, threshold: float) -> np.ndarray:
     """Shrink toward zero: sign(y) * max(|y| - threshold, 0)."""
     y = np.asarray(y, dtype=float)
+    if threshold == 0.0:
+        # The same bits as the general formula: y itself, with -0 mapped to +0.
+        return y + 0.0
     return np.sign(y) * np.maximum(np.abs(y) - threshold, 0.0)
 
 
@@ -248,7 +271,7 @@ def prox_step(mu_t, grad, eta: float, lam: float, box: Box) -> np.ndarray:
         raise ValueError("eta must be positive")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    if np.any(box.lo > 0.0) or np.any(box.hi < 0.0):
+    if not box.contains_zero:
         raise UnsupportedBoxError("prox_step requires a box containing 0 coordinate-wise")
     y = mu_t - eta * grad
     return box.clip(soft_threshold(y, eta * lam))

@@ -338,25 +338,23 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     aggregate = np.empty(T)
     mean_norm = np.empty(T)
     l1 = np.empty(T)
-    simultaneous = np.zeros(T, dtype=bool)
     played_hist = np.empty((T, dim))
     k_track = min(cfg.track_loads, cfg.n_loads)
     trajectories = np.empty((T, k_track))
-    mean_weights = np.empty((T, dim)) if cfg.scenario == "ev" else None
     window_mean = RunningMean.zero(dim)
-    weight_sum = np.zeros(dim) if cfg.scenario == "ev" else None
 
     infos = []
     n = cfg.n_loads
+    is_tcl = cfg.scenario == "tcl"
     for i in range(total_rounds):
         s_eff = float(setpoints_eff[i])
         resp = responses[i]
         try:
-            kind = tracker.next_feedback() if hasattr(tracker, "next_feedback") else tracker.feedback_kind
+            kind = tracker.next_feedback()
             played = tracker.begin_round()
             obs = feedback_channel(kind, resp, s_eff, played, observed=cfg.observed)
             info = tracker.update(obs)
-            if cfg.scenario == "tcl":
+            if is_tcl:
                 fleet.step(played)
             else:
                 fleet.step(resp[:n], resp[n:], played[:n], played[n:])
@@ -374,22 +372,29 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         tracking[j] = err * err
         played_hist[j] = played
         l1[j] = float(np.abs(played).sum())
-        if cfg.scenario == "tcl":
+        if is_tcl:
             window_mean = running_mean_update(window_mean, played)
             mean_norm[j] = window_mean.norm()
             trajectories[j] = fleet.theta[:k_track]
         else:
             mean_norm[j] = fleet.weighted_mean.norm()
             trajectories[j] = fleet.soc[:k_track]
-            weights = np.concatenate(
-                [cfg.ev_params.inj_eff * resp[:n], resp[n:] / cfg.ev_params.ext_eff]
-            )
-            weight_sum += weights
-            mean_weights[j] = weight_sum / (j + 1)
-            simultaneous[j] = bool(
-                np.any(np.minimum(np.abs(played[:n]), np.abs(played[n:])) > SIMULTANEITY_TOL)
-            )
         objective[j] = tracking[j] + rho_eff * mean_norm[j] ** 2 + cfg.lam * l1[j]
+
+    if is_tcl:
+        simultaneous = np.zeros(T, dtype=bool)
+        mean_weights = None
+    else:
+        simultaneous = (
+            np.minimum(np.abs(played_hist[:, :n]), np.abs(played_hist[:, n:])) > SIMULTANEITY_TOL
+        ).any(axis=1)
+        # Running means of the battery-impact weights, for all scored rounds at once.
+        scored = responses[warmup:]
+        mean_weights = np.empty((T, dim))
+        np.multiply(cfg.ev_params.inj_eff, scored[:, :n], out=mean_weights[:, :n])
+        np.divide(scored[:, n:], cfg.ev_params.ext_eff, out=mean_weights[:, n:])
+        np.cumsum(mean_weights, axis=0, out=mean_weights)
+        mean_weights /= np.arange(1, T + 1)[:, None]
 
     ledger = MetricsLedger(
         setpoint_eff=setpoints_eff[warmup:].copy(),

@@ -139,15 +139,25 @@ def tcl_temp_step(theta, resistance, capacitance, rated_power, ambient, duty, ho
 
     theta' = b*theta + (1-b)*(theta_a - m*R*P_R) with b = exp(-h/(R*C)).
     """
-    if np.any(np.asarray(hours) <= 0):
+    b = _tcl_decay(resistance, capacitance, hours)
+    return _tcl_relax(theta, b, 1.0 - b, resistance, rated_power, ambient, duty)
+
+
+def _tcl_decay(resistance, capacitance, hours):
+    """The per-load decay b = exp(-h/(R*C)) of one step."""
+    if (np.asarray(hours) <= 0).any():
         raise ValueError("hours must be positive")
-    duty = np.asarray(duty, dtype=float)
-    if np.any(duty < -1e-12) or np.any(duty > 1 + 1e-12):
-        raise ValueError("duty must lie in [0, 1]")
     resistance = np.asarray(resistance, dtype=float)
-    b = np.exp(-hours / (resistance * np.asarray(capacitance, dtype=float)))
-    return b * np.asarray(theta, dtype=float) + (1.0 - b) * (
-        ambient - duty * resistance * np.asarray(rated_power, dtype=float)
+    return np.exp(-hours / (resistance * np.asarray(capacitance, dtype=float)))
+
+
+def _tcl_relax(theta, b, b_rest, resistance, rated_power, ambient, duty):
+    """The thermal step given b and b_rest = 1 - b."""
+    duty = np.asarray(duty, dtype=float)
+    if (duty < -1e-12).any() or (duty > 1 + 1e-12).any():
+        raise ValueError("duty must lie in [0, 1]")
+    return b * np.asarray(theta, dtype=float) + b_rest * (
+        ambient - duty * np.asarray(resistance, dtype=float) * np.asarray(rated_power, dtype=float)
     )
 
 
@@ -157,12 +167,16 @@ def tcl_apply_signal(signal, m_bar):
     The symmetric swing keeps the result in [0, 1] and makes mu = 0 hold
     the steady state.
     """
-    signal = np.asarray(signal, dtype=float)
-    if np.any(np.abs(signal) > 1 + 1e-9):
-        raise ValueError("adjustment signals must lie in [-1, 1]")
     m_bar = np.asarray(m_bar, dtype=float)
-    duty = m_bar + signal * np.minimum(m_bar, 1.0 - m_bar)
-    return np.clip(duty, 0.0, 1.0)
+    return _tcl_duty(signal, m_bar, np.minimum(m_bar, 1.0 - m_bar))
+
+
+def _tcl_duty(signal, m_bar, swing):
+    """The duty given the swing min(m_bar, 1 - m_bar)."""
+    signal = np.asarray(signal, dtype=float)
+    if (np.abs(signal) > 1 + 1e-9).any():
+        raise ValueError("adjustment signals must lie in [-1, 1]")
+    return np.minimum(np.maximum(m_bar + signal * swing, 0.0), 1.0)
 
 
 def tcl_observe_response(response_base, rng: np.random.Generator, noise: NoiseSpec):
@@ -173,7 +187,11 @@ def tcl_observe_response(response_base, rng: np.random.Generator, noise: NoiseSp
 
 @dataclass
 class TclFleet:
-    """A fleet of thermostatically controlled loads and their temperatures."""
+    """A fleet of thermostatically controlled loads and their temperatures.
+
+    The per-load constants of every step (steady duty, swing, decay b and
+    1 - b) are computed once, when the fleet is built.
+    """
 
     resistance: np.ndarray
     capacitance: np.ndarray
@@ -186,12 +204,18 @@ class TclFleet:
     m_bar: np.ndarray = field(init=False)
     response_base: np.ndarray = field(init=False)
     unit_power: np.ndarray = field(init=False)
+    swing: np.ndarray = field(init=False)
+    decay: np.ndarray = field(init=False)
+    decay_rest: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.m_bar, self.response_base, self.unit_power = tcl_steady_control(
             self.resistance, self.rated_power, self.cop, self.desired_temp, self.ambient
         )
         self.theta = self.desired_temp.astype(float).copy()
+        self.swing = np.minimum(self.m_bar, 1.0 - self.m_bar)
+        self.decay = _tcl_decay(self.resistance, self.capacitance, self.step_hours)
+        self.decay_rest = 1.0 - self.decay
 
     @property
     def size(self) -> int:
@@ -205,10 +229,10 @@ class TclFleet:
         return tcl_observe_response(self.response_base, rng, noise)
 
     def step(self, signal: np.ndarray) -> None:
-        duty = tcl_apply_signal(signal, self.m_bar)
-        self.theta = tcl_temp_step(
-            self.theta, self.resistance, self.capacitance, self.rated_power,
-            self.ambient, duty, self.step_hours,
+        duty = _tcl_duty(signal, self.m_bar, self.swing)
+        self.theta = _tcl_relax(
+            self.theta, self.decay, self.decay_rest, self.resistance, self.rated_power,
+            self.ambient, duty,
         )
 
     PARAM_COLUMNS = ("resistance", "capacitance", "rated_power", "cop", "desired_temp")
@@ -306,9 +330,9 @@ def ev_observe_response(params: EvParams, n_vehicles: int, rng: np.random.Genera
 def _check_ev_signals(charge_sig, discharge_sig):
     charge_sig = np.asarray(charge_sig, dtype=float)
     discharge_sig = np.asarray(discharge_sig, dtype=float)
-    if np.any(charge_sig < -1e-9) or np.any(charge_sig > 1 + 1e-9):
+    if (charge_sig < -1e-9).any() or (charge_sig > 1 + 1e-9).any():
         raise ValueError("charging signals must lie in [0, 1]")
-    if np.any(discharge_sig > 1e-9) or np.any(discharge_sig < -1 - 1e-9):
+    if (discharge_sig > 1e-9).any() or (discharge_sig < -1 - 1e-9).any():
         raise ValueError("discharging signals must lie in [-1, 0]")
     return charge_sig, discharge_sig
 
@@ -337,6 +361,15 @@ def ev_loss_and_gradient(
     The penalty gradients carry the battery-impact weights through the
     chain rule: inj_eff*c_c on the charge block, c_d/ext_eff on discharge.
     """
+    loss, grad_charge, grad_discharge, _ = _ev_loss_terms(
+        setpoint, c_charge, c_discharge, charge_sig, discharge_sig, rho, weighted_mean_prev, params
+    )
+    return loss, grad_charge, grad_discharge
+
+
+def _ev_loss_terms(setpoint, c_charge, c_discharge, charge_sig, discharge_sig, rho,
+                   weighted_mean_prev, params):
+    """``ev_loss_and_gradient`` plus the weighted signal it used (None when rho = 0)."""
     charge_sig, discharge_sig = _check_ev_signals(charge_sig, discharge_sig)
     c_charge = np.asarray(c_charge, dtype=float)
     c_discharge = np.asarray(c_discharge, dtype=float)
@@ -344,6 +377,7 @@ def ev_loss_and_gradient(
     grad_charge = -2.0 * c_charge * err
     grad_discharge = -2.0 * c_discharge * err
     loss = err * err
+    term = None
     if rho != 0.0:
         t = weighted_mean_prev.rounds + 1
         term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
@@ -351,7 +385,7 @@ def ev_loss_and_gradient(
         loss += rho * float(cand @ cand)
         grad_charge = grad_charge + (2.0 * rho / t) * (params.inj_eff * c_charge) * cand
         grad_discharge = grad_discharge + (2.0 * rho / t) * (c_discharge / params.ext_eff) * cand
-    return loss, grad_charge, grad_discharge
+    return loss, grad_charge, grad_discharge, term
 
 
 def ev_soc_step(soc, params: EvParams, c_charge, c_discharge, charge_sig, discharge_sig, hours: float):
@@ -365,7 +399,7 @@ def ev_soc_step(soc, params: EvParams, c_charge, c_discharge, charge_sig, discha
     charge_sig, discharge_sig = _check_ev_signals(charge_sig, discharge_sig)
     term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
     raw = np.asarray(soc, dtype=float) + (hours / params.capacity_kwh) * term
-    clamped = np.clip(raw, 0.0, 1.0)
+    clamped = raw.clip(0.0, 1.0)
     saturated = int(np.count_nonzero(raw != clamped))
     return clamped, term, saturated
 
@@ -408,7 +442,9 @@ class WeightedChargeObjective:
     """Full-information EV objective: split-signal tracking with the weighted mean.
 
     Drop-in objective for ``FullInformationTracker`` over the stacked
-    (charge, discharge) signal; response vectors stack the same way.
+    (charge, discharge) signal; response vectors stack the same way. The
+    weighted signal ``value_and_gradient`` computes is kept for the
+    ``advance`` of the same signal and responses.
     """
 
     def __init__(self, n_vehicles: int, rho: float, params: EvParams):
@@ -416,6 +452,7 @@ class WeightedChargeObjective:
         self.rho = float(rho)
         self.params = params
         self.weighted_mean = RunningMean.zero(n_vehicles)
+        self._term = (None, None, None)  # (signal, responses, weighted signal)
 
     @property
     def round(self) -> int:
@@ -430,16 +467,20 @@ class WeightedChargeObjective:
     def value_and_gradient(self, setpoint, responses, signal):
         c_charge, c_discharge = self._split(responses)
         charge_sig, discharge_sig = self._split(signal)
-        loss, g_c, g_d = ev_loss_and_gradient(
+        loss, g_c, g_d, term = _ev_loss_terms(
             setpoint, c_charge, c_discharge, charge_sig, discharge_sig,
             self.rho, self.weighted_mean, self.params,
         )
+        self._term = (signal, responses, term)
         return loss, np.concatenate([g_c, g_d])
 
     def advance(self, played, responses=None) -> None:
         if responses is None:
             raise ValueError("the EV objective needs the realized responses to advance")
-        c_charge, c_discharge = self._split(responses)
-        charge_sig, discharge_sig = self._split(played)
-        term = weighted_signal(self.params, c_charge, c_discharge, charge_sig, discharge_sig)
+        signal, seen, term = self._term
+        self._term = (None, None, None)
+        if term is None or signal is not played or seen is not responses:
+            c_charge, c_discharge = self._split(responses)
+            charge_sig, discharge_sig = self._split(played)
+            term = weighted_signal(self.params, c_charge, c_discharge, charge_sig, discharge_sig)
         self.weighted_mean = running_mean_update(self.weighted_mean, term)

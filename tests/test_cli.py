@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from loadtrack import harness
 from loadtrack.cli import EXIT_CONFIG, EXIT_OK, main, write_csv
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -96,6 +97,70 @@ def test_golden_tiny_run(tmp_path):
     for name in ("rounds.csv", "summary.csv", "trajectories.csv"):
         golden = (DATA_DIR / f"golden_{name}").read_bytes()
         assert (out / name).read_bytes() == golden, f"{name} drifted from the golden file"
+
+
+# Recorded before the closed-loop round was optimized; the bytes are the contract.
+GOLDEN_RUNS = {
+    "regimes": """\
+[run]
+scenario = tcl
+feedback = full,bandit,partial,bernoulli
+trials = 2
+rounds = 60
+seed = 11
+compute_regret = true
+track_loads = 3
+
+[fleet]
+n_loads = 20
+
+[algorithm]
+observed = 5
+bernoulli_a = 2.0
+""",
+    "ev": """\
+[run]
+scenario = ev
+feedback = full
+trials = 2
+rounds = 60
+seed = 5
+compute_regret = true
+track_loads = 2
+
+[fleet]
+n_loads = 8
+
+[algorithm]
+rho = 100
+lambda = 46
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_regimes_and_ev_runs(tmp_path, name):
+    path = write_cfg(tmp_path, GOLDEN_RUNS[name])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    for csv in ("rounds.csv", "summary.csv", "trajectories.csv"):
+        golden = (DATA_DIR / f"golden_{name}_{csv}").read_bytes()
+        assert (out / csv).read_bytes() == golden, f"{name} {csv} drifted from the golden file"
+
+
+def test_unregularized_twin_skips_hindsight(tmp_path, monkeypatch):
+    # The twin only supplies the mean-norm and l1 baselines; its regret is never written.
+    calls = []
+    original = harness.hindsight_optimum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "hindsight_optimum", counting)
+    path = write_cfg(tmp_path)  # two regularized cases, two trials each, regret on
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    assert len(calls) == 2 * 2
 
 
 def test_manifest_reproduces_run(tmp_path):

@@ -261,6 +261,26 @@ def test_soft_threshold_monotone_in_weight():
         previous = current
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _signed_zero_samples(rng, n):
+    y = rng.standard_normal(n)
+    y[rng.random(n) < 0.2] = 0.0
+    y[rng.random(n) < 0.2] = -0.0
+    return y
+
+
+def test_soft_threshold_zero_weight_matches_general_formula_bitwise():
+    rng = np.random.default_rng(16)
+    for n in (1, 7, 100):
+        y = _signed_zero_samples(rng, n)
+        y[0] = rng.choice([np.inf, -np.inf, -0.0])
+        assert _same_bits(soft_threshold(y, 0.0), np.sign(y) * np.maximum(np.abs(y) - 0.0, 0.0))
+
+
 def test_soft_threshold_exact_zero_at_kink():
     assert soft_threshold(np.array([0.2]), 0.2)[0] == 0.0
     assert soft_threshold(np.array([-0.2]), 0.2)[0] == 0.0
@@ -411,6 +431,52 @@ def test_box_validation():
         Box(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         Box(np.array([np.inf]), np.array([np.inf]))
+
+
+def test_box_keeps_read_only_copies_of_its_bounds():
+    lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.0])
+    box = Box(lo, hi)
+    lo[0] = 5.0
+    assert box.lo[0] == -1.0
+    with pytest.raises(ValueError):
+        box.hi[0] = 0.0
+    assert box.contains_zero
+    assert not Box(np.array([0.5]), np.array([1.0])).contains_zero
+    assert not Box(np.array([-1.0]), np.array([-0.5])).contains_zero
+
+
+def test_box_shrunk_is_cached_per_delta():
+    box = Box.symmetric(3)
+    inner = box.shrunk(0.25)
+    assert box.shrunk(0.25) is inner
+    assert box.shrunk(0.5) is not inner
+    np.testing.assert_array_equal(inner.hi, 0.75)
+    for bad in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError):
+            box.shrunk(bad)
+
+
+def test_box_clip_matches_np_clip_bitwise():
+    rng = np.random.default_rng(17)
+    for n in (1, 7, 100, 1000):
+        lo = -np.abs(rng.standard_normal(n))
+        hi = np.abs(rng.standard_normal(n))
+        lo[rng.random(n) < 0.3] = 0.0
+        hi[rng.random(n) < 0.3] = 0.0
+        box = Box(lo, hi)
+        x = 2.0 * _signed_zero_samples(rng, n)
+        assert _same_bits(box.clip(x), np.clip(x, box.lo, box.hi))
+
+
+def test_norms_match_numpy_linalg_bitwise():
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 7, 100, 1000):
+        v = rng.standard_normal(n) * 10.0
+        assert RunningMean(v, 3).norm() == float(np.linalg.norm(v))
+        if n > 1:
+            g = np.random.default_rng(n).standard_normal(n)
+            u = sample_unit_sphere(n, np.random.default_rng(n))
+            assert _same_bits(u, g / float(np.linalg.norm(g)))
 
 
 def test_box_shrunk_scales_asymmetric_boxes():

@@ -325,6 +325,18 @@ def test_compute_metrics_layout():
     assert m["scenario"] == "tcl" and m["feedback"] == "full"
 
 
+def test_ev_ledger_series_match_the_per_round_loop():
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=5, rounds=30, rho=20.0, seed=2)
+    ledger = run_trial(cfg, 0).ledger
+    ev, n = cfg.ev_params, cfg.n_loads
+    weight_sum = np.zeros(2 * n)
+    for j, (resp, played) in enumerate(zip(ledger.responses, ledger.played)):
+        weight_sum += np.concatenate([ev.inj_eff * resp[:n], resp[n:] / ev.ext_eff])
+        assert ledger.mean_weights[j].tobytes() == (weight_sum / (j + 1)).tobytes()
+        simultaneous = np.any(np.minimum(np.abs(played[:n]), np.abs(played[n:])) > 1e-2)
+        assert ledger.simultaneous[j] == simultaneous
+
+
 def test_simultaneity_zero_for_tcl():
     trial = run_trial(small_cfg(), 0)
     assert simultaneity_pct(trial.ledger) == 0.0

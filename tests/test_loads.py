@@ -11,6 +11,7 @@ from loadtrack.loads import (
     NoiseSpec,
     TclFleet,
     TclRanges,
+    WeightedChargeObjective,
     ev_loss_and_gradient,
     ev_observe_response,
     ev_soc_step,
@@ -73,6 +74,30 @@ def test_apply_signal_hand_values():
     assert tcl_apply_signal(0.0, 0.25) == pytest.approx(0.25)
     assert tcl_apply_signal(1.0, 0.25) == pytest.approx(0.5)
     assert tcl_apply_signal(-1.0, 0.25) == pytest.approx(0.0)
+
+
+def test_fleet_step_matches_the_thermal_model_formula_bitwise():
+    rng = np.random.default_rng(3)
+    fleet = tcl_fleet_init(50, rng)
+    r, c, p, m_bar = fleet.resistance, fleet.capacitance, fleet.rated_power, fleet.m_bar
+    theta = fleet.theta.copy()
+    for _ in range(30):
+        mu = rng.uniform(-1, 1, size=50)
+        mu[:5] = (-1.0, 1.0, 0.0, -0.0, 1.0 + 1e-10)
+        duty = np.clip(m_bar + mu * np.minimum(m_bar, 1.0 - m_bar), 0.0, 1.0)
+        b = np.exp(-fleet.step_hours / (r * c))
+        theta = b * theta + (1.0 - b) * (fleet.ambient - duty * r * p)
+        fleet.step(mu)
+        assert fleet.theta.tobytes() == theta.tobytes()
+        assert tcl_temp_step(theta, r, c, p, fleet.ambient, duty, fleet.step_hours).tobytes() == (
+            (b * theta + (1.0 - b) * (fleet.ambient - duty * r * p)).tobytes()
+        )
+
+
+def test_fleet_rejects_nonpositive_step_at_construction():
+    with pytest.raises(ValueError, match="hours"):
+        TclFleet(np.array([2.0]), np.array([10.0]), np.array([10.0]), np.array([2.5]),
+                 np.array([22.0]), 30.0, 0.0)
 
 
 def test_apply_signal_image_in_unit_interval():
@@ -255,6 +280,25 @@ def test_ev_fleet_weighted_mean_matches_batch():
 
 
 # --- EV loss and gradient ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("rho", [0.0, 30.0])
+def test_ev_objective_reuses_its_weighted_signal(rho):
+    params = EvParams()
+    reused = WeightedChargeObjective(3, rho, params)
+    fresh = WeightedChargeObjective(3, rho, params)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        responses = np.concatenate([3.0 + rng.uniform(-1, 1, 3), 1.5 + rng.uniform(-1, 1, 3)])
+        signal = np.concatenate([rng.uniform(0, 1, 3), -rng.uniform(0, 1, 3)])
+        value, grad = reused.value_and_gradient(1.0, responses, signal)
+        reused.advance(signal, responses)
+        # A copy of the signal is not the signal the value was computed for.
+        fresh.value_and_gradient(1.0, responses, signal)
+        fresh.advance(signal.copy(), responses)
+        assert reused.weighted_mean.mean.tobytes() == fresh.weighted_mean.mean.tobytes()
+    with pytest.raises(ValueError):
+        reused.advance(signal)
 
 
 def test_ev_loss_zero_case():
