@@ -63,12 +63,10 @@ from .loads import (
     TclFleet,
     TclRanges,
     ev_loss_and_gradient,
-    ev_observe_response,
     ev_soc_step,
     sample_truncated_gaussian,
     tcl_apply_signal,
     tcl_fleet_init,
-    tcl_observe_response,
     tcl_steady_control,
     tcl_temp_step,
 )

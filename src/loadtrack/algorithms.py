@@ -324,11 +324,8 @@ class BernoulliFeedbackTracker(_RoundGuard):
         super().__init__()
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        # step_schedule below rejects a < 0 and a probability above 1.
         self.probability = a / horizon ** (1.0 / 3.0)
-        if a < 0 or self.probability > 1.0:
-            raise ConfigError(
-                f"bandit probability a/T^(1/3) = {self.probability:.4f} must lie in [0, 1]"
-            )
         if plan is None:
             plan = rng.random(horizon) < self.probability
         plan = np.asarray(plan, dtype=bool)

@@ -15,13 +15,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
 from .core import ConfigError
 from .harness import (
-    FEEDBACK_REGIMES,
     SCENARIOS,
     ScenarioConfig,
     SetpointSpec,
@@ -46,62 +46,61 @@ SUMMARY_HEADER = (
 )
 TRAJECTORIES_HEADER = ("scenario", "feedback", "load", "t", "value")
 
-# section -> key -> type tag; the manifest section is informational only.
-SCHEMA = {
-    "run": {
-        "scenario": "str",
-        "feedback": "str",
-        "trials": "int",
-        "rounds": "int",
-        "seed": "int",
-        "compute_regret": "bool",
-        "track_loads": "int",
-        "out": "str",
-    },
-    "algorithm": {
-        "rho": "float",
-        "lambda": "float",
-        "chi": "float",
-        "chi_full": "float",
-        "chi_bandit": "float",
-        "bernoulli_a": "float",
-        "bernoulli_warmup": "bool",
-        "bernoulli_mean_penalty": "bool",
-        "observed": "int",
-        "hindsight_iters": "int",
-    },
-    "fleet": {
-        "n_loads": "int",
-        "ambient": "float",
-        "step_hours": "float",
-        "resistance_lo": "float",
-        "resistance_hi": "float",
-        "capacitance_lo": "float",
-        "capacitance_hi": "float",
-        "power_lo": "float",
-        "power_hi": "float",
-        "cop_lo": "float",
-        "cop_hi": "float",
-        "setpoint_lo": "float",
-        "setpoint_hi": "float",
-        "inj_eff": "float",
-        "ext_eff": "float",
-        "capacity_kwh": "float",
-        "charge_rate_kw": "float",
-        "discharge_rate_kw": "float",
-    },
-    "setpoint": {"amplitude": "float", "frequency": "float", "offset": "float"},
-    "noise": {"mean": "float", "sd": "float", "lo": "float", "hi": "float"},
-    "manifest": {},
-}
+def finite_float(raw) -> float:
+    """A float that is neither NaN nor infinite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
-_CASTERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "bool": lambda raw: {"true": True, "false": False, "1": True, "0": False,
-                         "yes": True, "no": False}[raw.lower()],
+
+def boolean(raw: str) -> bool:
+    return {"true": True, "false": False, "1": True, "0": False,
+            "yes": True, "no": False}[raw.lower()]
+
+
+def _spec_keys(section: str, spec, owner: str) -> tuple:
+    return tuple((section, f.name, finite_float, f"{owner}.{f.name}") for f in fields(spec))
+
+
+# Every config key, in manifest order: (section, key, caster, ScenarioConfig
+# attribute). A dotted attribute names a field of a nested spec; feedback is
+# a list of cases and out is held by RunSettings, not by ScenarioConfig.
+KEYS = (
+    ("run", "scenario", str, "scenario"),
+    ("run", "feedback", str, "feedback"),
+    ("run", "trials", int, "trials"),
+    ("run", "rounds", int, "rounds"),
+    ("run", "seed", int, "seed"),
+    ("run", "compute_regret", boolean, "compute_regret"),
+    ("run", "track_loads", int, "track_loads"),
+    ("run", "out", str, None),
+    ("algorithm", "rho", finite_float, "rho"),
+    ("algorithm", "lambda", finite_float, "lam"),
+    ("algorithm", "chi", finite_float, "chi"),
+    ("algorithm", "chi_full", finite_float, "chi_full"),
+    ("algorithm", "chi_bandit", finite_float, "chi_bandit"),
+    ("algorithm", "bernoulli_a", finite_float, "bernoulli_a"),
+    ("algorithm", "bernoulli_warmup", boolean, "bernoulli_warmup"),
+    ("algorithm", "bernoulli_mean_penalty", boolean, "bernoulli_mean_penalty"),
+    ("algorithm", "observed", int, "observed"),
+    ("algorithm", "hindsight_iters", int, "hindsight_iters"),
+    ("fleet", "n_loads", int, "n_loads"),
+    ("fleet", "ambient", finite_float, "ambient"),
+    ("fleet", "step_hours", finite_float, "step_hours"),
+    *_spec_keys("fleet", TclRanges, "tcl_ranges"),
+    *_spec_keys("fleet", EvParams, "ev_params"),
+    *_spec_keys("setpoint", SetpointSpec, "setpoint"),
+    *_spec_keys("noise", NoiseSpec, "noise"),
+)
+
+# section -> key -> (caster, attribute); a [manifest] section is read and ignored.
+SECTIONS = {
+    section: {key: (cast, attr) for sec, key, cast, attr in KEYS if sec == section}
+    for section in dict.fromkeys(row[0] for row in KEYS)
 }
+# Sections named after an optional ScenarioConfig spec, written only when it is set.
+OPTIONAL_SECTIONS = ("setpoint", "noise")
 
 
 def read_config(path: str) -> dict:
@@ -115,33 +114,34 @@ def read_config(path: str) -> dict:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     values = {}
     for section in parser.sections():
-        if section not in SCHEMA:
-            raise ConfigError(
-                f"unknown section [{section}] in {path}; valid sections: "
-                + ", ".join(sorted(s for s in SCHEMA if SCHEMA[s]))
-            )
         if section == "manifest":
             continue
+        if section not in SECTIONS:
+            raise ConfigError(
+                f"unknown section [{section}] in {path}; valid sections: "
+                + ", ".join(sorted(SECTIONS))
+            )
         for key, raw in parser.items(section):
-            if key not in SCHEMA[section]:
+            if key not in SECTIONS[section]:
                 raise ConfigError(
                     f"unknown key '{key}' in section [{section}]; valid keys: "
-                    + ", ".join(sorted(SCHEMA[section]))
+                    + ", ".join(sorted(SECTIONS[section]))
                 )
+            cast = SECTIONS[section][key][0]
             raw = raw.strip()
-            if raw == "" and SCHEMA[section][key] != "str":
+            if raw == "" and cast is not str:
                 continue  # blank numeric/bool keys mean "use the default"
             try:
-                values[(section, key)] = _CASTERS[SCHEMA[section][key]](raw)
+                values[(section, key)] = cast(raw)
             except (ValueError, KeyError) as exc:
                 raise ConfigError(
-                    f"bad value for {key} in [{section}]: {raw!r} "
-                    f"(expected {SCHEMA[section][key]})"
+                    f"bad value for {key} in [{section}]: {raw!r} (expected {cast.__name__})"
                 ) from exc
     return values
 
 
 def parse_args(argv=None) -> argparse.Namespace:
+    # Each flag's dest is the ScenarioConfig attribute it overrides (out aside).
     parser = argparse.ArgumentParser(
         prog="loadtrack",
         description="Run demand-response setpoint-tracking experiments and write CSV results.",
@@ -153,104 +153,61 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--scenario", choices=SCENARIOS, help="fleet scenario")
     parser.add_argument("--feedback", help="comma-separated feedback regimes")
     parser.add_argument("--rounds", type=int, help="horizon length T")
-    parser.add_argument("--rho", type=float, help="mean-penalty weight")
-    parser.add_argument("--lambda", dest="lam", type=float, help="sparsity-penalty weight")
+    parser.add_argument("--rho", type=finite_float, help="mean-penalty weight")
+    parser.add_argument("--lambda", dest="lam", type=finite_float, help="sparsity-penalty weight")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary printout")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser.parse_args(argv)
 
 
+@dataclass
 class RunSettings:
     """Fully resolved invocation: base config, case list and output options."""
 
-    def __init__(self, base: ScenarioConfig, feedbacks: list, out_dir: Path, quiet: bool):
-        self.base = base
-        self.feedbacks = feedbacks
-        self.out_dir = out_dir
-        self.quiet = quiet
+    base: ScenarioConfig
+    feedbacks: list
+    out_dir: Path
+    quiet: bool
 
 
 def resolve_settings(args: argparse.Namespace) -> RunSettings:
+    """Merge flags over the config file and validate every case it lists."""
     values = read_config(args.config) if args.config else {}
+    for section, key, _, attr in KEYS:
+        flag = getattr(args, attr, None) if attr else None
+        if flag is not None:
+            values[(section, key)] = flag
 
-    def got(section, key, default=None):
-        return values.get((section, key), default)
-
-    scenario = args.scenario or got("run", "scenario")
+    scenario = values.get(("run", "scenario"))
     if scenario is None:
         raise ConfigError("scenario is required (config [run] scenario or --scenario)")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    defaults = ScenarioConfig(scenario=scenario).resolved()  # rejects an unknown scenario
 
-    feedback_raw = args.feedback if args.feedback is not None else got("run", "feedback")
+    feedback_raw = values.get(("run", "feedback"))
     if feedback_raw is None:
         raise ConfigError("feedback is required (config [run] feedback or --feedback)")
     feedbacks = [f.strip() for f in feedback_raw.split(",") if f.strip()]
+
+    attrs = {"compute_regret": True}  # the CLI's own default; the library's is False
+    specs = {}
+    for (section, key), value in values.items():
+        attr = SECTIONS[section][key][1]
+        owner, _, name = (attr or "").rpartition(".")
+        if owner:
+            specs.setdefault(owner, {})[name] = value
+        elif attr:
+            attrs[attr] = value
+    attrs["feedback"] = feedbacks[0] if feedbacks else "full"
+    try:
+        for owner, given in specs.items():  # a partly given spec keeps the other defaults
+            attrs[owner] = replace(getattr(defaults, owner), **given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    base = ScenarioConfig(**attrs)
     for fb in feedbacks:
-        if fb not in FEEDBACK_REGIMES:
-            raise ConfigError(f"feedback must be among {FEEDBACK_REGIMES}, got {fb!r}")
+        replace(base, feedback=fb).resolved()  # validates before anything is written
 
-    ranges = TclRanges(
-        **{
-            name: got("fleet", name, getattr(TclRanges(), name))
-            for name in (
-                "resistance_lo", "resistance_hi", "capacitance_lo", "capacitance_hi",
-                "power_lo", "power_hi", "cop_lo", "cop_hi", "setpoint_lo", "setpoint_hi",
-            )
-        }
-    )
-    ev_params = EvParams(
-        **{
-            name: got("fleet", name, getattr(EvParams(), name))
-            for name in ("inj_eff", "ext_eff", "capacity_kwh", "charge_rate_kw", "discharge_rate_kw")
-        }
-    )
-    setpoint = None
-    if any(("setpoint", k) in values for k in SCHEMA["setpoint"]):
-        default = SetpointSpec.for_scenario(scenario)
-        setpoint = SetpointSpec(
-            amplitude=got("setpoint", "amplitude", default.amplitude),
-            frequency=got("setpoint", "frequency", default.frequency),
-            offset=got("setpoint", "offset", default.offset),
-        )
-    noise = None
-    if any(("noise", k) in values for k in SCHEMA["noise"]):
-        base_noise = NoiseSpec() if scenario == "tcl" else NoiseSpec(sd=0.1, lo=-1.5, hi=1.5)
-        noise = NoiseSpec(
-            mean=got("noise", "mean", base_noise.mean),
-            sd=got("noise", "sd", base_noise.sd),
-            lo=got("noise", "lo", base_noise.lo),
-            hi=got("noise", "hi", base_noise.hi),
-        )
-
-    base = ScenarioConfig(
-        scenario=scenario,
-        feedback=feedbacks[0] if feedbacks else "full",
-        n_loads=got("fleet", "n_loads", 100),
-        observed=got("algorithm", "observed", 10),
-        rounds=args.rounds if args.rounds is not None else got("run", "rounds", 600),
-        trials=args.trials if args.trials is not None else got("run", "trials", 1),
-        rho=args.rho if args.rho is not None else got("algorithm", "rho", 0.0),
-        lam=args.lam if args.lam is not None else got("algorithm", "lambda", 0.0),
-        chi=got("algorithm", "chi"),
-        chi_full=got("algorithm", "chi_full"),
-        chi_bandit=got("algorithm", "chi_bandit"),
-        bernoulli_a=got("algorithm", "bernoulli_a", 7.6),
-        bernoulli_warmup=got("algorithm", "bernoulli_warmup", True),
-        bernoulli_mean_penalty=got("algorithm", "bernoulli_mean_penalty", False),
-        seed=args.seed if args.seed is not None else got("run", "seed", 0),
-        setpoint=setpoint,
-        noise=noise,
-        tcl_ranges=ranges,
-        ev_params=ev_params,
-        ambient=got("fleet", "ambient", 30.0),
-        step_hours=got("fleet", "step_hours"),
-        compute_regret=got("run", "compute_regret", True),
-        hindsight_iters=got("algorithm", "hindsight_iters", 10_000),
-        track_loads=got("run", "track_loads", 5),
-    )
-
-    out = args.out or os.environ.get(ENV_OUT) or got("run", "out", "results")
+    out = args.out or os.environ.get(ENV_OUT) or values.get(("run", "out"), "results")
     return RunSettings(base, feedbacks, Path(out), args.quiet)
 
 
@@ -284,56 +241,20 @@ def _manifest_text(settings: RunSettings, duration: float | None, outputs: list)
         f"# duration_seconds: {dur}",
         "# outputs: " + " ".join(outputs),
         "",
-        "[run]",
-        f"scenario = {cfg.scenario}",
-        "feedback = " + ",".join(settings.feedbacks),
-        f"trials = {cfg.trials}",
-        f"rounds = {cfg.rounds}",
-        f"seed = {cfg.seed}",
-        f"compute_regret = {str(cfg.compute_regret).lower()}",
-        f"track_loads = {cfg.track_loads}",
-        f"out = {settings.out_dir}",
-        "",
-        "[algorithm]",
-        f"rho = {cfg.rho!r}",
-        f"lambda = {cfg.lam!r}",
-        f"chi = {'' if cfg.chi is None else repr(cfg.chi)}",
-        f"chi_full = {'' if cfg.chi_full is None else repr(cfg.chi_full)}",
-        f"chi_bandit = {'' if cfg.chi_bandit is None else repr(cfg.chi_bandit)}",
-        f"bernoulli_a = {cfg.bernoulli_a!r}",
-        f"bernoulli_warmup = {str(cfg.bernoulli_warmup).lower()}",
-        f"bernoulli_mean_penalty = {str(cfg.bernoulli_mean_penalty).lower()}",
-        f"observed = {cfg.observed}",
-        f"hindsight_iters = {cfg.hindsight_iters}",
-        "",
-        "[fleet]",
-        f"n_loads = {cfg.n_loads}",
-        f"ambient = {cfg.ambient!r}",
-        f"step_hours = {'' if cfg.step_hours is None else repr(cfg.step_hours)}",
     ]
-    for name in ("resistance_lo", "resistance_hi", "capacitance_lo", "capacitance_hi",
-                 "power_lo", "power_hi", "cop_lo", "cop_hi", "setpoint_lo", "setpoint_hi"):
-        lines.append(f"{name} = {getattr(cfg.tcl_ranges, name)!r}")
-    for name in ("inj_eff", "ext_eff", "capacity_kwh", "charge_rate_kw", "discharge_rate_kw"):
-        lines.append(f"{name} = {getattr(cfg.ev_params, name)!r}")
-    lines.append("")
-    if cfg.setpoint is not None:
-        lines += [
-            "[setpoint]",
-            f"amplitude = {cfg.setpoint.amplitude!r}",
-            f"frequency = {cfg.setpoint.frequency!r}",
-            f"offset = {cfg.setpoint.offset!r}",
-            "",
-        ]
-    if cfg.noise is not None:
-        lines += [
-            "[noise]",
-            f"mean = {cfg.noise.mean!r}",
-            f"sd = {cfg.noise.sd!r}",
-            f"lo = {cfg.noise.lo!r}",
-            f"hi = {cfg.noise.hi!r}",
-            "",
-        ]
+    held = {"feedback": ",".join(settings.feedbacks), "out": settings.out_dir}
+    for section, keys in SECTIONS.items():
+        if section in OPTIONAL_SECTIONS and getattr(cfg, section) is None:
+            continue
+        lines.append(f"[{section}]")
+        for key, (_, attr) in keys.items():
+            value = held[key] if key in held else attrgetter(attr)(cfg)
+            if value is None:
+                value = ""  # unset: resolved per case
+            elif isinstance(value, bool):
+                value = str(value).lower()
+            lines.append(f"{key} = {value}")
+        lines.append("")
     lines += ["[manifest]", f"tool_version = {__version__}", ""]
     return "\n".join(lines)
 
@@ -404,8 +325,6 @@ def execute(settings: RunSettings) -> int:
     case_results = []
     for fb in settings.feedbacks:
         cfg = replace(settings.base, feedback=fb)
-        if fb == "partial" and cfg.rho != 0.0:
-            raise ConfigError("partial feedback drops the mean penalty; set rho = 0")
         result = run_experiment(cfg)
         twin = None
         if cfg.rho > 0 or cfg.lam > 0:
@@ -424,12 +343,7 @@ def execute(settings: RunSettings) -> int:
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        settings = resolve_settings(args)
-    except ConfigError as exc:
-        print(f"loadtrack: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return execute(settings)
+        return execute(resolve_settings(args))
     except ConfigError as exc:
         print(f"loadtrack: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

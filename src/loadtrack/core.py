@@ -152,20 +152,17 @@ class RunningMean:
         return math.sqrt(self.mean @ self.mean)
 
 
-def running_mean_update(mean_prev: RunningMean, mu_t) -> RunningMean:
-    """Append one signal: mean_t = ((t-1)*mean_{t-1} + mu_t) / t."""
-    mu = _vector(mu_t, "mu_t")
-    _same_length(mean_prev.mean, mu, "running mean update")
-    t = mean_prev.rounds + 1
-    return RunningMean((mean_prev.rounds * mean_prev.mean + mu) / t, t)
-
-
 def running_mean_candidate(mean_prev: RunningMean, mu) -> np.ndarray:
-    """The running average as it would stand after appending ``mu``."""
+    """The running average after appending ``mu``: ((t-1)*mean_{t-1} + mu) / t."""
     mu = _vector(mu, "mu")
-    _same_length(mean_prev.mean, mu, "running mean candidate")
+    _same_length(mean_prev.mean, mu, "running mean")
     t = mean_prev.rounds + 1
     return (mean_prev.rounds * mean_prev.mean + mu) / t
+
+
+def running_mean_update(mean_prev: RunningMean, mu_t) -> RunningMean:
+    """Append one signal to the running mean."""
+    return RunningMean(running_mean_candidate(mean_prev, mu_t), mean_prev.rounds + 1)
 
 
 @dataclass(frozen=True)
@@ -215,8 +212,7 @@ def full_gradient(s_eff: float, c, mu, params: LossParams, mean_prev: RunningMea
         raise ValueError(f"mean_prev holds {mean_prev.rounds} rounds, expected {t - 1}")
     grad = -2.0 * c * (float(s_eff) - float(c @ mu))
     if params.rho != 0.0:
-        cand = ((t - 1) * mean_prev.mean + mu) / t
-        grad = grad + (2.0 * params.rho / t) * cand
+        grad = grad + (2.0 * params.rho / t) * running_mean_candidate(mean_prev, mu)
     return grad
 
 
@@ -278,9 +274,7 @@ def prox_step(mu_t, grad, eta: float, lam: float, box: Box) -> np.ndarray:
 
 
 def project_shrunk_box(mu, delta: float, box: Box) -> np.ndarray:
-    """Euclidean projection onto the box scaled by (1 - delta)."""
-    if delta >= 1.0 or delta <= 0.0:
-        raise ValueError("delta must lie in (0, 1)")
+    """Euclidean projection onto the box scaled by (1 - delta); delta in (0, 1)."""
     return box.shrunk(delta).clip(mu)
 
 
@@ -288,18 +282,17 @@ def project_shrunk_box(mu, delta: float, box: Box) -> np.ndarray:
 class EnvBounds:
     """Conservative problem constants used by the step-size schedules.
 
-    gradient_bound caps the gradient norm of the smooth loss, loss_bound
-    caps the smooth loss itself, diameter is the decision-box diameter,
-    and lipschitz caps the loss variation per unit signal change.
+    gradient_bound caps the gradient norm of the smooth loss (and so the
+    loss variation per unit signal change), loss_bound caps the smooth
+    loss itself, and diameter is the decision-box diameter.
     """
 
     gradient_bound: float
     loss_bound: float
     diameter: float
-    lipschitz: float
 
     def __post_init__(self):
-        if min(self.gradient_bound, self.loss_bound, self.diameter, self.lipschitz) <= 0:
+        if min(self.gradient_bound, self.loss_bound, self.diameter) <= 0:
             raise ValueError("bounds must be positive")
 
 
@@ -317,7 +310,7 @@ def conservative_bounds(box: Box, setpoint_max: float, response_max: float, rho:
     worst_err = setpoint_max + response_norm_max * signal_norm_max
     loss_bound = worst_err ** 2 + rho * signal_norm_max ** 2
     gradient_bound = 2.0 * response_norm_max * worst_err + 2.0 * rho * signal_norm_max
-    return EnvBounds(gradient_bound, loss_bound, box.diameter(), gradient_bound)
+    return EnvBounds(gradient_bound, loss_bound, box.diameter())
 
 
 @dataclass(frozen=True)

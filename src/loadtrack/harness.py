@@ -36,7 +36,6 @@ from .core import (
     step_schedule,
 )
 from .loads import (
-    EV_NOISE,
     EvFleet,
     EvParams,
     NoiseSpec,
@@ -47,6 +46,7 @@ from .loads import (
 
 __all__ = [
     "DEFAULT_CHI",
+    "DEFAULT_NOISE",
     "FEEDBACK_REGIMES",
     "SCENARIOS",
     "ExperimentResult",
@@ -85,6 +85,9 @@ DEFAULT_CHI = {
     ("tcl", "bernoulli"): {"chi_full": 35.0, "chi_bandit": 8000.0},
     ("ev", "full"): {"chi": 35.0},
 }
+
+# Response noise per scenario, used when ScenarioConfig.noise is unset.
+DEFAULT_NOISE = {"tcl": NoiseSpec(), "ev": NoiseSpec(mean=0.0, sd=0.1, lo=-1.5, hi=1.5)}
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ class ScenarioConfig:
         if cfg.setpoint is None:
             cfg.setpoint = SetpointSpec.for_scenario(cfg.scenario)
         if cfg.noise is None:
-            cfg.noise = NoiseSpec() if cfg.scenario == "tcl" else EV_NOISE
+            cfg.noise = DEFAULT_NOISE.get(cfg.scenario)
         if cfg.step_hours is None:
             cfg.step_hours = 1.0 / 12.0 if cfg.scenario == "tcl" else 1.0 / 60.0
         tuning = DEFAULT_CHI.get((cfg.scenario, cfg.feedback), {})
@@ -308,7 +311,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         baseline_power = fleet.baseline_power()
         response_max = float(fleet.response_base.max()) + cfg.noise.hi
     else:
-        fleet = EvFleet(cfg.ev_params, cfg.n_loads, cfg.step_hours, noise=cfg.noise)
+        fleet = EvFleet(cfg.ev_params, cfg.n_loads, cfg.step_hours)
         baseline_power = 0.0
         response_max = max(cfg.ev_params.charge_rate_kw, cfg.ev_params.discharge_rate_kw) + cfg.noise.hi
 
@@ -346,6 +349,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     infos = []
     n = cfg.n_loads
     is_tcl = cfg.scenario == "tcl"
+    ev_objective = None if is_tcl else tracker.objective  # holds the weighted running mean
     for i in range(total_rounds):
         s_eff = float(setpoints_eff[i])
         resp = responses[i]
@@ -377,7 +381,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
             mean_norm[j] = window_mean.norm()
             trajectories[j] = fleet.theta[:k_track]
         else:
-            mean_norm[j] = fleet.weighted_mean.norm()
+            mean_norm[j] = ev_objective.weighted_mean.norm()
             trajectories[j] = fleet.soc[:k_track]
         objective[j] = tracking[j] + rho_eff * mean_norm[j] ** 2 + cfg.lam * l1[j]
 

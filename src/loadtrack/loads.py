@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RunningMean, running_mean_update
+from .core import RunningMean, running_mean_candidate, running_mean_update
 
 __all__ = [
     "EvFleet",
@@ -23,12 +23,10 @@ __all__ = [
     "TclRanges",
     "WeightedChargeObjective",
     "ev_loss_and_gradient",
-    "ev_observe_response",
     "ev_soc_step",
     "sample_truncated_gaussian",
     "tcl_apply_signal",
     "tcl_fleet_init",
-    "tcl_observe_response",
     "tcl_steady_control",
     "tcl_temp_step",
 ]
@@ -179,12 +177,6 @@ def _tcl_duty(signal, m_bar, swing):
     return np.minimum(np.maximum(m_bar + signal * swing, 0.0), 1.0)
 
 
-def tcl_observe_response(response_base, rng: np.random.Generator, noise: NoiseSpec):
-    """Realized per-load response coefficients: c0 plus truncated noise."""
-    response_base = np.asarray(response_base, dtype=float)
-    return response_base + noise.sample(rng, size=response_base.shape)
-
-
 @dataclass
 class TclFleet:
     """A fleet of thermostatically controlled loads and their temperatures.
@@ -224,9 +216,6 @@ class TclFleet:
     def baseline_power(self) -> float:
         """Aggregate consumption when every load holds its steady duty."""
         return float(self.unit_power @ self.m_bar)
-
-    def respond(self, rng: np.random.Generator, noise: NoiseSpec) -> np.ndarray:
-        return tcl_observe_response(self.response_base, rng, noise)
 
     def step(self, signal: np.ndarray) -> None:
         duty = _tcl_duty(signal, self.m_bar, self.swing)
@@ -317,16 +306,6 @@ class EvParams:
             raise ValueError("capacity and rates must be positive")
 
 
-EV_NOISE = NoiseSpec(mean=0.0, sd=0.1, lo=-1.5, hi=1.5)
-
-
-def ev_observe_response(params: EvParams, n_vehicles: int, rng: np.random.Generator, noise: NoiseSpec = EV_NOISE):
-    """Realized charge and discharge rates, independently perturbed per vehicle."""
-    c_charge = params.charge_rate_kw + noise.sample(rng, size=n_vehicles)
-    c_discharge = params.discharge_rate_kw + noise.sample(rng, size=n_vehicles)
-    return c_charge, c_discharge
-
-
 def _check_ev_signals(charge_sig, discharge_sig):
     charge_sig = np.asarray(charge_sig, dtype=float)
     discharge_sig = np.asarray(discharge_sig, dtype=float)
@@ -381,7 +360,7 @@ def _ev_loss_terms(setpoint, c_charge, c_discharge, charge_sig, discharge_sig, r
     if rho != 0.0:
         t = weighted_mean_prev.rounds + 1
         term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
-        cand = (weighted_mean_prev.rounds * weighted_mean_prev.mean + term) / t
+        cand = running_mean_candidate(weighted_mean_prev, term)
         loss += rho * float(cand @ cand)
         grad_charge = grad_charge + (2.0 * rho / t) * (params.inj_eff * c_charge) * cand
         grad_discharge = grad_discharge + (2.0 * rho / t) * (c_discharge / params.ext_eff) * cand
@@ -391,8 +370,8 @@ def _ev_loss_terms(setpoint, c_charge, c_discharge, charge_sig, discharge_sig, r
 def ev_soc_step(soc, params: EvParams, c_charge, c_discharge, charge_sig, discharge_sig, hours: float):
     """Advance the state of charge one step and clamp it to [0, 1].
 
-    Returns the new SoC, the weighted signal of the round (feeding the
-    running weighted mean) and the number of vehicles that saturated.
+    Returns the new SoC, the weighted signal of the round and the number
+    of vehicles that saturated.
     """
     if hours <= 0:
         raise ValueError("hours must be positive")
@@ -406,13 +385,12 @@ def ev_soc_step(soc, params: EvParams, c_charge, c_discharge, charge_sig, discha
 
 @dataclass
 class EvFleet:
-    """A fleet of identical EV storage units with evolving state of charge."""
+    """A fleet of identical EV storage units: state of charge and saturation count."""
 
     params: EvParams
     n_vehicles: int
     step_hours: float = 1.0 / 60.0
     initial_soc: float = 0.75
-    noise: NoiseSpec = EV_NOISE
 
     def __post_init__(self):
         if self.n_vehicles < 1:
@@ -420,21 +398,16 @@ class EvFleet:
         if not 0 <= self.initial_soc <= 1:
             raise ValueError("initial_soc must lie in [0, 1]")
         self.soc = np.full(self.n_vehicles, float(self.initial_soc))
-        self.weighted_mean = RunningMean.zero(self.n_vehicles)
         self.saturation_events = 0
 
     @property
     def size(self) -> int:
         return self.n_vehicles
 
-    def respond(self, rng: np.random.Generator):
-        return ev_observe_response(self.params, self.n_vehicles, rng, self.noise)
-
     def step(self, c_charge, c_discharge, charge_sig, discharge_sig) -> None:
-        self.soc, term, saturated = ev_soc_step(
+        self.soc, _, saturated = ev_soc_step(
             self.soc, self.params, c_charge, c_discharge, charge_sig, discharge_sig, self.step_hours
         )
-        self.weighted_mean = running_mean_update(self.weighted_mean, term)
         self.saturation_events += saturated
 
 

@@ -176,7 +176,7 @@ def test_criterion_7_bernoulli_schedule():
     p = a / T ** (1.0 / 3.0)
     assert p == pytest.approx(0.90, abs=0.01)
     box = Box.symmetric(10)
-    bounds = EnvBounds(10.0, 100.0, 2.0 * np.sqrt(10), 10.0)
+    bounds = EnvBounds(10.0, 100.0, 2.0 * np.sqrt(10))
     fractions = []
     for k in range(100):
         tracker = BernoulliFeedbackTracker(

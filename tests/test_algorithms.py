@@ -24,7 +24,7 @@ from loadtrack.core import (
     conservative_bounds,
 )
 
-BOUNDS = EnvBounds(gradient_bound=20.0, loss_bound=100.0, diameter=2.0, lipschitz=20.0)
+BOUNDS = EnvBounds(gradient_bound=20.0, loss_bound=100.0, diameter=2.0)
 
 
 def full_tracker(dim=1, eta=0.25, rho=0.0, lam=0.0):

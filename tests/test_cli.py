@@ -1,11 +1,14 @@
 """CLI tests: config parsing, error paths, output files, determinism."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from loadtrack import harness
+from loadtrack import cli, harness
 from loadtrack.cli import EXIT_CONFIG, EXIT_OK, main, write_csv
+from loadtrack.harness import ScenarioConfig, SetpointSpec
+from loadtrack.loads import EvParams, NoiseSpec, TclRanges
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -163,8 +166,43 @@ def test_unregularized_twin_skips_hindsight(tmp_path, monkeypatch):
     assert len(calls) == 2 * 2
 
 
-def test_manifest_reproduces_run(tmp_path):
-    path = write_cfg(tmp_path)
+SPEC_SECTIONS_CFG = """\
+[run]
+scenario = tcl
+feedback = full,bernoulli
+trials = 1
+rounds = 30
+seed = 2
+
+[algorithm]
+bernoulli_a = 2.0
+chi_bandit = 5000
+
+[fleet]
+n_loads = 5
+step_hours = 0.05
+resistance_lo = 1.6
+
+[setpoint]
+amplitude = 4
+
+[noise]
+sd = 0.25
+hi = 1.5
+"""
+
+MANIFEST_RUNS = {"tiny": TINY_CFG, "spec_sections": SPEC_SECTIONS_CFG, **GOLDEN_RUNS}
+
+
+def _settings_lines(manifest: Path) -> list:
+    """The manifest lines a rerun must repeat: no comments, no output directory."""
+    return [ln for ln in manifest.read_text().splitlines()
+            if not ln.startswith(("#", "out = "))]
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST_RUNS))
+def test_manifest_reproduces_run(tmp_path, name):
+    path = write_cfg(tmp_path, MANIFEST_RUNS[name])
     out_a = tmp_path / "a"
     assert main(["--config", str(path), "--out", str(out_a), "--quiet"]) == EXIT_OK
     manifest = out_a / "manifest.txt"
@@ -172,6 +210,85 @@ def test_manifest_reproduces_run(tmp_path):
     out_b = tmp_path / "b"
     assert main(["--config", str(manifest), "--out", str(out_b), "--quiet"]) == EXIT_OK
     assert read_outputs(out_a) == read_outputs(out_b)
+    assert _settings_lines(manifest) == _settings_lines(out_b / "manifest.txt")
+
+
+def _manifest_for(path) -> str:
+    return cli._manifest_text(cli.resolve_settings(cli.parse_args(["--config", str(path)])), None, [])
+
+
+@pytest.mark.parametrize("scenario,setpoint,noise", [
+    ("tcl", "amplitude = 4.0\nfrequency = 0.1\noffset = 155.0", "mean = 0.0\nsd = 0.25\nlo = -1.0\nhi = 1.0"),
+    ("ev", "amplitude = 4.0\nfrequency = 0.1\noffset = 0.0", "mean = 0.0\nsd = 0.25\nlo = -1.5\nhi = 1.5"),
+], ids=["tcl", "ev"])
+def test_partly_given_spec_sections_keep_scenario_defaults(tmp_path, scenario, setpoint, noise):
+    path = write_cfg(tmp_path, f"[run]\nscenario = {scenario}\nfeedback = full\n\n"
+                               "[setpoint]\namplitude = 4\n\n[noise]\nsd = 0.25\n")
+    text = _manifest_for(path)
+    assert f"[setpoint]\n{setpoint}\n\n[noise]\n{noise}\n\n[manifest]" in text
+
+
+def test_manifest_omits_spec_sections_not_given(tmp_path):
+    text = _manifest_for(write_cfg(tmp_path))
+    assert "[setpoint]" not in text and "[noise]" not in text
+    assert "chi = \n" in text and "compute_regret = true\n" in text
+
+
+def test_key_table_covers_every_config_field():
+    top = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    attrs = [attr for _, _, _, attr in cli.KEYS if attr is not None]
+    assert len(attrs) == len(set(attrs))
+    assert {attr.split(".")[0] for attr in attrs} == top
+    for owner, spec in (("tcl_ranges", TclRanges), ("ev_params", EvParams),
+                        ("setpoint", SetpointSpec), ("noise", NoiseSpec)):
+        names = [attr.split(".")[1] for attr in attrs if attr.startswith(owner + ".")]
+        assert names == [f.name for f in dataclasses.fields(spec)]
+    assert [key for section, key, _, _ in cli.KEYS if section == "run"] == [
+        "scenario", "feedback", "trials", "rounds", "seed", "compute_regret", "track_loads", "out",
+    ]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("algorithm", "chi", "nan"),
+    ("algorithm", "rho", "inf"),
+    ("fleet", "ambient", "-inf"),
+    ("noise", "sd", "nan"),
+])
+def test_non_finite_config_value_is_rejected_before_output(tmp_path, capsys, section, key, value):
+    path = write_cfg(tmp_path, f"[run]\nscenario = tcl\nfeedback = full\n\n[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert f"bad value for {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_flag_is_rejected(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "tcl", "--feedback", "full", "--out", str(out), flag, value])
+    assert exc.value.code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,needle", [
+    pytest.param("[run]\nscenario = tcl\nfeedback = full,partial\n\n[algorithm]\nrho = 1\n", "rho",
+                 id="partial-rho"),
+    pytest.param("[run]\nscenario = tcl\nfeedback = full,adaptive\n", "adaptive", id="unknown-regime"),
+    pytest.param("[run]\nscenario = ev\nfeedback = full,bandit\n", "full feedback only", id="ev-bandit"),
+    pytest.param("[run]\nscenario = tcl\nfeedback = full\n\n[noise]\nlo = 2\n", "lo < hi",
+                 id="noise-bounds"),
+    pytest.param("[run]\nscenario = ev\nfeedback = full\n\n[fleet]\ninj_eff = 1.5\n", "efficiencies",
+                 id="ev-efficiency"),
+])
+def test_every_case_is_validated_before_output(tmp_path, capsys, text, needle):
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_feedback_list_writes_headers_only(tmp_path):

@@ -358,8 +358,8 @@ def test_running_mean_matches_batch_average():
 # --- schedules -------------------------------------------------------------------
 
 
-def _bounds(G=2.0, B=10.0, D=20.0, L=None):
-    return EnvBounds(G, B, D, L if L is not None else G)
+def _bounds(G=2.0, B=10.0, D=20.0):
+    return EnvBounds(G, B, D)
 
 
 def test_step_schedule_full_hand_value():
@@ -420,7 +420,6 @@ def test_conservative_bounds_match_formulas():
     assert b.loss_bound == pytest.approx(inner ** 2 + 2.0 * n)
     assert b.gradient_bound == pytest.approx(2 * 5.5 * np.sqrt(n) * inner + 2 * 2.0 * np.sqrt(n))
     assert b.diameter == pytest.approx(20.0)
-    assert b.lipschitz == b.gradient_bound
 
 
 # --- box ------------------------------------------------------------------------

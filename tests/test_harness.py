@@ -23,7 +23,7 @@ from loadtrack.harness import (
     run_trial,
     simultaneity_pct,
 )
-from loadtrack.loads import NoiseSpec
+from loadtrack.loads import NoiseSpec, weighted_signal
 
 
 # --- setpoints -----------------------------------------------------------------
@@ -330,9 +330,13 @@ def test_ev_ledger_series_match_the_per_round_loop():
     ledger = run_trial(cfg, 0).ledger
     ev, n = cfg.ev_params, cfg.n_loads
     weight_sum = np.zeros(2 * n)
+    weighted_mean = RunningMean.zero(n)
     for j, (resp, played) in enumerate(zip(ledger.responses, ledger.played)):
         weight_sum += np.concatenate([ev.inj_eff * resp[:n], resp[n:] / ev.ext_eff])
         assert ledger.mean_weights[j].tobytes() == (weight_sum / (j + 1)).tobytes()
+        term = weighted_signal(ev, resp[:n], resp[n:], played[:n], played[n:])
+        weighted_mean = running_mean_update(weighted_mean, term)
+        assert ledger.mean_norm[j] == weighted_mean.norm()
         simultaneous = np.any(np.minimum(np.abs(played[:n]), np.abs(played[n:])) > 1e-2)
         assert ledger.simultaneous[j] == simultaneous
 

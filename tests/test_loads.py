@@ -1,9 +1,12 @@
 """Fleet model tests: TCL thermal behavior, EV batteries, noise sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from loadtrack.core import RunningMean
+from loadtrack.harness import ScenarioConfig, run_trial
 from loadtrack.loads import (
     EvFleet,
     EvParams,
@@ -13,12 +16,10 @@ from loadtrack.loads import (
     TclRanges,
     WeightedChargeObjective,
     ev_loss_and_gradient,
-    ev_observe_response,
     ev_soc_step,
     sample_truncated_gaussian,
     tcl_apply_signal,
     tcl_fleet_init,
-    tcl_observe_response,
     tcl_steady_control,
     tcl_temp_step,
 )
@@ -151,18 +152,21 @@ def test_truncated_gaussian_draw_budget(monkeypatch):
 
 
 def test_observe_response_noise_bounds():
-    rng = np.random.default_rng(5)
-    c0 = np.full(200, 2.0)
-    noise = NoiseSpec()
-    for _ in range(50):
-        c = tcl_observe_response(c0, rng, noise)
-        assert np.all(c >= c0 - 1.0) and np.all(c <= c0 + 1.0)
+    draws = NoiseSpec().sample(np.random.default_rng(5), size=(50, 200))
+    assert draws.shape == (50, 200)
+    assert np.all(draws >= -1.0) and np.all(draws <= 1.0)
+    # Each load's realized responses are c0 plus noise on [-1, 1].
+    responses = run_trial(ScenarioConfig(n_loads=30, rounds=50, seed=5)).ledger.responses
+    assert np.all(np.ptp(responses, axis=0) <= 2.0)
 
 
 def test_observe_response_degenerate_noise():
-    c0 = np.array([1.5, 2.5])
-    c = tcl_observe_response(c0, np.random.default_rng(6), NoiseSpec(sd=0.0))
-    np.testing.assert_array_equal(c, c0)
+    np.testing.assert_array_equal(
+        NoiseSpec(sd=0.0).sample(np.random.default_rng(6), size=(3, 2)), 0.0
+    )
+    cfg = ScenarioConfig(n_loads=4, rounds=10, seed=6, noise=NoiseSpec(sd=0.0))
+    responses = run_trial(cfg).ledger.responses
+    np.testing.assert_array_equal(responses, np.broadcast_to(responses[0], responses.shape))
 
 
 # --- TCL fleet -------------------------------------------------------------------
@@ -212,14 +216,14 @@ def test_fleet_param_dump_roundtrip(tmp_path):
 
 
 def test_ev_response_rates_and_support():
-    params = EvParams()
-    rng = np.random.default_rng(12)
-    c_c, c_d = ev_observe_response(params, 500, rng)
-    assert np.all(np.abs(c_c - 3.0) <= 1.5)
-    assert np.all(np.abs(c_d - 1.5) <= 1.5)
-    exact_c, exact_d = ev_observe_response(params, 5, rng, NoiseSpec(sd=0.0, lo=-1.5, hi=1.5))
-    np.testing.assert_array_equal(exact_c, 3.0)
-    np.testing.assert_array_equal(exact_d, 1.5)
+    cfg = ScenarioConfig(scenario="ev", n_loads=50, rounds=10, seed=12)
+    responses = run_trial(cfg).ledger.responses
+    assert np.all(np.abs(responses[:, :50] - 3.0) <= 1.5)
+    assert np.all(np.abs(responses[:, 50:] - 1.5) <= 1.5)
+    exact = dataclasses.replace(cfg, n_loads=5, noise=NoiseSpec(sd=0.0, lo=-1.5, hi=1.5))
+    responses = run_trial(exact).ledger.responses
+    np.testing.assert_array_equal(responses[:, :5], 3.0)
+    np.testing.assert_array_equal(responses[:, 5:], 1.5)
 
 
 def test_ev_soc_step_charging_hand_value():
@@ -264,18 +268,26 @@ def test_ev_soc_clamps_and_counts_saturation():
     assert saturated == 1
 
 
-def test_ev_fleet_weighted_mean_matches_batch():
+@pytest.mark.parametrize("rho", [0.0, 30.0])
+def test_ev_objective_weighted_mean_matches_batch(rho):
     params = EvParams()
+    objective = WeightedChargeObjective(4, rho, params)
     fleet = EvFleet(params, 4)
     rng = np.random.default_rng(13)
+    noise = NoiseSpec(sd=0.1, lo=-1.5, hi=1.5)
     terms = []
     for _ in range(60):
-        c_c, c_d = fleet.respond(rng)
+        c_c = 3.0 + noise.sample(rng, size=4)
+        c_d = 1.5 + noise.sample(rng, size=4)
         mu_c = rng.uniform(0, 1, size=4)
         mu_d = -rng.uniform(0, 1, size=4)
         terms.append(params.inj_eff * c_c * mu_c + c_d * mu_d / params.ext_eff)
+        responses, signal = np.concatenate([c_c, c_d]), np.concatenate([mu_c, mu_d])
+        objective.value_and_gradient(0.0, responses, signal)
+        objective.advance(signal, responses)
         fleet.step(c_c, c_d, mu_c, mu_d)
-    np.testing.assert_allclose(fleet.weighted_mean.mean, np.mean(terms, axis=0), atol=1e-12)
+    np.testing.assert_allclose(objective.weighted_mean.mean, np.mean(terms, axis=0), atol=1e-12)
+    assert objective.weighted_mean.rounds == 60
     assert np.all(fleet.soc >= 0.0) and np.all(fleet.soc <= 1.0)
 
 
