@@ -91,10 +91,6 @@ class QuadraticTrackingObjective:
         self.mean = RunningMean.zero(dim)
 
     @property
-    def rho(self) -> float:
-        return self.params.rho
-
-    @property
     def round(self) -> int:
         return self.mean.rounds + 1
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .core import ConfigError
 from .harness import (
@@ -45,6 +47,8 @@ SUMMARY_HEADER = (
     "mean_improvement_pct", "sparsity_improvement_pct", "simultaneity_pct",
 )
 TRAJECTORIES_HEADER = ("scenario", "feedback", "load", "t", "value")
+# ExperimentResult.rounds series behind the ROUNDS_HEADER columns after t.
+ROUND_SERIES = ("setpoint_eff", "aggregate", "tracking", "cum_tracking", "regret", "mean_norm", "l1")
 
 def finite_float(raw) -> float:
     """A float that is neither NaN nor infinite."""
@@ -211,25 +215,109 @@ def resolve_settings(args: argparse.Namespace) -> RunSettings:
     return RunSettings(base, feedbacks, Path(out), args.quiet)
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+@dataclass(frozen=True)
+class Block:
+    """Consecutive CSV rows that share their leading cells.
+
+    ``prefix`` holds those cells once; ``columns`` holds one sequence per
+    remaining cell, all of the block's length.
+    """
+
+    prefix: tuple
+    columns: tuple
+
+    def __post_init__(self):
+        if not self.columns or len({len(c) for c in self.columns}) != 1:
+            raise ValueError("a block needs one or more columns of equal length")
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+class Rows:
+    """The data rows of one CSV as a sequence of blocks; ``len`` counts rows."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.blocks))
+
+
+def _row_blocks(name: str, header, rows) -> list:
+    """A list of row tuples as one block of columns."""
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise RuntimeError(f"{name}: row {i} has {len(row)} cells, expected {len(header)}")
+    return [Block((), tuple(zip(*rows)))] if rows else []
+
+
+def _column(name: str, values):
+    """The %-format, the values as a list and the first non-finite index of a column.
+
+    Floats are written as %.10g and every other value as str; a column
+    that mixes floats with other values has no one format.
+    """
+    if not isinstance(values, np.ndarray):
+        floats = sum(isinstance(v, float) for v in values)
+        if not floats:
+            return "%s", list(values), None
+        if floats != len(values):
+            raise TypeError(f"column '{name}' mixes floats with other values")
+        values = np.asarray(values, dtype=float)
+    if values.dtype.kind != "f":
+        return "%s", values.tolist(), None
+    finite = np.isfinite(values)
+    return "%.10g", values.tolist(), None if finite.all() else int(finite.argmin())
+
+
+def _block_text(name: str, header, block: Block, first_row: int) -> str:
+    """The CSV text of one block, formatted with one template for all its rows."""
+    width = len(block.prefix) + len(block.columns)
+    if width != len(header):
+        raise RuntimeError(f"{name}: row {first_row} has {width} cells, expected {len(header)}")
+    lead, specs, columns, bad = [], [], [], []
+    for i, value in enumerate(block.prefix):
+        spec, (value,), bad_at = _column(header[i], (value,))
+        lead.append((spec % value).replace("%", "%%"))
+        if bad_at is not None:
+            bad.append((0, i))
+    for i, values in enumerate(block.columns, start=len(block.prefix)):
+        spec, values, bad_at = _column(header[i], values)
+        specs.append(spec)
+        columns.append(values)
+        if bad_at is not None:
+            bad.append((bad_at, i))
+    if bad:  # the first bad cell in file order: earliest row, then leftmost column
+        row, i = min(bad)
+        if "t" in header:
+            row_cells = block.prefix + tuple(values[row] for values in columns)
+            where = f"t={row_cells[header.index('t')]}"
+        else:
+            where = f"row {first_row + row}"
+        raise RuntimeError(f"{name}: non-finite value in column '{header[i]}' at {where}")
+    n, k = len(block), len(columns)
+    cells = [None] * (n * k)
+    for i, values in enumerate(columns):
+        cells[i::k] = values
+    return ((",".join(lead + specs) + "\n") * n) % tuple(cells)
 
 
 def write_csv(path: Path, header, rows) -> None:
-    """Write one CSV with LF endings, rejecting any non-finite numeric cell."""
-    t_index = header.index("t") if "t" in header else None
+    """Write one CSV with LF endings, rejecting any non-finite numeric cell.
+
+    ``rows`` is either ``Rows`` of column blocks or a list of row tuples,
+    which is written as one block; ``len(rows)`` is the number of data
+    rows either way. A non-finite cell raises a RuntimeError naming the
+    first one in file order.
+    """
+    blocks = rows.blocks if isinstance(rows, Rows) else _row_blocks(path.name, header, rows)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise RuntimeError(f"{path.name}: row {i} has {len(row)} cells, expected {len(header)}")
-            for name, value in zip(header, row):
-                if isinstance(value, float) and not math.isfinite(value):
-                    where = f"t={row[t_index]}" if t_index is not None else f"row {i}"
-                    raise RuntimeError(f"{path.name}: non-finite value in column '{name}' at {where}")
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        first_row = 0
+        for block in blocks:
+            fh.write(_block_text(path.name, header, block, first_row))
+            first_row += len(block)
 
 
 def _manifest_text(settings: RunSettings, duration: float | None, outputs: list) -> str:
@@ -260,56 +348,39 @@ def _manifest_text(settings: RunSettings, duration: float | None, outputs: list)
 
 
 def emit_outputs(case_results: list, settings: RunSettings) -> list:
-    """Write rounds.csv, summary.csv and trajectories.csv; return their paths."""
-    out = settings.out_dir
-    rounds_rows = []
-    summary_rows = []
-    traj_rows = []
+    """Write rounds.csv, summary.csv and trajectories.csv; return each case's metrics.
+
+    The rounds and trajectories are written column by column: one block per
+    case of ``rounds.csv`` and one per case and tracked load of
+    ``trajectories.csv``.
+    """
+    rounds, summary, trajectories, case_metrics = [], [], [], []
     for result, twin in case_results:
         cfg = result.config
-        fb = cfg.feedback
-        series = result.rounds
-        for j in range(cfg.rounds):
-            rounds_rows.append((
-                cfg.scenario, fb, j + 1,
-                float(series["setpoint_eff"][j]),
-                float(series["aggregate"][j]),
-                float(series["tracking"][j]),
-                float(series["cum_tracking"][j]),
-                float(series["regret"][j]),
-                float(series["mean_norm"][j]),
-                float(series["l1"][j]),
-            ))
+        lead = (cfg.scenario, cfg.feedback)
+        t = np.arange(1, cfg.rounds + 1)
+        rounds.append(Block(lead, (t, *(result.rounds[name] for name in ROUND_SERIES))))
         metrics = compute_metrics(result, twin)
-        summary_rows.append((
-            cfg.scenario, fb, float(cfg.rho), float(cfg.lam), cfg.trials,
-            float(metrics["improvement_pct"]),
-            float(metrics["mean_improvement_pct"]),
-            float(metrics["sparsity_improvement_pct"]),
-            float(metrics["simultaneity_pct"]),
+        case_metrics.append(metrics)
+        summary.append((
+            *lead, float(cfg.rho), float(cfg.lam), cfg.trials,
+            *(float(metrics[name]) for name in SUMMARY_HEADER[5:]),
         ))
         traj = result.first_trial.trajectories
-        for load in range(traj.shape[1]):
-            for j in range(traj.shape[0]):
-                traj_rows.append((cfg.scenario, fb, load, j + 1, float(traj[j, load])))
+        t = np.arange(1, traj.shape[0] + 1)
+        trajectories += [Block((*lead, load), (t, traj[:, load])) for load in range(traj.shape[1])]
 
-    paths = []
-    for name, header, rows in (
-        ("rounds.csv", ROUNDS_HEADER, rounds_rows),
-        ("summary.csv", SUMMARY_HEADER, summary_rows),
-        ("trajectories.csv", TRAJECTORIES_HEADER, traj_rows),
-    ):
-        path = out / name
-        write_csv(path, header, rows)
-        paths.append(path)
-    return paths
+    out = settings.out_dir
+    write_csv(out / "rounds.csv", ROUNDS_HEADER, Rows(rounds))
+    write_csv(out / "summary.csv", SUMMARY_HEADER, summary)
+    write_csv(out / "trajectories.csv", TRAJECTORIES_HEADER, Rows(trajectories))
+    return case_metrics
 
 
-def _print_summary(case_results: list) -> None:
+def _print_summary(case_metrics: list) -> None:
     print(f"{'scenario':<9} {'feedback':<10} {'improvement%':>13} {'mean%':>8} "
           f"{'sparsity%':>10} {'simultaneity%':>14}")
-    for result, twin in case_results:
-        m = compute_metrics(result, twin)
+    for m in case_metrics:
         print(f"{m['scenario']:<9} {m['feedback']:<10} {m['improvement_pct']:>13.2f} "
               f"{m['mean_improvement_pct']:>8.2f} {m['sparsity_improvement_pct']:>10.2f} "
               f"{m['simultaneity_pct']:>14.2f}")
@@ -332,11 +403,11 @@ def execute(settings: RunSettings) -> int:
             twin = run_experiment(replace(cfg, rho=0.0, lam=0.0, compute_regret=False))
         case_results.append((result, twin))
 
-    emit_outputs(case_results, settings)
+    case_metrics = emit_outputs(case_results, settings)
     duration = time.monotonic() - start
     manifest_path.write_text(_manifest_text(settings, duration, output_names))
     if not settings.quiet:
-        _print_summary(case_results)
+        _print_summary(case_metrics)
     return EXIT_OK
 
 

@@ -237,9 +237,6 @@ class MetricsLedger:
     def rounds(self) -> int:
         return self.tracking.shape[0]
 
-    def cumulative_tracking(self) -> np.ndarray:
-        return np.cumsum(self.tracking)
-
 
 @dataclass
 class TrialResult:
@@ -349,7 +346,8 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     infos = []
     n = cfg.n_loads
     is_tcl = cfg.scenario == "tcl"
-    ev_objective = None if is_tcl else tracker.objective  # holds the weighted running mean
+    # The EV objective holds the weighted running mean and each round's weighted signal.
+    ev_objective = None if is_tcl else tracker.objective
     for i in range(total_rounds):
         s_eff = float(setpoints_eff[i])
         resp = responses[i]
@@ -361,7 +359,8 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
             if is_tcl:
                 fleet.step(played)
             else:
-                fleet.step(resp[:n], resp[n:], played[:n], played[n:])
+                fleet.step(resp[:n], resp[n:], played[:n], played[n:],
+                           weighted=ev_objective.weighted_signal_of(played))
         except Exception as exc:
             head = f"round {i - warmup + 1}: {exc.args[0]}" if exc.args else f"round {i - warmup + 1}"
             exc.args = (head,) + exc.args[1:]
@@ -672,15 +671,16 @@ def compute_metrics(result: ExperimentResult, unregularized: ExperimentResult | 
     series against a paired unregularized run; without one they are zero.
     """
     cfg = result.config
+    means = result.mean_summary()
     summary = {
         "scenario": cfg.scenario,
         "feedback": cfg.feedback,
         "rho": cfg.rho,
         "lambda": cfg.lam,
-        "improvement_pct": result.mean_summary()["improvement_pct"],
+        "improvement_pct": means["improvement_pct"],
         "mean_improvement_pct": 0.0,
         "sparsity_improvement_pct": 0.0,
-        "simultaneity_pct": result.mean_summary()["simultaneity_pct"],
+        "simultaneity_pct": means["simultaneity_pct"],
     }
     if unregularized is not None:
         summary["mean_improvement_pct"] = per_round_reduction_pct(

@@ -80,18 +80,21 @@ def sample_truncated_gaussian(mean, sd, lo, hi, rng: np.random.Generator, size=N
             raise ValueError("degenerate sd=0 with mean outside [lo, hi]")
         out = np.full(n, float(mean))
         return float(out[0]) if scalar else out.reshape(size)
-    out = np.empty(n)
-    pending = np.arange(n)
-    rejected = 0
-    while pending.size:
+    # The first pass draws every cell in place; later passes redraw, in
+    # order, only the cells rejected so far.
+    out = mean + sd * rng.standard_normal(n)
+    pending = np.flatnonzero(~((out >= lo) & (out <= hi)))
+    rejected = pending.size
+    while True:
+        if rejected > MAX_REJECTIONS:
+            raise SamplingError(f"more than {MAX_REJECTIONS} rejected draws for [{lo}, {hi}]")
+        if not pending.size:
+            return float(out[0]) if scalar else out.reshape(size)
         draws = mean + sd * rng.standard_normal(pending.size)
         ok = (draws >= lo) & (draws <= hi)
         out[pending[ok]] = draws[ok]
-        rejected += int(pending.size - ok.sum())
-        if rejected > MAX_REJECTIONS:
-            raise SamplingError(f"more than {MAX_REJECTIONS} rejected draws for [{lo}, {hi}]")
         pending = pending[~ok]
-    return float(out[0]) if scalar else out.reshape(size)
+        rejected += pending.size
 
 
 # --- Thermostatically controlled loads -----------------------------------
@@ -340,31 +343,35 @@ def ev_loss_and_gradient(
     The penalty gradients carry the battery-impact weights through the
     chain rule: inj_eff*c_c on the charge block, c_d/ext_eff on discharge.
     """
-    loss, grad_charge, grad_discharge, _ = _ev_loss_terms(
-        setpoint, c_charge, c_discharge, charge_sig, discharge_sig, rho, weighted_mean_prev, params
-    )
-    return loss, grad_charge, grad_discharge
-
-
-def _ev_loss_terms(setpoint, c_charge, c_discharge, charge_sig, discharge_sig, rho,
-                   weighted_mean_prev, params):
-    """``ev_loss_and_gradient`` plus the weighted signal it used (None when rho = 0)."""
     charge_sig, discharge_sig = _check_ev_signals(charge_sig, discharge_sig)
     c_charge = np.asarray(c_charge, dtype=float)
     c_discharge = np.asarray(c_discharge, dtype=float)
+    term = None
+    if rho != 0.0:
+        term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
+    return _ev_loss_terms(
+        setpoint, c_charge, c_discharge, charge_sig, discharge_sig, rho, weighted_mean_prev,
+        params, term,
+    )
+
+
+def _ev_loss_terms(setpoint, c_charge, c_discharge, charge_sig, discharge_sig, rho,
+                   weighted_mean_prev, params, term):
+    """``ev_loss_and_gradient`` on checked float arrays, given the weighted signal ``term``.
+
+    ``term`` is read only when rho != 0.
+    """
     err = float(setpoint) - float(c_charge @ charge_sig) - float(c_discharge @ discharge_sig)
     grad_charge = -2.0 * c_charge * err
     grad_discharge = -2.0 * c_discharge * err
     loss = err * err
-    term = None
     if rho != 0.0:
         t = weighted_mean_prev.rounds + 1
-        term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
         cand = running_mean_candidate(weighted_mean_prev, term)
         loss += rho * float(cand @ cand)
         grad_charge = grad_charge + (2.0 * rho / t) * (params.inj_eff * c_charge) * cand
         grad_discharge = grad_discharge + (2.0 * rho / t) * (c_discharge / params.ext_eff) * cand
-    return loss, grad_charge, grad_discharge, term
+    return loss, grad_charge, grad_discharge
 
 
 def ev_soc_step(soc, params: EvParams, c_charge, c_discharge, charge_sig, discharge_sig, hours: float):
@@ -377,10 +384,15 @@ def ev_soc_step(soc, params: EvParams, c_charge, c_discharge, charge_sig, discha
         raise ValueError("hours must be positive")
     charge_sig, discharge_sig = _check_ev_signals(charge_sig, discharge_sig)
     term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
+    clamped, saturated = _ev_soc_advance(soc, params, term, hours)
+    return clamped, term, saturated
+
+
+def _ev_soc_advance(soc, params: EvParams, term, hours: float):
+    """The clamped SoC after one step of weighted signal ``term``, and the saturation count."""
     raw = np.asarray(soc, dtype=float) + (hours / params.capacity_kwh) * term
     clamped = raw.clip(0.0, 1.0)
-    saturated = int(np.count_nonzero(raw != clamped))
-    return clamped, term, saturated
+    return clamped, int(np.count_nonzero(raw != clamped))
 
 
 @dataclass
@@ -397,6 +409,8 @@ class EvFleet:
             raise ValueError("n_vehicles must be positive")
         if not 0 <= self.initial_soc <= 1:
             raise ValueError("initial_soc must lie in [0, 1]")
+        if self.step_hours <= 0:
+            raise ValueError("hours must be positive")
         self.soc = np.full(self.n_vehicles, float(self.initial_soc))
         self.saturation_events = 0
 
@@ -404,10 +418,18 @@ class EvFleet:
     def size(self) -> int:
         return self.n_vehicles
 
-    def step(self, c_charge, c_discharge, charge_sig, discharge_sig) -> None:
-        self.soc, _, saturated = ev_soc_step(
-            self.soc, self.params, c_charge, c_discharge, charge_sig, discharge_sig, self.step_hours
-        )
+    def step(self, c_charge, c_discharge, charge_sig, discharge_sig, weighted=None) -> None:
+        """Advance every vehicle one step.
+
+        ``weighted`` is the round's weighted signal when the caller already
+        has it for these signals and responses (``WeightedChargeObjective``
+        computes it from checked signals); otherwise the signals are checked
+        and weighted here.
+        """
+        if weighted is None:
+            charge_sig, discharge_sig = _check_ev_signals(charge_sig, discharge_sig)
+            weighted = weighted_signal(self.params, c_charge, c_discharge, charge_sig, discharge_sig)
+        self.soc, saturated = _ev_soc_advance(self.soc, self.params, weighted, self.step_hours)
         self.saturation_events += saturated
 
 
@@ -415,9 +437,10 @@ class WeightedChargeObjective:
     """Full-information EV objective: split-signal tracking with the weighted mean.
 
     Drop-in objective for ``FullInformationTracker`` over the stacked
-    (charge, discharge) signal; response vectors stack the same way. The
-    weighted signal ``value_and_gradient`` computes is kept for the
-    ``advance`` of the same signal and responses.
+    (charge, discharge) signal; response vectors stack the same way.
+    ``value_and_gradient`` checks the signal and computes its weighted
+    signal once; ``advance`` of the same signal and responses reuses it,
+    and ``weighted_signal_of`` hands it on to the fleet's step.
     """
 
     def __init__(self, n_vehicles: int, rho: float, params: EvParams):
@@ -426,10 +449,7 @@ class WeightedChargeObjective:
         self.params = params
         self.weighted_mean = RunningMean.zero(n_vehicles)
         self._term = (None, None, None)  # (signal, responses, weighted signal)
-
-    @property
-    def round(self) -> int:
-        return self.weighted_mean.rounds + 1
+        self._advanced = (None, None)  # (played, weighted signal) of the last advance
 
     def _split(self, stacked):
         stacked = np.asarray(stacked, dtype=float)
@@ -439,10 +459,11 @@ class WeightedChargeObjective:
 
     def value_and_gradient(self, setpoint, responses, signal):
         c_charge, c_discharge = self._split(responses)
-        charge_sig, discharge_sig = self._split(signal)
-        loss, g_c, g_d, term = _ev_loss_terms(
+        charge_sig, discharge_sig = _check_ev_signals(*self._split(signal))
+        term = weighted_signal(self.params, c_charge, c_discharge, charge_sig, discharge_sig)
+        loss, g_c, g_d = _ev_loss_terms(
             setpoint, c_charge, c_discharge, charge_sig, discharge_sig,
-            self.rho, self.weighted_mean, self.params,
+            self.rho, self.weighted_mean, self.params, term,
         )
         self._term = (signal, responses, term)
         return loss, np.concatenate([g_c, g_d])
@@ -452,8 +473,18 @@ class WeightedChargeObjective:
             raise ValueError("the EV objective needs the realized responses to advance")
         signal, seen, term = self._term
         self._term = (None, None, None)
-        if term is None or signal is not played or seen is not responses:
+        if signal is not played or seen is not responses:
             c_charge, c_discharge = self._split(responses)
             charge_sig, discharge_sig = self._split(played)
             term = weighted_signal(self.params, c_charge, c_discharge, charge_sig, discharge_sig)
         self.weighted_mean = running_mean_update(self.weighted_mean, term)
+        self._advanced = (played, term)
+
+    def weighted_signal_of(self, played):
+        """The weighted signal of the last ``advance`` if its signal equals ``played``, else None.
+
+        The caller supplies the responses: they must be the ones that
+        ``advance`` was given.
+        """
+        signal, term = self._advanced
+        return term if np.array_equal(signal, played) else None

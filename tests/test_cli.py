@@ -1,12 +1,14 @@
 """CLI tests: config parsing, error paths, output files, determinism."""
 
 import dataclasses
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loadtrack import cli, harness
-from loadtrack.cli import EXIT_CONFIG, EXIT_OK, main, write_csv
+from loadtrack.cli import EXIT_CONFIG, EXIT_OK, Block, Rows, main, write_csv
 from loadtrack.harness import ScenarioConfig, SetpointSpec
 from loadtrack.loads import EvParams, NoiseSpec, TclRanges
 
@@ -333,6 +335,123 @@ def test_writer_rejects_non_finite_cells(tmp_path):
         write_csv(tmp_path / "bad.csv", header, rows)
     with pytest.raises(RuntimeError, match="non-finite.*'x'"):
         write_csv(tmp_path / "bad2.csv", ("x",), [(float("inf"),)])
+
+
+def _row_writer(name, header, rows) -> str:
+    """The earlier row-by-row writer: the file text, or the error it raised first."""
+    t_index = header.index("t") if "t" in header else None
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        for col, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                where = f"t={row[t_index]}" if t_index is not None else f"row {i}"
+                return f"{name}: non-finite value in column '{col}' at {where}"
+        lines.append(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _blocks_as_rows(blocks) -> list:
+    return [(*b.prefix, *(c[j] for c in b.columns)) for b in blocks for j in range(len(b))]
+
+
+def _write_both_ways(tmp_path, header, blocks):
+    """Write ``blocks`` as Rows and as row tuples; return (block result, row result)."""
+    results = []
+    for name, rows in (("blocks.csv", Rows(blocks)), ("rows.csv", _blocks_as_rows(blocks))):
+        try:
+            write_csv(tmp_path / name, header, rows)
+            results.append((tmp_path / name).read_text())
+        except RuntimeError as exc:
+            results.append(str(exc).replace(name, "x.csv"))
+    return results
+
+
+SPECIAL = [0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789012.5, 0.1, 1 / 3, -2.5e-7]
+
+
+def test_block_writer_matches_the_row_writer_bytes(tmp_path):
+    header = ("scenario", "feedback", "load", "t", "value", "other")
+    values = np.concatenate([SPECIAL, np.random.default_rng(3).normal(0, 1e3, 40)])
+    t = np.arange(1, values.size + 1)
+    blocks = [Block(("tcl", "50%", load), (t, values * (load - 1), -values)) for load in range(3)]
+    by_blocks, by_rows = _write_both_ways(tmp_path, header, blocks)
+    assert by_blocks == by_rows == _row_writer("x.csv", header, _blocks_as_rows(blocks))
+    assert "\ntcl,50%,0,1,-0,-0\n" in by_blocks
+    assert len(Rows(blocks)) == 3 * values.size == len(by_blocks.splitlines()) - 1
+
+
+@pytest.mark.parametrize(
+    "bad_cells,expected",
+    [
+        ([(1, 4, 1, "nan")], "column 'value' at t=5"),
+        ([(0, 9, 2, "inf"), (2, 1, 1, "nan")], "column 'other' at t=10"),
+        ([(1, 6, 2, "nan"), (1, 6, 1, "-inf")], "column 'value' at t=7"),
+        ([(1, 6, 2, "nan"), (1, 2, 2, "nan")], "column 'other' at t=3"),
+    ],
+    ids=["one", "earlier-block-first", "leftmost-in-row", "earliest-row"],
+)
+def test_block_writer_names_the_cell_the_row_writer_named(tmp_path, bad_cells, expected):
+    header = ("scenario", "feedback", "load", "t", "value", "other")
+    t = np.arange(1, 13)
+    blocks = [Block(("tcl", "full", load), (t, np.full(12, 0.5), np.ones(12))) for load in range(3)]
+    for block, row, column, value in bad_cells:  # column 1 is 'value', 2 is 'other'
+        blocks[block].columns[column][row] = float(value)
+    by_blocks, by_rows = _write_both_ways(tmp_path, header, blocks)
+    assert by_blocks == by_rows == _row_writer("x.csv", header, _blocks_as_rows(blocks))
+    assert by_blocks == f"x.csv: non-finite value in {expected}"
+
+
+def test_block_writer_names_the_row_without_a_t_column(tmp_path):
+    blocks = [Block((), (np.ones(4),)), Block((), (np.array([1.0, 2.0, np.inf]),))]
+    by_blocks, by_rows = _write_both_ways(tmp_path, ("x",), blocks)
+    assert by_blocks == by_rows == "x.csv: non-finite value in column 'x' at row 6"
+
+
+def test_writer_rejects_a_column_mixing_floats_with_other_values(tmp_path):
+    with pytest.raises(TypeError, match="'x'"):
+        write_csv(tmp_path / "mixed.csv", ("x",), [(1,), (2.5,)])
+
+
+NAN_CFG = """\
+[run]
+scenario = tcl
+feedback = full,bandit
+trials = 2
+rounds = 20
+seed = 9
+track_loads = 3
+
+[fleet]
+n_loads = 4
+"""
+
+
+@pytest.mark.parametrize(
+    "feedback,target,index,expected",
+    [
+        ("full", "aggregate", 5, "rounds.csv: non-finite value in column 'aggregate' at t=6"),
+        ("bandit", "l1", 0, "rounds.csv: non-finite value in column 'l1_norm' at t=1"),
+        ("bandit", "trajectory", (7, 2), "trajectories.csv: non-finite value in column 'value' at t=8"),
+        ("full", "trajectory", (19, 0), "trajectories.csv: non-finite value in column 'value' at t=20"),
+    ],
+)
+def test_emission_names_the_non_finite_series_and_round(tmp_path, monkeypatch, capsys,
+                                                       feedback, target, index, expected):
+    original = cli.run_experiment
+
+    def poisoned(config):
+        result = original(config)
+        if config.feedback == feedback:
+            if target == "trajectory":
+                result.first_trial.trajectories[index] = np.nan
+            else:
+                result.rounds[target][index] = np.nan
+        return result
+
+    monkeypatch.setattr(cli, "run_experiment", poisoned)
+    path = write_cfg(tmp_path, NAN_CFG)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert capsys.readouterr().err == f"loadtrack: error: {expected}\n"
 
 
 def test_cli_entry_point_version(capsys):

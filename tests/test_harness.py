@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from loadtrack import loads
 from loadtrack.algorithms import AggregateFeedback, FullFeedback, PartialFeedback
 from loadtrack.core import Box, ConfigError, RunningMean, running_mean_update
 from loadtrack.harness import (
@@ -204,6 +205,31 @@ def test_ev_trial_tracks_soc_and_simultaneity():
     assert np.all(trial.trajectories >= 0.0) and np.all(trial.trajectories <= 1.0)
     assert trial.ledger.simultaneous.dtype == bool
     assert trial.ledger.mean_weights.shape == (50, 8)
+
+
+@pytest.mark.parametrize("rho", [0.0, 20.0])
+def test_ev_round_checks_and_weights_each_signal_once(monkeypatch, rho):
+    calls = {}
+    for name in ("_check_ev_signals", "weighted_signal"):
+        def counting(*args, _name=name, _original=getattr(loads, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(loads, name, counting)
+    run_trial(ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, rho=rho), 0)
+    assert calls == {"_check_ev_signals": 30, "weighted_signal": 30}
+
+
+@pytest.mark.parametrize("rho", [0.0, 20.0])
+def test_ev_fleet_reuses_the_objective_weighted_signal_bitwise(monkeypatch, rho):
+    # Long steps make vehicles saturate, so the clamp and its count are exercised.
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=6, rounds=80, rho=rho,
+                         step_hours=0.5, seed=4)
+    reused = run_trial(cfg, 0)
+    monkeypatch.setattr(loads.WeightedChargeObjective, "weighted_signal_of", lambda self, played: None)
+    fresh = run_trial(cfg, 0)
+    assert reused.saturation_events == fresh.saturation_events > 0
+    assert reused.trajectories.tobytes() == fresh.trajectories.tobytes()
+    assert reused.ledger.mean_norm.tobytes() == fresh.ledger.mean_norm.tobytes()
 
 
 # --- hindsight oracle -------------------------------------------------------------

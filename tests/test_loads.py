@@ -151,6 +151,44 @@ def test_truncated_gaussian_draw_budget(monkeypatch):
         sample_truncated_gaussian(0.0, 0.01, 0.4, 0.4001, np.random.default_rng(0))
 
 
+def _reference_truncated_gaussian(mean, sd, lo, hi, rng, size=None):
+    """The earlier rejection loop (every pass over a pending index list), and its pass count."""
+    scalar = size is None
+    n = 1 if scalar else int(np.prod(size))
+    if sd == 0:
+        out = np.full(n, float(mean))
+        return (float(out[0]) if scalar else out.reshape(size)), 0
+    out = np.empty(n)
+    pending = np.arange(n)
+    passes = 0
+    while pending.size:
+        passes += 1
+        draws = mean + sd * rng.standard_normal(pending.size)
+        ok = (draws >= lo) & (draws <= hi)
+        out[pending[ok]] = draws[ok]
+        pending = pending[~ok]
+    return (float(out[0]) if scalar else out.reshape(size)), passes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("size", [None, 1, 997, (60, 40)], ids=["scalar", "1", "997", "60x40"])
+@pytest.mark.parametrize(
+    "mean,sd,lo,hi",
+    [(0.0, 0.5, -1.0, 1.0), (0.0, 0.1, -1.5, 1.5), (0.3, 0.0, -1.0, 1.0), (0.0, 1.0, 0.2, 0.3)],
+    ids=["tcl", "ev", "sd0", "narrow"],
+)
+def test_truncated_gaussian_matches_the_reference_loop_bitwise(seed, size, mean, sd, lo, hi):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_truncated_gaussian(mean, sd, lo, hi, rng, size=size)
+    want, passes = _reference_truncated_gaussian(mean, sd, lo, hi, ref_rng, size=size)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).view(np.int64).tobytes() == np.asarray(want).view(np.int64).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws consumed
+    if (lo, hi) == (0.2, 0.3) and size in (997, (60, 40)):
+        assert passes > 3  # the narrow window redraws over several passes
+
+
 def test_observe_response_noise_bounds():
     draws = NoiseSpec().sample(np.random.default_rng(5), size=(50, 200))
     assert draws.shape == (50, 200)

@@ -105,6 +105,25 @@ def test_every_wrapped_name_is_called_through_its_owner(tmp_path, monkeypatch):
     assert calls["algorithms.prox_step"] == sum(updates.values()) + updates["PartialBanditTracker"]
 
 
+def test_write_csv_rows_count_the_data_lines_it_writes(tmp_path, monkeypatch):
+    # A tracer counts emitted rows as len(rows) of each write_csv call.
+    written = []
+    original = vars(cli)["write_csv"]
+
+    def recording(path, header, rows):
+        original(path, header, rows)
+        written.append((path, len(rows)))
+
+    monkeypatch.setattr(cli, "write_csv", recording)
+    for name, text in (("tcl", TCL_CFG), ("ev", EV_CFG)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        assert main(["--config", str(path), "--out", str(tmp_path / name), "--quiet"]) == EXIT_OK
+    assert [p.name for p, _ in written] == ["rounds.csv", "summary.csv", "trajectories.csv"] * 2
+    for path, rows in written:
+        assert rows == len(path.read_text().splitlines()) - 1 > 0, path
+
+
 def test_run_experiment_runs_one_trial_span_per_trial(monkeypatch):
     calls = []
     original = harness.run_trial
