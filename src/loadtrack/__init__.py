@@ -62,11 +62,7 @@ from .loads import (
     SamplingError,
     TclFleet,
     TclRanges,
-    ev_loss_and_gradient,
-    ev_soc_step,
     sample_truncated_gaussian,
-    tcl_apply_signal,
     tcl_fleet_init,
     tcl_steady_control,
-    tcl_temp_step,
 )

@@ -57,6 +57,7 @@ __all__ = [
     "SetpointSpec",
     "TrialResult",
     "TrialSummary",
+    "comparator_round_losses",
     "compute_metrics",
     "empirical_regret",
     "feedback_channel",
@@ -356,11 +357,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
             played = tracker.begin_round()
             obs = feedback_channel(kind, resp, s_eff, played, observed=cfg.observed)
             info = tracker.update(obs)
-            if is_tcl:
-                fleet.step(played)
-            else:
-                fleet.step(resp[:n], resp[n:], played[:n], played[n:],
-                           weighted=ev_objective.weighted_signal_of(played))
+            fleet.step(played if is_tcl else ev_objective.weighted)
         except Exception as exc:
             head = f"round {i - warmup + 1}: {exc.args[0]}" if exc.args else f"round {i - warmup + 1}"
             exc.args = (head,) + exc.args[1:]

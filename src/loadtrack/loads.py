@@ -22,13 +22,10 @@ __all__ = [
     "TclFleet",
     "TclRanges",
     "WeightedChargeObjective",
-    "ev_loss_and_gradient",
-    "ev_soc_step",
     "sample_truncated_gaussian",
-    "tcl_apply_signal",
     "tcl_fleet_init",
     "tcl_steady_control",
-    "tcl_temp_step",
+    "weighted_signal",
 ]
 
 MAX_REJECTIONS = 1_000_000
@@ -135,57 +132,13 @@ def tcl_steady_control(resistance, rated_power, cop, desired_temp, ambient):
     return m_bar, response_base, unit_power
 
 
-def tcl_temp_step(theta, resistance, capacitance, rated_power, ambient, duty, hours):
-    """One step of the first-order thermal model.
-
-    theta' = b*theta + (1-b)*(theta_a - m*R*P_R) with b = exp(-h/(R*C)).
-    """
-    b = _tcl_decay(resistance, capacitance, hours)
-    return _tcl_relax(theta, b, 1.0 - b, resistance, rated_power, ambient, duty)
-
-
-def _tcl_decay(resistance, capacitance, hours):
-    """The per-load decay b = exp(-h/(R*C)) of one step."""
-    if (np.asarray(hours) <= 0).any():
-        raise ValueError("hours must be positive")
-    resistance = np.asarray(resistance, dtype=float)
-    return np.exp(-hours / (resistance * np.asarray(capacitance, dtype=float)))
-
-
-def _tcl_relax(theta, b, b_rest, resistance, rated_power, ambient, duty):
-    """The thermal step given b and b_rest = 1 - b."""
-    duty = np.asarray(duty, dtype=float)
-    if (duty < -1e-12).any() or (duty > 1 + 1e-12).any():
-        raise ValueError("duty must lie in [0, 1]")
-    return b * np.asarray(theta, dtype=float) + b_rest * (
-        ambient - duty * np.asarray(resistance, dtype=float) * np.asarray(rated_power, dtype=float)
-    )
-
-
-def tcl_apply_signal(signal, m_bar):
-    """Duty commanded by an adjustment signal: m_bar + mu * min(m_bar, 1 - m_bar).
-
-    The symmetric swing keeps the result in [0, 1] and makes mu = 0 hold
-    the steady state.
-    """
-    m_bar = np.asarray(m_bar, dtype=float)
-    return _tcl_duty(signal, m_bar, np.minimum(m_bar, 1.0 - m_bar))
-
-
-def _tcl_duty(signal, m_bar, swing):
-    """The duty given the swing min(m_bar, 1 - m_bar)."""
-    signal = np.asarray(signal, dtype=float)
-    if (np.abs(signal) > 1 + 1e-9).any():
-        raise ValueError("adjustment signals must lie in [-1, 1]")
-    return np.minimum(np.maximum(m_bar + signal * swing, 0.0), 1.0)
-
-
 @dataclass
 class TclFleet:
     """A fleet of thermostatically controlled loads and their temperatures.
 
-    The per-load constants of every step (steady duty, swing, decay b and
-    1 - b) are computed once, when the fleet is built.
+    ``step`` is the fleet's thermal model. The per-load constants of every
+    step (steady duty, swing, decay b and 1 - b) are computed once, when
+    the fleet is built.
     """
 
     resistance: np.ndarray
@@ -204,43 +157,35 @@ class TclFleet:
     decay_rest: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.step_hours <= 0:
+            raise ValueError("hours must be positive")
         self.m_bar, self.response_base, self.unit_power = tcl_steady_control(
             self.resistance, self.rated_power, self.cop, self.desired_temp, self.ambient
         )
         self.theta = self.desired_temp.astype(float).copy()
         self.swing = np.minimum(self.m_bar, 1.0 - self.m_bar)
-        self.decay = _tcl_decay(self.resistance, self.capacitance, self.step_hours)
+        self.decay = np.exp(-self.step_hours / (self.resistance * self.capacitance))
         self.decay_rest = 1.0 - self.decay
-
-    @property
-    def size(self) -> int:
-        return self.resistance.shape[0]
 
     def baseline_power(self) -> float:
         """Aggregate consumption when every load holds its steady duty."""
         return float(self.unit_power @ self.m_bar)
 
     def step(self, signal: np.ndarray) -> None:
-        duty = _tcl_duty(signal, self.m_bar, self.swing)
-        self.theta = _tcl_relax(
-            self.theta, self.decay, self.decay_rest, self.resistance, self.rated_power,
-            self.ambient, duty,
+        """Advance every load one step of the first-order thermal model.
+
+        The signal mu commands the duty m = clip(m_bar + mu * swing, 0, 1);
+        the symmetric swing keeps m in [0, 1] and makes mu = 0 hold the
+        steady state. Then theta' = b*theta + (1-b)*(theta_a - m*R*P_R)
+        with b = exp(-h/(R*C)).
+        """
+        signal = np.asarray(signal, dtype=float)
+        if (np.abs(signal) > 1 + 1e-9).any():
+            raise ValueError("adjustment signals must lie in [-1, 1]")
+        duty = np.minimum(np.maximum(self.m_bar + signal * self.swing, 0.0), 1.0)
+        self.theta = self.decay * self.theta + self.decay_rest * (
+            self.ambient - duty * self.resistance * self.rated_power
         )
-
-    PARAM_COLUMNS = ("resistance", "capacitance", "rated_power", "cop", "desired_temp")
-
-    def save_params(self, path) -> None:
-        """Dump per-load parameters, one row per load, columns as in PARAM_COLUMNS."""
-        table = np.column_stack([getattr(self, col) for col in self.PARAM_COLUMNS])
-        np.savetxt(path, table, fmt="%.17g", header=" ".join(self.PARAM_COLUMNS))
-
-    @classmethod
-    def load_params(cls, path, ambient: float, step_hours: float) -> "TclFleet":
-        table = np.loadtxt(path, ndmin=2)
-        if table.shape[1] != len(cls.PARAM_COLUMNS):
-            raise ValueError(f"expected {len(cls.PARAM_COLUMNS)} columns")
-        cols = dict(zip(cls.PARAM_COLUMNS, table.T))
-        return cls(ambient=ambient, step_hours=step_hours, **cols)
 
 
 def tcl_fleet_init(
@@ -327,74 +272,6 @@ def weighted_signal(params: EvParams, c_charge, c_discharge, charge_sig, dischar
     )
 
 
-def ev_loss_and_gradient(
-    setpoint: float,
-    c_charge,
-    c_discharge,
-    charge_sig,
-    discharge_sig,
-    rho: float,
-    weighted_mean_prev: RunningMean,
-    params: EvParams,
-):
-    """Tracking loss with the weighted-mean penalty and its two block gradients.
-
-    loss = (s - c_c.mu_c - c_d.mu_d)^2 + rho * ||weighted mean incl. round t||^2.
-    The penalty gradients carry the battery-impact weights through the
-    chain rule: inj_eff*c_c on the charge block, c_d/ext_eff on discharge.
-    """
-    charge_sig, discharge_sig = _check_ev_signals(charge_sig, discharge_sig)
-    c_charge = np.asarray(c_charge, dtype=float)
-    c_discharge = np.asarray(c_discharge, dtype=float)
-    term = None
-    if rho != 0.0:
-        term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
-    return _ev_loss_terms(
-        setpoint, c_charge, c_discharge, charge_sig, discharge_sig, rho, weighted_mean_prev,
-        params, term,
-    )
-
-
-def _ev_loss_terms(setpoint, c_charge, c_discharge, charge_sig, discharge_sig, rho,
-                   weighted_mean_prev, params, term):
-    """``ev_loss_and_gradient`` on checked float arrays, given the weighted signal ``term``.
-
-    ``term`` is read only when rho != 0.
-    """
-    err = float(setpoint) - float(c_charge @ charge_sig) - float(c_discharge @ discharge_sig)
-    grad_charge = -2.0 * c_charge * err
-    grad_discharge = -2.0 * c_discharge * err
-    loss = err * err
-    if rho != 0.0:
-        t = weighted_mean_prev.rounds + 1
-        cand = running_mean_candidate(weighted_mean_prev, term)
-        loss += rho * float(cand @ cand)
-        grad_charge = grad_charge + (2.0 * rho / t) * (params.inj_eff * c_charge) * cand
-        grad_discharge = grad_discharge + (2.0 * rho / t) * (c_discharge / params.ext_eff) * cand
-    return loss, grad_charge, grad_discharge
-
-
-def ev_soc_step(soc, params: EvParams, c_charge, c_discharge, charge_sig, discharge_sig, hours: float):
-    """Advance the state of charge one step and clamp it to [0, 1].
-
-    Returns the new SoC, the weighted signal of the round and the number
-    of vehicles that saturated.
-    """
-    if hours <= 0:
-        raise ValueError("hours must be positive")
-    charge_sig, discharge_sig = _check_ev_signals(charge_sig, discharge_sig)
-    term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
-    clamped, saturated = _ev_soc_advance(soc, params, term, hours)
-    return clamped, term, saturated
-
-
-def _ev_soc_advance(soc, params: EvParams, term, hours: float):
-    """The clamped SoC after one step of weighted signal ``term``, and the saturation count."""
-    raw = np.asarray(soc, dtype=float) + (hours / params.capacity_kwh) * term
-    clamped = raw.clip(0.0, 1.0)
-    return clamped, int(np.count_nonzero(raw != clamped))
-
-
 @dataclass
 class EvFleet:
     """A fleet of identical EV storage units: state of charge and saturation count."""
@@ -414,23 +291,15 @@ class EvFleet:
         self.soc = np.full(self.n_vehicles, float(self.initial_soc))
         self.saturation_events = 0
 
-    @property
-    def size(self) -> int:
-        return self.n_vehicles
+    def step(self, weighted) -> None:
+        """Advance every vehicle one step, clamp the SoC to [0, 1] and count saturations.
 
-    def step(self, c_charge, c_discharge, charge_sig, discharge_sig, weighted=None) -> None:
-        """Advance every vehicle one step.
-
-        ``weighted`` is the round's weighted signal when the caller already
-        has it for these signals and responses (``WeightedChargeObjective``
-        computes it from checked signals); otherwise the signals are checked
-        and weighted here.
+        ``weighted`` is the round's battery-impact-weighted signal, which
+        ``WeightedChargeObjective`` computes from checked signals.
         """
-        if weighted is None:
-            charge_sig, discharge_sig = _check_ev_signals(charge_sig, discharge_sig)
-            weighted = weighted_signal(self.params, c_charge, c_discharge, charge_sig, discharge_sig)
-        self.soc, saturated = _ev_soc_advance(self.soc, self.params, weighted, self.step_hours)
-        self.saturation_events += saturated
+        raw = self.soc + (self.step_hours / self.params.capacity_kwh) * weighted
+        self.soc = raw.clip(0.0, 1.0)
+        self.saturation_events += int(np.count_nonzero(raw != self.soc))
 
 
 class WeightedChargeObjective:
@@ -438,9 +307,9 @@ class WeightedChargeObjective:
 
     Drop-in objective for ``FullInformationTracker`` over the stacked
     (charge, discharge) signal; response vectors stack the same way.
-    ``value_and_gradient`` checks the signal and computes its weighted
-    signal once; ``advance`` of the same signal and responses reuses it,
-    and ``weighted_signal_of`` hands it on to the fleet's step.
+    ``value_and_gradient`` checks the signal and weights it once;
+    ``advance`` folds that weighted signal into the running mean and keeps
+    it as ``weighted`` for the fleet's step.
     """
 
     def __init__(self, n_vehicles: int, rho: float, params: EvParams):
@@ -448,8 +317,8 @@ class WeightedChargeObjective:
         self.rho = float(rho)
         self.params = params
         self.weighted_mean = RunningMean.zero(n_vehicles)
-        self._term = (None, None, None)  # (signal, responses, weighted signal)
-        self._advanced = (None, None)  # (played, weighted signal) of the last advance
+        self.weighted = None  # weighted signal of the last advanced round
+        self._pending = None  # weighted signal of the round being scored
 
     def _split(self, stacked):
         stacked = np.asarray(stacked, dtype=float)
@@ -458,33 +327,34 @@ class WeightedChargeObjective:
         return stacked[: self.n_vehicles], stacked[self.n_vehicles :]
 
     def value_and_gradient(self, setpoint, responses, signal):
+        """Tracking loss with the weighted-mean penalty and its gradient.
+
+        loss = (s - c_c.mu_c - c_d.mu_d)^2 + rho * ||weighted mean incl. round t||^2.
+        The penalty gradients carry the battery-impact weights through the
+        chain rule: inj_eff*c_c on the charge block, c_d/ext_eff on discharge.
+        """
+        params = self.params
         c_charge, c_discharge = self._split(responses)
         charge_sig, discharge_sig = _check_ev_signals(*self._split(signal))
-        term = weighted_signal(self.params, c_charge, c_discharge, charge_sig, discharge_sig)
-        loss, g_c, g_d = _ev_loss_terms(
-            setpoint, c_charge, c_discharge, charge_sig, discharge_sig,
-            self.rho, self.weighted_mean, self.params, term,
-        )
-        self._term = (signal, responses, term)
-        return loss, np.concatenate([g_c, g_d])
+        self._pending = term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
+        err = float(setpoint) - float(c_charge @ charge_sig) - float(c_discharge @ discharge_sig)
+        grad_charge = -2.0 * c_charge * err
+        grad_discharge = -2.0 * c_discharge * err
+        loss = err * err
+        if self.rho != 0.0:
+            t = self.weighted_mean.rounds + 1
+            cand = running_mean_candidate(self.weighted_mean, term)
+            loss += self.rho * float(cand @ cand)
+            grad_charge = grad_charge + (2.0 * self.rho / t) * (params.inj_eff * c_charge) * cand
+            grad_discharge = grad_discharge + (2.0 * self.rho / t) * (c_discharge / params.ext_eff) * cand
+        return loss, np.concatenate([grad_charge, grad_discharge])
 
     def advance(self, played, responses=None) -> None:
-        if responses is None:
-            raise ValueError("the EV objective needs the realized responses to advance")
-        signal, seen, term = self._term
-        self._term = (None, None, None)
-        if signal is not played or seen is not responses:
-            c_charge, c_discharge = self._split(responses)
-            charge_sig, discharge_sig = self._split(played)
-            term = weighted_signal(self.params, c_charge, c_discharge, charge_sig, discharge_sig)
-        self.weighted_mean = running_mean_update(self.weighted_mean, term)
-        self._advanced = (played, term)
+        """Fold the round that ``value_and_gradient`` just scored into the weighted mean.
 
-    def weighted_signal_of(self, played):
-        """The weighted signal of the last ``advance`` if its signal equals ``played``, else None.
-
-        The caller supplies the responses: they must be the ones that
-        ``advance`` was given.
+        ``played`` and ``responses`` are that call's signal and responses.
         """
-        signal, term = self._advanced
-        return term if np.array_equal(signal, played) else None
+        if self._pending is None:
+            raise ValueError("the EV objective advances only a round that value_and_gradient scored")
+        self.weighted, self._pending = self._pending, None
+        self.weighted_mean = running_mean_update(self.weighted_mean, self.weighted)

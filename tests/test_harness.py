@@ -220,16 +220,21 @@ def test_ev_round_checks_and_weights_each_signal_once(monkeypatch, rho):
 
 
 @pytest.mark.parametrize("rho", [0.0, 20.0])
-def test_ev_fleet_reuses_the_objective_weighted_signal_bitwise(monkeypatch, rho):
+def test_ev_fleet_reuses_the_objective_weighted_signal_bitwise(rho):
     # Long steps make vehicles saturate, so the clamp and its count are exercised.
     cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=6, rounds=80, rho=rho,
-                         step_hours=0.5, seed=4)
-    reused = run_trial(cfg, 0)
-    monkeypatch.setattr(loads.WeightedChargeObjective, "weighted_signal_of", lambda self, played: None)
-    fresh = run_trial(cfg, 0)
-    assert reused.saturation_events == fresh.saturation_events > 0
-    assert reused.trajectories.tobytes() == fresh.trajectories.tobytes()
-    assert reused.ledger.mean_norm.tobytes() == fresh.ledger.mean_norm.tobytes()
+                         step_hours=0.5, seed=4, track_loads=6)
+    trial = run_trial(cfg, 0)
+    ev, n = cfg.ev_params, cfg.n_loads
+    soc = np.full(n, 0.75)
+    saturations = 0
+    for j, (resp, played) in enumerate(zip(trial.ledger.responses, trial.ledger.played)):
+        term = weighted_signal(ev, resp[:n], resp[n:], played[:n], played[n:])
+        raw = soc + (cfg.step_hours / ev.capacity_kwh) * term
+        soc = np.clip(raw, 0.0, 1.0)
+        saturations += int(np.count_nonzero(raw != soc))
+        assert trial.trajectories[j].tobytes() == soc.tobytes()
+    assert trial.saturation_events == saturations > 0
 
 
 # --- hindsight oracle -------------------------------------------------------------

@@ -15,13 +15,10 @@ from loadtrack.loads import (
     TclFleet,
     TclRanges,
     WeightedChargeObjective,
-    ev_loss_and_gradient,
-    ev_soc_step,
     sample_truncated_gaussian,
-    tcl_apply_signal,
     tcl_fleet_init,
     tcl_steady_control,
-    tcl_temp_step,
+    weighted_signal,
 )
 
 
@@ -40,41 +37,51 @@ def test_steady_control_infeasible_at_boundary():
         tcl_steady_control(2.0, 10.0, 2.5, 30.0, 30.0)  # theta_d == theta_a
 
 
+def _one_tcl(desired_temp, step_hours=1.0 / 12.0):
+    """One load with R=2, C=10, P_R=10, COP=2.5 at 30 C ambient: m_bar = (30 - desired) / 20."""
+    return TclFleet(np.array([2.0]), np.array([10.0]), np.array([10.0]), np.array([2.5]),
+                    np.array([desired_temp]), 30.0, step_hours)
+
+
 def test_temp_step_decay_constant():
-    # R=2, C=10, h=1/12 h gives b = exp(-1/240)
-    theta = tcl_temp_step(25.0, 2.0, 10.0, 10.0, 30.0, 0.25, 1.0 / 12.0)
+    # R=2, C=10, h=1/12 h gives b = exp(-1/240); m_bar = 0.4 and mu = -0.375 give duty 0.25.
+    fleet = _one_tcl(22.0)
+    fleet.theta = np.array([25.0])
+    fleet.step(np.array([-0.375]))
     b = np.exp(-1.0 / 240.0)
+    assert fleet.decay[0] == pytest.approx(b, abs=1e-15)
     assert b == pytest.approx(0.995842, abs=1e-6)
     expected = b * 25.0 + (1 - b) * (30.0 - 0.25 * 2.0 * 10.0)
-    assert theta == pytest.approx(expected, abs=1e-12)
+    assert fleet.theta[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_temp_step_fixed_point_at_steady_duty():
-    m_bar, _, _ = tcl_steady_control(2.0, 10.0, 2.5, 22.0, 30.0)
-    theta = 22.0
+    fleet = _one_tcl(22.0)
     for _ in range(50):
-        theta = tcl_temp_step(theta, 2.0, 10.0, 10.0, 30.0, m_bar, 1.0 / 12.0)
-    assert theta == pytest.approx(22.0, abs=1e-9)
+        fleet.step(np.zeros(1))
+    assert fleet.theta[0] == pytest.approx(22.0, abs=1e-9)
 
 
 def test_temp_step_no_cooling_approaches_ambient():
-    theta = 22.0
+    fleet = _one_tcl(22.0)  # m_bar = 0.4 = swing, so mu = -1 gives duty 0
     for _ in range(5000):
-        theta = tcl_temp_step(theta, 2.0, 10.0, 10.0, 30.0, 0.0, 1.0 / 12.0)
-    assert theta == pytest.approx(30.0, abs=1e-6)
+        fleet.step(-np.ones(1))
+    assert fleet.theta[0] == pytest.approx(30.0, abs=1e-6)
 
 
 def test_temp_step_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        tcl_temp_step(22.0, 2.0, 10.0, 10.0, 30.0, 0.5, 0.0)
+        _one_tcl(22.0, step_hours=0.0)
     with pytest.raises(ValueError):
-        tcl_temp_step(22.0, 2.0, 10.0, 10.0, 30.0, 1.5, 0.1)
+        _one_tcl(22.0).step(np.array([1.5]))
 
 
 def test_apply_signal_hand_values():
-    assert tcl_apply_signal(0.0, 0.25) == pytest.approx(0.25)
-    assert tcl_apply_signal(1.0, 0.25) == pytest.approx(0.5)
-    assert tcl_apply_signal(-1.0, 0.25) == pytest.approx(0.0)
+    b = np.exp(-1.0 / 240.0)
+    for mu, duty in [(0.0, 0.25), (1.0, 0.5), (-1.0, 0.0)]:
+        fleet = _one_tcl(25.0)  # m_bar = 0.25, theta starts at 25
+        fleet.step(np.array([mu]))
+        assert fleet.theta[0] == pytest.approx(b * 25.0 + (1 - b) * (30.0 - duty * 2.0 * 10.0), abs=1e-12)
 
 
 def test_fleet_step_matches_the_thermal_model_formula_bitwise():
@@ -82,17 +89,18 @@ def test_fleet_step_matches_the_thermal_model_formula_bitwise():
     fleet = tcl_fleet_init(50, rng)
     r, c, p, m_bar = fleet.resistance, fleet.capacitance, fleet.rated_power, fleet.m_bar
     theta = fleet.theta.copy()
+    # A signal just below -1 on a load with m_bar < 0.5 commands a duty below 0, so the clip acts.
+    under = np.argmin(m_bar)
+    assert m_bar[under] < 0.5
     for _ in range(30):
         mu = rng.uniform(-1, 1, size=50)
         mu[:5] = (-1.0, 1.0, 0.0, -0.0, 1.0 + 1e-10)
+        mu[under] = -1.0 - 1e-10
         duty = np.clip(m_bar + mu * np.minimum(m_bar, 1.0 - m_bar), 0.0, 1.0)
         b = np.exp(-fleet.step_hours / (r * c))
         theta = b * theta + (1.0 - b) * (fleet.ambient - duty * r * p)
         fleet.step(mu)
         assert fleet.theta.tobytes() == theta.tobytes()
-        assert tcl_temp_step(theta, r, c, p, fleet.ambient, duty, fleet.step_hours).tobytes() == (
-            (b * theta + (1.0 - b) * (fleet.ambient - duty * r * p)).tobytes()
-        )
 
 
 def test_fleet_rejects_nonpositive_step_at_construction():
@@ -102,11 +110,14 @@ def test_fleet_rejects_nonpositive_step_at_construction():
 
 
 def test_apply_signal_image_in_unit_interval():
+    # Every duty in [0, 1] puts the next temperature between full cooling and none.
     rng = np.random.default_rng(0)
-    mu = rng.uniform(-1, 1, size=1000)
-    m_bar = rng.uniform(0.05, 0.95, size=1000)
-    duty = tcl_apply_signal(mu, m_bar)
-    assert np.all(duty >= 0.0) and np.all(duty <= 1.0)
+    fleet = tcl_fleet_init(1000, rng)
+    theta = fleet.theta
+    fleet.step(rng.uniform(-1, 1, size=1000))
+    full = fleet.decay * theta + fleet.decay_rest * (fleet.ambient - fleet.resistance * fleet.rated_power)
+    none = fleet.decay * theta + fleet.decay_rest * fleet.ambient
+    assert np.all(fleet.theta >= full) and np.all(fleet.theta <= none)
 
 
 # --- truncated Gaussian ---------------------------------------------------------
@@ -142,13 +153,31 @@ def test_truncated_gaussian_rejects_empty_interval():
         sample_truncated_gaussian(0.0, 1.0, 1.0, -1.0, np.random.default_rng(0))
 
 
+class _DrawLimit:
+    """A generator whose ``standard_normal`` fails the test after ``limit`` cells.
+
+    A sampler that stopped counting its rejections would otherwise loop
+    forever instead of failing.
+    """
+
+    def __init__(self, rng, limit):
+        self.rng, self.limit, self.cells = rng, limit, 0
+
+    def standard_normal(self, size=None):
+        self.cells += 1 if size is None else int(np.prod(size))
+        if self.cells > self.limit:
+            raise AssertionError(f"{self.cells} cells drawn without reaching the draw budget")
+        return self.rng.standard_normal(size)
+
+
 def test_truncated_gaussian_draw_budget(monkeypatch):
     import loadtrack.loads as loads_module
 
     monkeypatch.setattr(loads_module, "MAX_REJECTIONS", 1000)
+    rng = _DrawLimit(np.random.default_rng(0), 10 * 1000)
     with pytest.raises(loads_module.SamplingError):
         # Acceptance region 40 sigma out: every draw is rejected.
-        sample_truncated_gaussian(0.0, 0.01, 0.4, 0.4001, np.random.default_rng(0))
+        sample_truncated_gaussian(0.0, 0.01, 0.4, 0.4001, rng)
 
 
 def _reference_truncated_gaussian(mean, sd, lo, hi, rng, size=None):
@@ -237,17 +266,8 @@ def test_fleet_init_rejects_impossible_ranges():
 def test_fleet_zero_signal_holds_temperature():
     fleet = tcl_fleet_init(30, np.random.default_rng(10))
     for _ in range(200):
-        fleet.step(np.zeros(fleet.size))
+        fleet.step(np.zeros(fleet.theta.shape[0]))
     np.testing.assert_allclose(fleet.theta, fleet.desired_temp, atol=1e-9)
-
-
-def test_fleet_param_dump_roundtrip(tmp_path):
-    fleet = tcl_fleet_init(20, np.random.default_rng(11))
-    path = tmp_path / "fleet.txt"
-    fleet.save_params(path)
-    loaded = TclFleet.load_params(path, ambient=fleet.ambient, step_hours=fleet.step_hours)
-    for col in TclFleet.PARAM_COLUMNS:
-        np.testing.assert_allclose(getattr(loaded, col), getattr(fleet, col), rtol=0, atol=0)
 
 
 # --- EV responses and dynamics ------------------------------------------------
@@ -264,46 +284,47 @@ def test_ev_response_rates_and_support():
     np.testing.assert_array_equal(responses[:, 5:], 1.5)
 
 
+def _ev_round(objective, fleet, responses, signal):
+    """One round as ``run_trial`` plays it: score, advance, then step the fleet."""
+    objective.value_and_gradient(0.0, np.asarray(responses, dtype=float), np.asarray(signal, dtype=float))
+    objective.advance(signal, responses)
+    fleet.step(objective.weighted)
+
+
+def _ev_pair(n, params=EvParams(), step_hours=1.0 / 60.0):
+    return WeightedChargeObjective(n, 0.0, params), EvFleet(params, n, step_hours)
+
+
 def test_ev_soc_step_charging_hand_value():
-    params = EvParams()
-    soc, term, saturated = ev_soc_step(
-        np.array([0.75]), params, np.array([3.0]), np.array([1.5]),
-        np.array([1.0]), np.array([0.0]), 1.0 / 60.0,
-    )
-    assert soc[0] == pytest.approx(0.75425, abs=1e-9)
-    assert term[0] == pytest.approx(0.85 * 3.0)
-    assert saturated == 0
+    objective, fleet = _ev_pair(1)
+    _ev_round(objective, fleet, [3.0, 1.5], [1.0, 0.0])
+    assert fleet.soc[0] == pytest.approx(0.75425, abs=1e-9)
+    assert objective.weighted[0] == pytest.approx(0.85 * 3.0)
+    assert fleet.saturation_events == 0
 
 
 def test_ev_soc_step_discharging_hand_value():
-    params = EvParams()
-    soc, _, _ = ev_soc_step(
-        np.array([0.75]), params, np.array([3.0]), np.array([1.5]),
-        np.array([0.0]), np.array([-1.0]), 1.0 / 60.0,
-    )
-    assert soc[0] == pytest.approx(0.75 - (1.5 / 0.85) / 600.0, abs=1e-9)
-    assert soc[0] == pytest.approx(0.747059, abs=1e-6)
+    objective, fleet = _ev_pair(1)
+    _ev_round(objective, fleet, [3.0, 1.5], [0.0, -1.0])
+    assert fleet.soc[0] == pytest.approx(0.75 - (1.5 / 0.85) / 600.0, abs=1e-9)
+    assert fleet.soc[0] == pytest.approx(0.747059, abs=1e-6)
 
 
 def test_ev_soc_zero_signal_is_identity():
-    params = EvParams()
-    soc, term, saturated = ev_soc_step(
-        np.array([0.4, 0.9]), params, np.array([3.0, 3.0]), np.array([1.5, 1.5]),
-        np.zeros(2), np.zeros(2), 1.0 / 60.0,
-    )
-    np.testing.assert_array_equal(soc, [0.4, 0.9])
-    np.testing.assert_array_equal(term, 0.0)
-    assert saturated == 0
+    objective, fleet = _ev_pair(2)
+    fleet.soc = np.array([0.4, 0.9])
+    _ev_round(objective, fleet, [3.0, 3.0, 1.5, 1.5], np.zeros(4))
+    np.testing.assert_array_equal(fleet.soc, [0.4, 0.9])
+    np.testing.assert_array_equal(objective.weighted, 0.0)
+    assert fleet.saturation_events == 0
 
 
 def test_ev_soc_clamps_and_counts_saturation():
-    params = EvParams(capacity_kwh=0.01)
-    soc, _, saturated = ev_soc_step(
-        np.array([0.99]), params, np.array([3.0]), np.array([1.5]),
-        np.array([1.0]), np.array([0.0]), 1.0,
-    )
-    assert soc[0] == 1.0
-    assert saturated == 1
+    objective, fleet = _ev_pair(1, EvParams(capacity_kwh=0.01), step_hours=1.0)
+    fleet.soc = np.array([0.99])
+    _ev_round(objective, fleet, [3.0, 1.5], [1.0, 0.0])
+    assert fleet.soc[0] == 1.0
+    assert fleet.saturation_events == 1
 
 
 @pytest.mark.parametrize("rho", [0.0, 30.0])
@@ -323,7 +344,7 @@ def test_ev_objective_weighted_mean_matches_batch(rho):
         responses, signal = np.concatenate([c_c, c_d]), np.concatenate([mu_c, mu_d])
         objective.value_and_gradient(0.0, responses, signal)
         objective.advance(signal, responses)
-        fleet.step(c_c, c_d, mu_c, mu_d)
+        fleet.step(objective.weighted)
     np.testing.assert_allclose(objective.weighted_mean.mean, np.mean(terms, axis=0), atol=1e-12)
     assert objective.weighted_mean.rounds == 60
     assert np.all(fleet.soc >= 0.0) and np.all(fleet.soc <= 1.0)
@@ -335,25 +356,32 @@ def test_ev_objective_weighted_mean_matches_batch(rho):
 @pytest.mark.parametrize("rho", [0.0, 30.0])
 def test_ev_objective_reuses_its_weighted_signal(rho):
     params = EvParams()
-    reused = WeightedChargeObjective(3, rho, params)
-    fresh = WeightedChargeObjective(3, rho, params)
+    objective = WeightedChargeObjective(3, rho, params)
+    with pytest.raises(ValueError):
+        objective.advance(np.zeros(6), np.ones(6))  # no round was scored yet
     rng = np.random.default_rng(21)
     for _ in range(20):
         responses = np.concatenate([3.0 + rng.uniform(-1, 1, 3), 1.5 + rng.uniform(-1, 1, 3)])
         signal = np.concatenate([rng.uniform(0, 1, 3), -rng.uniform(0, 1, 3)])
-        value, grad = reused.value_and_gradient(1.0, responses, signal)
-        reused.advance(signal, responses)
-        # A copy of the signal is not the signal the value was computed for.
-        fresh.value_and_gradient(1.0, responses, signal)
-        fresh.advance(signal.copy(), responses)
-        assert reused.weighted_mean.mean.tobytes() == fresh.weighted_mean.mean.tobytes()
-    with pytest.raises(ValueError):
-        reused.advance(signal)
+        objective.value_and_gradient(1.0, responses, signal)
+        objective.advance(signal, responses)
+        want = weighted_signal(params, responses[:3], responses[3:], signal[:3], signal[3:])
+        assert objective.weighted.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            objective.advance(signal, responses)  # each scored round advances once
+
+
+def _ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params):
+    """The objective's loss and its two block gradients, with weighted mean ``wm`` so far."""
+    objective = WeightedChargeObjective(len(c_c), rho, params)
+    objective.weighted_mean = wm
+    loss, grad = objective.value_and_gradient(s, np.concatenate([c_c, c_d]), np.concatenate([mu_c, mu_d]))
+    return loss, grad[: len(c_c)], grad[len(c_c) :]
 
 
 def test_ev_loss_zero_case():
     params = EvParams()
-    loss, g_c, g_d = ev_loss_and_gradient(
+    loss, g_c, g_d = _ev_loss_and_gradient(
         0.0, np.array([3.0]), np.array([1.5]), np.array([0.0]), np.array([0.0]),
         0.0, RunningMean.zero(1), params,
     )
@@ -365,15 +393,15 @@ def test_ev_loss_zero_case():
 def test_ev_loss_rejects_sign_violations():
     params = EvParams()
     with pytest.raises(ValueError):
-        ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]),
-                             np.array([-0.2]), np.array([0.0]), 0.0, RunningMean.zero(1), params)
+        _ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]),
+                              np.array([-0.2]), np.array([0.0]), 0.0, RunningMean.zero(1), params)
     with pytest.raises(ValueError):
-        ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]),
-                             np.array([0.2]), np.array([0.5]), 0.0, RunningMean.zero(1), params)
+        _ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]),
+                              np.array([0.2]), np.array([0.5]), 0.0, RunningMean.zero(1), params)
 
 
 def _ev_loss_only(s, c_c, c_d, mu_c, mu_d, rho, wm, params):
-    loss, _, _ = ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params)
+    loss, _, _ = _ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params)
     return loss
 
 
@@ -391,7 +419,7 @@ def test_ev_gradient_matches_finite_differences():
         rho = float(rng.uniform(0, 50))
         t_prev = int(rng.integers(0, 5))
         wm = RunningMean(rng.uniform(-1, 1, size=n), t_prev)
-        _, g_c, g_d = ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params)
+        _, g_c, g_d = _ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params)
         for i in range(n):
             up, dn = mu_c.copy(), mu_c.copy()
             up[i] += step

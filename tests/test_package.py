@@ -1,0 +1,36 @@
+"""Package surface tests: each module's ``__all__`` and the names the package re-exports."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import loadtrack
+
+
+def _modules_with_all():
+    modules = [importlib.import_module(f"loadtrack.{info.name}")
+               for info in pkgutil.iter_modules(loadtrack.__path__)]
+    return {m.__name__.rsplit(".", 1)[1]: m for m in modules if hasattr(m, "__all__")}
+
+
+def test_every_name_in_all_resolves():
+    modules = _modules_with_all()
+    assert {"algorithms", "core", "harness", "loads"} <= set(modules)
+    for name, module in modules.items():
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, (name, missing)
+
+
+def test_package_imports_only_names_in_their_module_all():
+    modules = _modules_with_all()
+    imported = {}
+    for node in ast.parse(inspect.getsource(loadtrack)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    assert imported
+    for name, names in imported.items():
+        assert name in modules, name
+        outside = sorted(set(names) - set(modules[name].__all__))
+        assert not outside, (name, outside)
+        assert all(getattr(loadtrack, attr) is getattr(modules[name], attr) for attr in names)
