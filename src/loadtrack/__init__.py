@@ -28,16 +28,13 @@ from .core import (
     StepSchedule,
     UnsupportedBoxError,
     conservative_bounds,
-    full_gradient,
     gradient_estimate,
     project_shrunk_box,
     prox_step,
     running_mean_update,
     sample_unit_sphere,
-    smooth_loss,
     soft_threshold,
     step_schedule,
-    tracking_loss,
 )
 from .harness import (
     ExperimentResult,

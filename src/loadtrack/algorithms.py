@@ -20,14 +20,14 @@ from .core import (
     LossParams,
     RunningMean,
     StepSchedule,
-    full_gradient,
+    _same_length,
+    _vector,
     gradient_estimate,
     project_shrunk_box,
     prox_step,
     running_mean_candidate,
     running_mean_update,
     sample_unit_sphere,
-    smooth_loss,
     step_schedule,
 )
 
@@ -41,6 +41,7 @@ __all__ = [
     "PartialBanditTracker",
     "PartialFeedback",
     "QuadraticTrackingObjective",
+    "full_gradient",
 ]
 
 
@@ -78,37 +79,52 @@ class PartialFeedback:
     setpoint: float
 
 
-class QuadraticTrackingObjective:
-    """Squared tracking error plus the running-mean penalty.
+def full_gradient(responses: np.ndarray, err: float, rho: float, cand, t: int) -> np.ndarray:
+    """Smooth-loss gradient -2c*err + (2 rho / t) * cand; ``cand`` is unused when rho = 0."""
+    grad = -2.0 * responses * err
+    if rho != 0.0:
+        grad = grad + (2.0 * rho / t) * cand
+    return grad
 
-    Keeps the running mean of played signals so both the exact loss and
-    its gradient, and the bandit loss reconstruction from an aggregate
-    observation, can be evaluated round by round.
+
+class QuadraticTrackingObjective:
+    """Squared tracking error plus the running-mean penalty, and that running mean.
+
+    The smooth loss is err^2 + rho*||mean incl. round t||^2. It is scored
+    from every response (``value_and_gradient``) or from the aggregate
+    alone (``value_from_total``); ``advance`` appends the played signal.
     """
 
     def __init__(self, dim: int, rho: float = 0.0):
-        self.params = LossParams(rho=float(rho), lam=0.0)
+        if rho < 0:
+            raise ValueError("rho must be nonnegative")
+        self.rho = float(rho)
         self.mean = RunningMean.zero(dim)
 
     @property
     def round(self) -> int:
         return self.mean.rounds + 1
 
+    def _loss(self, err: float, signal):
+        """The smooth loss and the candidate mean after appending ``signal`` (None if rho = 0)."""
+        if self.rho == 0.0:
+            return err * err, None
+        cand = running_mean_candidate(self.mean, signal)
+        return err * err + self.rho * float(cand @ cand), cand
+
     def value_and_gradient(self, setpoint, responses, signal):
-        value = smooth_loss(setpoint, responses, signal, self.params, self.mean)
-        grad = full_gradient(setpoint, responses, signal, self.params, self.mean, self.round)
-        return value, grad
+        responses = _vector(responses, "responses")
+        signal = _vector(signal, "signal")
+        _same_length(responses, signal, "tracking loss")
+        err = float(setpoint) - float(responses @ signal)
+        value, cand = self._loss(err, signal)
+        return value, full_gradient(responses, err, self.rho, cand, self.round)
 
     def value_from_total(self, setpoint: float, total: float, signal) -> float:
         """Reconstruct the smooth loss when only the aggregate is observed."""
-        err = float(setpoint) - float(total)
-        value = err * err
-        if self.params.rho != 0.0:
-            cand = running_mean_candidate(self.mean, signal)
-            value += self.params.rho * float(cand @ cand)
-        return value
+        return self._loss(float(setpoint) - float(total), signal)[0]
 
-    def advance(self, played, responses=None) -> None:
+    def advance(self, played) -> None:
         self.mean = running_mean_update(self.mean, played)
 
 
@@ -163,7 +179,7 @@ class FullInformationTracker(_RoundGuard):
         _require(obs, FullFeedback, "full-information")
         value, grad = self.objective.value_and_gradient(obs.setpoint, obs.responses, played)
         self.signal = prox_step(played, grad, self.schedule.eta, self.params.lam, self.box)
-        self.objective.advance(played, obs.responses)
+        self.objective.advance(played)
         return {"loss": float(value)}
 
 
@@ -240,6 +256,7 @@ class PartialBanditTracker(_RoundGuard):
         self.blind_inner = self.blind_box.shrunk(schedule.delta)
         self.observed_box = Box(box.lo[self.blind :], box.hi[self.blind :])
         self.rng = rng
+        self.objective = QuadraticTrackingObjective(box.dim)  # running mean only
         self.blind_signal = np.zeros(self.blind)
         self.observed_signal = np.zeros(observed)
         self._direction = None
@@ -261,7 +278,7 @@ class PartialBanditTracker(_RoundGuard):
         return self._mark_played(played)
 
     def update(self, obs) -> dict:
-        self._take_played()
+        played = self._take_played()
         _require(obs, PartialFeedback, "partial-bandit")
         if obs.observed.shape[0] != self.observed:
             raise ValueError(
@@ -283,6 +300,7 @@ class PartialBanditTracker(_RoundGuard):
         self.observed_signal = prox_step(
             self.observed_signal, grad_observed, self.schedule.eta2, self.params.lam, self.observed_box
         )
+        self.objective.advance(played)
         return {
             "loss": float(value),
             "loss_observed_view": float(observed_view),
@@ -299,7 +317,7 @@ class BernoulliFeedbackTracker(_RoundGuard):
     signal into the shrunk box before perturbing and update back onto the
     full box, so full and aggregate rounds can follow each other freely.
     Warm-up plays one full and one aggregate round before the scored
-    horizon.
+    horizon; they do not enter the objective's running mean.
     """
 
     def __init__(
@@ -315,7 +333,6 @@ class BernoulliFeedbackTracker(_RoundGuard):
         chi_bandit: float = 1.0,
         plan=None,
         warmup: bool = True,
-        include_mean_penalty: bool = False,
     ):
         super().__init__()
         if horizon < 1:
@@ -348,8 +365,7 @@ class BernoulliFeedbackTracker(_RoundGuard):
         else:
             self._steps = plan.copy()
         self._cursor = 0
-        rho_eff = params.rho if include_mean_penalty else 0.0
-        self.objective = QuadraticTrackingObjective(box.dim, rho_eff)
+        self.objective = QuadraticTrackingObjective(box.dim, params.rho)
         self.signal = np.zeros(box.dim)
         self._direction = None
         self._base = None
@@ -390,6 +406,7 @@ class BernoulliFeedbackTracker(_RoundGuard):
             _require(obs, FullFeedback, "full-feedback")
             value, grad = self.objective.value_and_gradient(obs.setpoint, obs.responses, played)
             self.signal = prox_step(played, grad, self.schedule.eta, self.params.lam, self.box)
-        self.objective.advance(played)
+        if self._cursor >= self.warmup_rounds:
+            self.objective.advance(played)  # the mean covers the scored rounds only
         self._cursor += 1
         return {"loss": float(value), "bandit_round": bandit}

@@ -1,10 +1,11 @@
 """Numerical kernels for online setpoint tracking.
 
-Losses, gradients, the closed-form composite proximal update, sphere
+The running mean, the closed-form composite proximal update, sphere
 sampling for gradient estimation, box projections, and step-size
-schedules. Every operation is a pure function of its inputs; random
-draws take an explicit generator, so everything here is safe to call
-concurrently.
+schedules (the tracking loss and its gradient live in
+``algorithms.QuadraticTrackingObjective``). Every operation is a pure
+function of its inputs; random draws take an explicit generator, so
+everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ __all__ = [
     "StepSchedule",
     "UnsupportedBoxError",
     "conservative_bounds",
-    "full_gradient",
     "gradient_estimate",
     "project_shrunk_box",
     "prox_step",
     "running_mean_candidate",
     "running_mean_update",
     "sample_unit_sphere",
-    "smooth_loss",
     "soft_threshold",
     "step_schedule",
-    "tracking_loss",
 ]
 
 SCHEDULE_KINDS = ("full", "bandit", "partial", "bernoulli")
@@ -175,45 +173,6 @@ class LossParams:
     def __post_init__(self):
         if self.rho < 0 or self.lam < 0:
             raise ValueError("regularization weights must be nonnegative")
-
-
-def tracking_loss(s_eff: float, c, mu) -> float:
-    """Squared tracking error (s_eff - c.mu)^2."""
-    c = _vector(c, "c")
-    mu = _vector(mu, "mu")
-    _same_length(c, mu, "tracking loss")
-    err = float(s_eff) - float(c @ mu)
-    return err * err
-
-
-def smooth_loss(s_eff: float, c, mu, params: LossParams, mean_prev: RunningMean) -> float:
-    """Tracking loss plus the mean penalty evaluated with ``mu`` appended.
-
-    ``mean_prev`` must hold the running mean over rounds 1..t-1.
-    """
-    base = tracking_loss(s_eff, c, mu)
-    if params.rho == 0.0:
-        return base
-    cand = running_mean_candidate(mean_prev, mu)
-    return base + params.rho * float(cand @ cand)
-
-
-def full_gradient(s_eff: float, c, mu, params: LossParams, mean_prev: RunningMean, t: int) -> np.ndarray:
-    """Exact gradient of the smooth loss at ``mu``.
-
-    -2c(s_eff - c.mu) + (2 rho / t) * ((t-1)*mean_{t-1} + mu) / t
-    """
-    c = _vector(c, "c")
-    mu = _vector(mu, "mu")
-    _same_length(c, mu, "gradient")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if mean_prev.rounds != t - 1:
-        raise ValueError(f"mean_prev holds {mean_prev.rounds} rounds, expected {t - 1}")
-    grad = -2.0 * c * (float(s_eff) - float(c @ mu))
-    if params.rho != 0.0:
-        grad = grad + (2.0 * params.rho / t) * running_mean_candidate(mean_prev, mu)
-    return grad
 
 
 def gradient_estimate(loss_value: float, v, dim: int, delta: float) -> np.ndarray:

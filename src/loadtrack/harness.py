@@ -22,16 +22,13 @@ from .algorithms import (
     FullInformationTracker,
     PartialBanditTracker,
     PartialFeedback,
-    QuadraticTrackingObjective,
 )
 from .core import (
     Box,
     ConfigError,
     EnvBounds,
     LossParams,
-    RunningMean,
     conservative_bounds,
-    running_mean_update,
     soft_threshold,
     step_schedule,
 )
@@ -273,10 +270,7 @@ def _build_tracker(cfg: ScenarioConfig, box: Box, bounds: EnvBounds, rng: np.ran
     dim = box.dim
     if cfg.feedback == "full":
         schedule = step_schedule("full", cfg.rounds, dim, bounds, chi=cfg.chi)
-        if cfg.scenario == "ev":
-            objective = WeightedChargeObjective(cfg.n_loads, rho_eff, cfg.ev_params)
-        else:
-            objective = QuadraticTrackingObjective(dim, rho_eff)
+        objective = WeightedChargeObjective(cfg.n_loads, rho_eff, cfg.ev_params) if cfg.scenario == "ev" else None
         return FullInformationTracker(schedule, box, params, objective)
     if cfg.feedback == "bandit":
         schedule = step_schedule("bandit", cfg.rounds, dim, bounds, chi=cfg.chi)
@@ -290,7 +284,7 @@ def _build_tracker(cfg: ScenarioConfig, box: Box, bounds: EnvBounds, rng: np.ran
     return BernoulliFeedbackTracker(
         cfg.rounds, box, params, bounds, rng,
         a=cfg.bernoulli_a, chi_full=cfg.chi_full, chi_bandit=cfg.chi_bandit,
-        warmup=cfg.bernoulli_warmup, include_mean_penalty=cfg.bernoulli_mean_penalty,
+        warmup=cfg.bernoulli_warmup,
     )
 
 
@@ -342,13 +336,10 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     played_hist = np.empty((T, dim))
     k_track = min(cfg.track_loads, cfg.n_loads)
     trajectories = np.empty((T, k_track))
-    window_mean = RunningMean.zero(dim)
 
     infos = []
     n = cfg.n_loads
     is_tcl = cfg.scenario == "tcl"
-    # The EV objective holds the weighted running mean and each round's weighted signal.
-    ev_objective = None if is_tcl else tracker.objective
     for i in range(total_rounds):
         s_eff = float(setpoints_eff[i])
         resp = responses[i]
@@ -357,7 +348,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
             played = tracker.begin_round()
             obs = feedback_channel(kind, resp, s_eff, played, observed=cfg.observed)
             info = tracker.update(obs)
-            fleet.step(played if is_tcl else ev_objective.weighted)
+            fleet.step(played if is_tcl else tracker.objective.weighted)
         except Exception as exc:
             head = f"round {i - warmup + 1}: {exc.args[0]}" if exc.args else f"round {i - warmup + 1}"
             exc.args = (head,) + exc.args[1:]
@@ -372,13 +363,8 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         tracking[j] = err * err
         played_hist[j] = played
         l1[j] = float(np.abs(played).sum())
-        if is_tcl:
-            window_mean = running_mean_update(window_mean, played)
-            mean_norm[j] = window_mean.norm()
-            trajectories[j] = fleet.theta[:k_track]
-        else:
-            mean_norm[j] = ev_objective.weighted_mean.norm()
-            trajectories[j] = fleet.soc[:k_track]
+        mean_norm[j] = tracker.objective.mean.norm()
+        trajectories[j] = fleet.theta[:k_track] if is_tcl else fleet.soc[:k_track]
         objective[j] = tracking[j] + rho_eff * mean_norm[j] ** 2 + cfg.lam * l1[j]
 
     if is_tcl:
@@ -606,7 +592,6 @@ class ExperimentResult:
     summaries: list
     rounds: dict
     first_trial: TrialResult
-    trials: list | None = None
 
     def mean_summary(self) -> dict:
         keys = ("improvement_pct", "total_tracking", "total_baseline",
@@ -617,7 +602,7 @@ class ExperimentResult:
         return out
 
 
-def run_experiment(config: ScenarioConfig, keep_trials: bool = False) -> ExperimentResult:
+def run_experiment(config: ScenarioConfig) -> ExperimentResult:
     """Run all trials of one scenario/feedback case and average the series."""
     cfg = config.resolved()
     T = cfg.rounds
@@ -627,7 +612,6 @@ def run_experiment(config: ScenarioConfig, keep_trials: bool = False) -> Experim
     }
     summaries = []
     first_trial = None
-    kept = [] if keep_trials else None
     for k in range(cfg.trials):
         trial = run_trial(cfg, k)
         ledger = trial.ledger
@@ -654,11 +638,9 @@ def run_experiment(config: ScenarioConfig, keep_trials: bool = False) -> Experim
         )
         if first_trial is None:
             first_trial = trial
-        if keep_trials:
-            kept.append(trial)
     rounds = {name: series / cfg.trials for name, series in sums.items()}
     rounds["cum_tracking"] = np.cumsum(rounds["tracking"])
-    return ExperimentResult(cfg, summaries, rounds, first_trial, kept)
+    return ExperimentResult(cfg, summaries, rounds, first_trial)
 
 
 def compute_metrics(result: ExperimentResult, unregularized: ExperimentResult | None = None) -> dict:

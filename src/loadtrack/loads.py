@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RunningMean, running_mean_candidate, running_mean_update
+from .algorithms import QuadraticTrackingObjective
+from .core import running_mean_update
 
 __all__ = [
     "EvFleet",
@@ -302,21 +303,20 @@ class EvFleet:
         self.saturation_events += int(np.count_nonzero(raw != self.soc))
 
 
-class WeightedChargeObjective:
+class WeightedChargeObjective(QuadraticTrackingObjective):
     """Full-information EV objective: split-signal tracking with the weighted mean.
 
     Drop-in objective for ``FullInformationTracker`` over the stacked
     (charge, discharge) signal; response vectors stack the same way.
     ``value_and_gradient`` checks the signal and weights it once;
-    ``advance`` folds that weighted signal into the running mean and keeps
-    it as ``weighted`` for the fleet's step.
+    ``advance`` folds that weighted signal into the running mean ``mean``
+    and keeps it as ``weighted`` for the fleet's step.
     """
 
     def __init__(self, n_vehicles: int, rho: float, params: EvParams):
+        super().__init__(n_vehicles, rho)
         self.n_vehicles = n_vehicles
-        self.rho = float(rho)
         self.params = params
-        self.weighted_mean = RunningMean.zero(n_vehicles)
         self.weighted = None  # weighted signal of the last advanced round
         self._pending = None  # weighted signal of the round being scored
 
@@ -340,21 +340,19 @@ class WeightedChargeObjective:
         err = float(setpoint) - float(c_charge @ charge_sig) - float(c_discharge @ discharge_sig)
         grad_charge = -2.0 * c_charge * err
         grad_discharge = -2.0 * c_discharge * err
-        loss = err * err
+        loss, cand = self._loss(err, term)
         if self.rho != 0.0:
-            t = self.weighted_mean.rounds + 1
-            cand = running_mean_candidate(self.weighted_mean, term)
-            loss += self.rho * float(cand @ cand)
+            t = self.round
             grad_charge = grad_charge + (2.0 * self.rho / t) * (params.inj_eff * c_charge) * cand
             grad_discharge = grad_discharge + (2.0 * self.rho / t) * (c_discharge / params.ext_eff) * cand
         return loss, np.concatenate([grad_charge, grad_discharge])
 
-    def advance(self, played, responses=None) -> None:
+    def advance(self, played) -> None:
         """Fold the round that ``value_and_gradient`` just scored into the weighted mean.
 
-        ``played`` and ``responses`` are that call's signal and responses.
+        ``played`` is that call's signal.
         """
         if self._pending is None:
             raise ValueError("the EV objective advances only a round that value_and_gradient scored")
         self.weighted, self._pending = self._pending, None
-        self.weighted_mean = running_mean_update(self.weighted_mean, self.weighted)
+        self.mean = running_mean_update(self.mean, self.weighted)

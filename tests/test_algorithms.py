@@ -399,6 +399,18 @@ def test_bernoulli_warmup_prepends_one_full_one_bandit():
     assert tracker.next_feedback() == "aggregate"
 
 
+def test_bernoulli_warmup_stays_out_of_the_running_mean():
+    # The mean penalty and the ledger both cover the scored rounds only.
+    tracker = make_bernoulli(10, 2, a=0.5, warmup=True, params=LossParams(rho=3.0))
+    rng = np.random.default_rng(15)
+    responses = rng.normal(size=(3, 2)) + 1.0
+    _drive(tracker, responses[:2], [1.0, 1.0])
+    assert tracker.objective.mean.rounds == 0
+    played = _drive(tracker, responses[2:], [1.0])
+    assert tracker.objective.mean.rounds == 1
+    np.testing.assert_array_equal(tracker.objective.mean.mean, played[0])
+
+
 # --- observation structure ----------------------------------------------------
 
 

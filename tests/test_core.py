@@ -3,43 +3,48 @@
 import numpy as np
 import pytest
 
+from loadtrack.algorithms import QuadraticTrackingObjective, full_gradient
 from loadtrack.core import (
     Box,
     ConfigError,
     EnvBounds,
-    LossParams,
     RunningMean,
     StepSchedule,
     UnsupportedBoxError,
     conservative_bounds,
-    full_gradient,
     gradient_estimate,
     project_shrunk_box,
     prox_step,
     running_mean_update,
     sample_unit_sphere,
-    smooth_loss,
     soft_threshold,
     step_schedule,
-    tracking_loss,
 )
 
 
-# --- losses -----------------------------------------------------------------
+# --- losses (QuadraticTrackingObjective) -----------------------------------------
+
+
+def _score(s, c, mu, rho=0.0, mean_prev=None):
+    """Loss and gradient at ``mu`` of an objective that has played ``mean_prev`` so far."""
+    objective = QuadraticTrackingObjective(len(mu), rho)
+    if mean_prev is not None:
+        objective.mean = mean_prev
+    return objective.value_and_gradient(s, np.asarray(c, dtype=float), np.asarray(mu, dtype=float))
 
 
 def test_tracking_loss_zero_cases():
-    assert tracking_loss(0.0, [1.0, 2.0], [0.0, 0.0]) == 0.0
-    assert tracking_loss(2.0, [1.0, 1.0], [1.0, 1.0]) == 0.0
+    assert _score(0.0, [1.0, 2.0], [0.0, 0.0])[0] == 0.0
+    assert _score(2.0, [1.0, 1.0], [1.0, 1.0])[0] == 0.0
 
 
 def test_tracking_loss_hand_value():
-    assert tracking_loss(2.0, [1.0, 1.0], [0.5, 0.0]) == pytest.approx(2.25, abs=1e-12)
+    assert _score(2.0, [1.0, 1.0], [0.5, 0.0])[0] == pytest.approx(2.25, abs=1e-12)
 
 
 def test_tracking_loss_dimension_mismatch():
     with pytest.raises(ValueError):
-        tracking_loss(1.0, [1.0, 2.0], [1.0])
+        _score(1.0, [1.0, 2.0], [1.0])
 
 
 def test_smooth_loss_reduces_to_tracking_when_rho_zero():
@@ -49,44 +54,52 @@ def test_smooth_loss_reduces_to_tracking_when_rho_zero():
         mu = rng.uniform(-1, 1, size=4)
         s = rng.normal()
         mean = RunningMean(rng.uniform(-1, 1, size=4), 3)
-        assert smooth_loss(s, c, mu, LossParams(0.0, 0.0), mean) == tracking_loss(s, c, mu)
+        err = s - float(c @ mu)
+        assert _score(s, c, mu, 0.0, mean)[0] == err * err
+        objective = QuadraticTrackingObjective(4)
+        objective.mean = mean
+        assert objective.value_from_total(s, float(c @ mu), mu) == err * err
 
 
 def test_smooth_loss_first_round_penalty_only():
-    value = smooth_loss(0.0, [0.0], [1.0], LossParams(rho=1.0), RunningMean.zero(1))
+    value, _ = _score(0.0, [0.0], [1.0], rho=1.0)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_smooth_loss_second_round_recurrence():
     mean_prev = RunningMean(np.array([1.0]), 1)
-    value = smooth_loss(0.0, [0.0], [0.0], LossParams(rho=4.0), mean_prev)
+    value, _ = _score(0.0, [0.0], [0.0], 4.0, mean_prev)
     assert value == pytest.approx(1.0, abs=1e-12)  # 4 * (1/2)^2
+    objective = QuadraticTrackingObjective(1, 4.0)
+    objective.mean = mean_prev
+    assert objective.value_from_total(0.0, 0.0, [0.0]) == value
 
 
 # --- gradients --------------------------------------------------------------
 
 
-def _fd_gradient(s, c, mu, params, mean_prev, step=1e-6):
+def _fd_gradient(s, c, mu, rho, mean_prev, step=1e-6):
     grad = np.empty_like(mu)
     for i in range(mu.size):
         up, dn = mu.copy(), mu.copy()
         up[i] += step
         dn[i] -= step
-        grad[i] = (
-            smooth_loss(s, c, up, params, mean_prev) - smooth_loss(s, c, dn, params, mean_prev)
-        ) / (2 * step)
+        grad[i] = (_score(s, c, up, rho, mean_prev)[0] - _score(s, c, dn, rho, mean_prev)[0]) / (2 * step)
     return grad
 
 
 def test_full_gradient_hand_values():
-    g = full_gradient(2.0, [1.0, 1.0], [0.0, 0.0], LossParams(), RunningMean.zero(2), 1)
+    _, g = _score(2.0, [1.0, 1.0], [0.0, 0.0])
     np.testing.assert_allclose(g, [-4.0, -4.0], atol=1e-12)
-    g = full_gradient(0.0, [0.0], [1.0], LossParams(rho=2.0), RunningMean.zero(1), 1)
+    _, g = _score(0.0, [0.0], [1.0], rho=2.0)
     np.testing.assert_allclose(g, [4.0], atol=1e-12)
+    # The same values straight from the tracking error and the candidate mean.
+    np.testing.assert_allclose(full_gradient(np.array([1.0, 1.0]), 2.0, 0.0, None, 1), [-4.0, -4.0], atol=1e-12)
+    np.testing.assert_allclose(full_gradient(np.array([0.0]), 0.0, 2.0, np.array([1.0]), 1), [4.0], atol=1e-12)
 
 
 def test_full_gradient_zero_at_exact_tracking():
-    g = full_gradient(3.0, [1.0, 2.0], [1.0, 1.0], LossParams(), RunningMean.zero(2), 1)
+    _, g = _score(3.0, [1.0, 2.0], [1.0, 1.0])
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
@@ -99,15 +112,22 @@ def test_full_gradient_matches_finite_differences():
         s = rng.normal() * 3
         t = int(rng.integers(1, 10))
         mean_prev = RunningMean(rng.uniform(-1, 1, size=n), t - 1)
-        params = LossParams(rho=float(rng.uniform(0, 3)))
-        g = full_gradient(s, c, mu, params, mean_prev, t)
-        fd = _fd_gradient(s, c, mu, params, mean_prev)
+        rho = float(rng.uniform(0, 3))
+        _, g = _score(s, c, mu, rho, mean_prev)
+        fd = _fd_gradient(s, c, mu, rho, mean_prev)
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-4)
 
 
-def test_full_gradient_rejects_inconsistent_round():
-    with pytest.raises(ValueError):
-        full_gradient(0.0, [1.0], [0.0], LossParams(), RunningMean.zero(1), 2)
+def test_full_gradient_penalty_follows_the_objective_round():
+    # The round t comes from the objective's own mean, so it cannot disagree
+    # with it: after k advances the penalty gradient at mean 1 is 2*rho/(k+1).
+    objective = QuadraticTrackingObjective(1, rho=2.0)
+    for k in range(4):
+        assert objective.round == k + 1
+        _, g = objective.value_and_gradient(0.0, np.array([0.0]), np.array([1.0]))
+        np.testing.assert_allclose(g, [4.0 / (k + 1)], atol=1e-12)
+        objective.advance(np.array([1.0]))
+    assert objective.mean.rounds == 4
 
 
 # --- one-point estimator ----------------------------------------------------

@@ -193,8 +193,8 @@ def test_trial_averaging_is_arithmetic_mean():
 
 def test_experiment_round_series_average_trials():
     cfg = small_cfg(trials=3)
-    res = run_experiment(cfg, keep_trials=True)
-    stack = np.stack([t.ledger.tracking for t in res.trials])
+    res = run_experiment(cfg)
+    stack = np.stack([run_trial(cfg, k).ledger.tracking for k in range(3)])
     np.testing.assert_allclose(res.rounds["tracking"], stack.mean(axis=0), atol=1e-12)
 
 
@@ -361,13 +361,13 @@ def test_ev_ledger_series_match_the_per_round_loop():
     ledger = run_trial(cfg, 0).ledger
     ev, n = cfg.ev_params, cfg.n_loads
     weight_sum = np.zeros(2 * n)
-    weighted_mean = RunningMean.zero(n)
+    mean = RunningMean.zero(n)
     for j, (resp, played) in enumerate(zip(ledger.responses, ledger.played)):
         weight_sum += np.concatenate([ev.inj_eff * resp[:n], resp[n:] / ev.ext_eff])
         assert ledger.mean_weights[j].tobytes() == (weight_sum / (j + 1)).tobytes()
         term = weighted_signal(ev, resp[:n], resp[n:], played[:n], played[n:])
-        weighted_mean = running_mean_update(weighted_mean, term)
-        assert ledger.mean_norm[j] == weighted_mean.norm()
+        mean = running_mean_update(mean, term)
+        assert ledger.mean_norm[j] == mean.norm()
         simultaneous = np.any(np.minimum(np.abs(played[:n]), np.abs(played[n:])) > 1e-2)
         assert ledger.simultaneous[j] == simultaneous
 

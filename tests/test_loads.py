@@ -287,7 +287,7 @@ def test_ev_response_rates_and_support():
 def _ev_round(objective, fleet, responses, signal):
     """One round as ``run_trial`` plays it: score, advance, then step the fleet."""
     objective.value_and_gradient(0.0, np.asarray(responses, dtype=float), np.asarray(signal, dtype=float))
-    objective.advance(signal, responses)
+    objective.advance(signal)
     fleet.step(objective.weighted)
 
 
@@ -343,10 +343,10 @@ def test_ev_objective_weighted_mean_matches_batch(rho):
         terms.append(params.inj_eff * c_c * mu_c + c_d * mu_d / params.ext_eff)
         responses, signal = np.concatenate([c_c, c_d]), np.concatenate([mu_c, mu_d])
         objective.value_and_gradient(0.0, responses, signal)
-        objective.advance(signal, responses)
+        objective.advance(signal)
         fleet.step(objective.weighted)
-    np.testing.assert_allclose(objective.weighted_mean.mean, np.mean(terms, axis=0), atol=1e-12)
-    assert objective.weighted_mean.rounds == 60
+    np.testing.assert_allclose(objective.mean.mean, np.mean(terms, axis=0), atol=1e-12)
+    assert objective.mean.rounds == 60
     assert np.all(fleet.soc >= 0.0) and np.all(fleet.soc <= 1.0)
 
 
@@ -358,23 +358,23 @@ def test_ev_objective_reuses_its_weighted_signal(rho):
     params = EvParams()
     objective = WeightedChargeObjective(3, rho, params)
     with pytest.raises(ValueError):
-        objective.advance(np.zeros(6), np.ones(6))  # no round was scored yet
+        objective.advance(np.zeros(6))  # no round was scored yet
     rng = np.random.default_rng(21)
     for _ in range(20):
         responses = np.concatenate([3.0 + rng.uniform(-1, 1, 3), 1.5 + rng.uniform(-1, 1, 3)])
         signal = np.concatenate([rng.uniform(0, 1, 3), -rng.uniform(0, 1, 3)])
         objective.value_and_gradient(1.0, responses, signal)
-        objective.advance(signal, responses)
+        objective.advance(signal)
         want = weighted_signal(params, responses[:3], responses[3:], signal[:3], signal[3:])
         assert objective.weighted.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
-            objective.advance(signal, responses)  # each scored round advances once
+            objective.advance(signal)  # each scored round advances once
 
 
 def _ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params):
     """The objective's loss and its two block gradients, with weighted mean ``wm`` so far."""
     objective = WeightedChargeObjective(len(c_c), rho, params)
-    objective.weighted_mean = wm
+    objective.mean = wm
     loss, grad = objective.value_and_gradient(s, np.concatenate([c_c, c_d]), np.concatenate([mu_c, mu_d]))
     return loss, grad[: len(c_c)], grad[len(c_c) :]
 

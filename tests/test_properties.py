@@ -1,0 +1,41 @@
+"""Property tests over small random closed-loop runs."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loadtrack.core import RunningMean, running_mean_update
+from loadtrack.harness import ScenarioConfig, run_trial
+
+
+@st.composite
+def tcl_configs(draw):
+    feedback = draw(st.sampled_from(["full", "bandit", "partial", "bernoulli"]))
+    n_loads = draw(st.integers(2, 6))
+    return ScenarioConfig(
+        scenario="tcl",
+        feedback=feedback,
+        n_loads=n_loads,
+        observed=draw(st.integers(1, n_loads - 1)),
+        rounds=draw(st.integers(4, 30)),
+        rho=0.0 if feedback == "partial" else draw(st.sampled_from([0.0, 0.5, 3.0])),
+        lam=draw(st.sampled_from([0.0, 0.2])),
+        bernoulli_a=draw(st.floats(0.0, 1.5)),
+        bernoulli_warmup=draw(st.booleans()),
+        bernoulli_mean_penalty=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+        track_loads=2,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(tcl_configs())
+def test_played_signals_stay_in_the_box_and_mean_norm_follows_them(cfg):
+    trial = run_trial(cfg)
+    ledger = trial.ledger
+    mean = RunningMean.zero(trial.box.dim)
+    for j, played in enumerate(ledger.played):
+        assert trial.box.contains(played)
+        mean = running_mean_update(mean, played)
+        assert ledger.mean_norm[j] == mean.norm()
+    assert ledger.rounds == cfg.rounds and np.isfinite(ledger.objective).all()

@@ -78,11 +78,15 @@ def test_wrapped_name_is_a_direct_attribute(owner, attr):
 
 def test_every_wrapped_name_is_called_through_its_owner(tmp_path, monkeypatch):
     calls = {}
+    bernoulli_full_rounds = []
 
     def counting(label, original):
         def wrapper(*args, **kwargs):
             calls[label] = calls.get(label, 0) + 1
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            if label == "BernoulliFeedbackTracker.update" and not result["bandit_round"]:
+                bernoulli_full_rounds.append(result)
+            return result
         return wrapper
 
     for owner, attrs in WRAPPED:
@@ -103,6 +107,11 @@ def test_every_wrapped_name_is_called_through_its_owner(tmp_path, monkeypatch):
         assert calls[f"{cls}.begin_round"] == calls[f"{cls}.update"] == rounds
     # One prox step per round, two (one per block) under partial feedback.
     assert calls["algorithms.prox_step"] == sum(updates.values()) + updates["PartialBanditTracker"]
+    # One exact gradient per full-information TCL round: the full tracker's
+    # TCL rounds and the Bernoulli full rounds (warm-up included). The EV
+    # objective computes its weighted gradient itself.
+    assert len(bernoulli_full_rounds) > 0
+    assert calls["algorithms.full_gradient"] == 2 * 40 + len(bernoulli_full_rounds)
 
 
 def test_write_csv_rows_count_the_data_lines_it_writes(tmp_path, monkeypatch):
