@@ -23,7 +23,6 @@ from .core import (
     Box,
     ConfigError,
     EnvBounds,
-    LossParams,
     RunningMean,
     StepSchedule,
     UnsupportedBoxError,

@@ -17,7 +17,6 @@ from .core import (
     Box,
     ConfigError,
     EnvBounds,
-    LossParams,
     RunningMean,
     StepSchedule,
     _same_length,
@@ -135,11 +134,23 @@ def _require(obs, expected, regime: str):
         )
 
 
-class _RoundGuard:
-    """Enforces the begin_round/update alternation shared by all trackers."""
+class _Tracker:
+    """What every tracker holds: its schedule, box, objective and lam.
 
-    def __init__(self):
+    It also enforces the begin_round/update alternation and runs the
+    one-point exploration (``_explore``, then ``_gradient_estimate``).
+    """
+
+    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float, rng=None):
+        if lam < 0:
+            raise ValueError("lam must be nonnegative")
+        self.schedule = schedule
+        self.box = box
+        self.objective = objective
+        self.lam = lam
+        self.rng = rng
         self._played = None
+        self._direction = None
 
     def _mark_played(self, played: np.ndarray) -> np.ndarray:
         if self._played is not None:
@@ -154,18 +165,28 @@ class _RoundGuard:
         self._played = None
         return played
 
+    def _explore(self, base: np.ndarray, tail=None) -> np.ndarray:
+        """Play base + delta*u, u uniform on the unit sphere of base's length, then ``tail``."""
+        self._direction = sample_unit_sphere(base.shape[0], self.rng)
+        played = base + self.schedule.delta * self._direction
+        if tail is not None:
+            played = np.concatenate([played, tail])
+        if not self.box.contains(played, tol=1e-9):
+            raise RuntimeError("perturbed dispatch left the decision box")
+        return self._mark_played(played)
 
-class FullInformationTracker(_RoundGuard):
+    def _gradient_estimate(self, value: float) -> np.ndarray:
+        u = self._direction
+        return gradient_estimate(value, u, u.shape[0], self.schedule.delta)
+
+
+class FullInformationTracker(_Tracker):
     """Composite prox-gradient tracking with exact per-round gradients."""
 
-    def __init__(self, schedule: StepSchedule, box: Box, params: LossParams, objective=None):
-        super().__init__()
+    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float):
         if schedule.kind != "full":
             raise ConfigError(f"expected a full-information schedule, got {schedule.kind!r}")
-        self.schedule = schedule
-        self.box = box
-        self.params = params
-        self.objective = objective if objective is not None else QuadraticTrackingObjective(box.dim, params.rho)
+        super().__init__(schedule, box, objective, lam)
         self.signal = np.zeros(box.dim)
 
     def next_feedback(self) -> str:
@@ -178,52 +199,42 @@ class FullInformationTracker(_RoundGuard):
         played = self._take_played()
         _require(obs, FullFeedback, "full-information")
         value, grad = self.objective.value_and_gradient(obs.setpoint, obs.responses, played)
-        self.signal = prox_step(played, grad, self.schedule.eta, self.params.lam, self.box)
+        self.signal = prox_step(played, grad, self.schedule.eta, self.lam, self.box)
         self.objective.advance(played)
         return {"loss": float(value)}
 
 
-class BanditTracker(_RoundGuard):
+class BanditTracker(_Tracker):
     """Tracking from aggregate-only feedback via a one-point gradient estimate.
 
     The base signal lives in the shrunk box so the random perturbation
     played each round never leaves the decision set.
     """
 
-    def __init__(self, schedule: StepSchedule, box: Box, params: LossParams, rng: np.random.Generator):
-        super().__init__()
+    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float, rng: np.random.Generator):
         if schedule.kind != "bandit" or schedule.delta is None:
             raise ConfigError(f"expected a bandit schedule with delta, got {schedule.kind!r}")
-        self.schedule = schedule
-        self.box = box
+        super().__init__(schedule, box, objective, lam, rng)
         self.inner_box = box.shrunk(schedule.delta)
-        self.params = params
-        self.rng = rng
-        self.objective = QuadraticTrackingObjective(box.dim, params.rho)
         self.signal = np.zeros(box.dim)
-        self._direction = None
 
     def next_feedback(self) -> str:
         return "aggregate"
 
     def begin_round(self) -> np.ndarray:
-        self._direction = sample_unit_sphere(self.box.dim, self.rng)
-        played = self.signal + self.schedule.delta * self._direction
-        if not self.box.contains(played, tol=1e-9):
-            raise RuntimeError("perturbed dispatch left the decision box")
-        return self._mark_played(played)
+        return self._explore(self.signal)
 
     def update(self, obs) -> dict:
         played = self._take_played()
         _require(obs, AggregateFeedback, "bandit")
         value = self.objective.value_from_total(obs.setpoint, obs.total, played)
-        grad_est = gradient_estimate(value, self._direction, self.box.dim, self.schedule.delta)
-        self.signal = prox_step(self.signal, grad_est, self.schedule.eta, self.params.lam, self.inner_box)
+        grad_est = self._gradient_estimate(value)
+        self.signal = prox_step(self.signal, grad_est, self.schedule.eta, self.lam, self.inner_box)
         self.objective.advance(played)
         return {"loss": float(value)}
 
 
-class PartialBanditTracker(_RoundGuard):
+class PartialBanditTracker(_Tracker):
     """Tracking when the last ``observed`` loads report individually.
 
     The unobserved block follows the one-point-estimate update inside its
@@ -236,30 +247,25 @@ class PartialBanditTracker(_RoundGuard):
         self,
         schedule: StepSchedule,
         box: Box,
-        params: LossParams,
+        objective,
+        lam: float,
         observed: int,
         rng: np.random.Generator,
     ):
-        super().__init__()
         if schedule.kind != "partial" or schedule.eta2 is None or schedule.delta is None:
             raise ConfigError(f"expected a partial schedule with eta2 and delta, got {schedule.kind!r}")
         if not 1 <= observed <= box.dim - 1:
             raise ConfigError(f"observed must lie in [1, {box.dim - 1}], got {observed}")
-        if params.rho != 0.0:
+        if objective.rho != 0.0:
             raise ConfigError("the mean penalty is unsupported under partial feedback; set rho=0")
-        self.schedule = schedule
-        self.box = box
-        self.params = params
+        super().__init__(schedule, box, objective, lam, rng)
         self.observed = observed
         self.blind = box.dim - observed
         self.blind_box = Box(box.lo[: self.blind], box.hi[: self.blind])
         self.blind_inner = self.blind_box.shrunk(schedule.delta)
         self.observed_box = Box(box.lo[self.blind :], box.hi[self.blind :])
-        self.rng = rng
-        self.objective = QuadraticTrackingObjective(box.dim)  # running mean only
         self.blind_signal = np.zeros(self.blind)
         self.observed_signal = np.zeros(observed)
-        self._direction = None
 
     def next_feedback(self) -> str:
         return "partial"
@@ -269,13 +275,7 @@ class PartialBanditTracker(_RoundGuard):
         return np.concatenate([self.blind_signal, self.observed_signal])
 
     def begin_round(self) -> np.ndarray:
-        self._direction = sample_unit_sphere(self.blind, self.rng)
-        played = np.concatenate(
-            [self.blind_signal + self.schedule.delta * self._direction, self.observed_signal]
-        )
-        if not self.box.contains(played, tol=1e-9):
-            raise RuntimeError("perturbed dispatch left the decision box")
-        return self._mark_played(played)
+        return self._explore(self.blind_signal, self.observed_signal)
 
     def update(self, obs) -> dict:
         played = self._take_played()
@@ -292,13 +292,13 @@ class PartialBanditTracker(_RoundGuard):
         # must agree with the direct value every round.
         observed_view = ((s - blind_effect) - observed_effect) ** 2
         blind_view = ((s - observed_effect) - blind_effect) ** 2
-        grad_blind = gradient_estimate(value, self._direction, self.blind, self.schedule.delta)
+        grad_blind = self._gradient_estimate(value)
         grad_observed = -2.0 * obs.observed * (s - blind_effect - observed_effect)
         self.blind_signal = prox_step(
-            self.blind_signal, grad_blind, self.schedule.eta, self.params.lam, self.blind_inner
+            self.blind_signal, grad_blind, self.schedule.eta, self.lam, self.blind_inner
         )
         self.observed_signal = prox_step(
-            self.observed_signal, grad_observed, self.schedule.eta2, self.params.lam, self.observed_box
+            self.observed_signal, grad_observed, self.schedule.eta2, self.lam, self.observed_box
         )
         self.objective.advance(played)
         return {
@@ -308,7 +308,7 @@ class PartialBanditTracker(_RoundGuard):
         }
 
 
-class BernoulliFeedbackTracker(_RoundGuard):
+class BernoulliFeedbackTracker(_Tracker):
     """Tracking when each round delivers full or aggregate feedback at random.
 
     The feedback type of every round is drawn up front with probability
@@ -324,7 +324,8 @@ class BernoulliFeedbackTracker(_RoundGuard):
         self,
         horizon: int,
         box: Box,
-        params: LossParams,
+        objective,
+        lam: float,
         bounds: EnvBounds,
         rng: np.random.Generator,
         *,
@@ -334,7 +335,6 @@ class BernoulliFeedbackTracker(_RoundGuard):
         plan=None,
         warmup: bool = True,
     ):
-        super().__init__()
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
         # step_schedule below rejects a < 0 and a probability above 1.
@@ -346,7 +346,7 @@ class BernoulliFeedbackTracker(_RoundGuard):
             raise ConfigError(f"plan must have length {horizon}")
         self.plan = plan
         self.bandit_rounds = int(plan.sum())
-        self.schedule = step_schedule(
+        schedule = step_schedule(
             "bernoulli",
             horizon,
             box.dim,
@@ -356,18 +356,11 @@ class BernoulliFeedbackTracker(_RoundGuard):
             bernoulli_a=a,
             bandit_rounds=self.bandit_rounds,
         )
-        self.box = box
-        self.params = params
-        self.rng = rng
+        super().__init__(schedule, box, objective, lam, rng)
         self.warmup_rounds = 2 if warmup else 0
-        if warmup:
-            self._steps = np.concatenate([[False, True], plan])
-        else:
-            self._steps = plan.copy()
+        self._steps = np.concatenate([np.array([False, True][: self.warmup_rounds], dtype=bool), plan])
         self._cursor = 0
-        self.objective = QuadraticTrackingObjective(box.dim, params.rho)
         self.signal = np.zeros(box.dim)
-        self._direction = None
         self._base = None
 
     @property
@@ -385,13 +378,8 @@ class BernoulliFeedbackTracker(_RoundGuard):
     def begin_round(self) -> np.ndarray:
         if self._current_is_bandit():
             self._base = project_shrunk_box(self.signal, self.schedule.delta, self.box)
-            self._direction = sample_unit_sphere(self.box.dim, self.rng)
-            played = self._base + self.schedule.delta * self._direction
-            if not self.box.contains(played, tol=1e-9):
-                raise RuntimeError("perturbed dispatch left the decision box")
-        else:
-            played = self.signal.copy()
-        return self._mark_played(played)
+            return self._explore(self._base)
+        return self._mark_played(self.signal.copy())
 
     def update(self, obs) -> dict:
         played = self._take_played()
@@ -399,13 +387,13 @@ class BernoulliFeedbackTracker(_RoundGuard):
         if bandit:
             _require(obs, AggregateFeedback, "aggregate-feedback")
             value = self.objective.value_from_total(obs.setpoint, obs.total, played)
-            grad_est = gradient_estimate(value, self._direction, self.box.dim, self.schedule.delta)
+            grad_est = self._gradient_estimate(value)
             # Updated onto the full box; the next aggregate round re-projects.
-            self.signal = prox_step(self._base, grad_est, self.schedule.eta2, self.params.lam, self.box)
+            self.signal = prox_step(self._base, grad_est, self.schedule.eta2, self.lam, self.box)
         else:
             _require(obs, FullFeedback, "full-feedback")
             value, grad = self.objective.value_and_gradient(obs.setpoint, obs.responses, played)
-            self.signal = prox_step(played, grad, self.schedule.eta, self.params.lam, self.box)
+            self.signal = prox_step(played, grad, self.schedule.eta, self.lam, self.box)
         if self._cursor >= self.warmup_rounds:
             self.objective.advance(played)  # the mean covers the scored rounds only
         self._cursor += 1

@@ -191,6 +191,8 @@ def resolve_settings(args: argparse.Namespace) -> RunSettings:
     if feedback_raw is None:
         raise ConfigError("feedback is required (config [run] feedback or --feedback)")
     feedbacks = [f.strip() for f in feedback_raw.split(",") if f.strip()]
+    if not feedbacks:
+        raise ConfigError(f"feedback lists no regime: {feedback_raw!r}")
 
     attrs = {"compute_regret": True}  # the CLI's own default; the library's is False
     specs = {}
@@ -201,7 +203,7 @@ def resolve_settings(args: argparse.Namespace) -> RunSettings:
             specs.setdefault(owner, {})[name] = value
         elif attr:
             attrs[attr] = value
-    attrs["feedback"] = feedbacks[0] if feedbacks else "full"
+    attrs["feedback"] = feedbacks[0]
     try:
         for owner, given in specs.items():  # a partly given spec keeps the other defaults
             attrs[owner] = replace(getattr(defaults, owner), **given)

@@ -19,7 +19,6 @@ __all__ = [
     "Box",
     "ConfigError",
     "EnvBounds",
-    "LossParams",
     "RunningMean",
     "StepSchedule",
     "UnsupportedBoxError",
@@ -161,18 +160,6 @@ def running_mean_candidate(mean_prev: RunningMean, mu) -> np.ndarray:
 def running_mean_update(mean_prev: RunningMean, mu_t) -> RunningMean:
     """Append one signal to the running mean."""
     return RunningMean(running_mean_candidate(mean_prev, mu_t), mean_prev.rounds + 1)
-
-
-@dataclass(frozen=True)
-class LossParams:
-    """Regularization weights: rho scales the mean penalty, lam the l1 penalty."""
-
-    rho: float = 0.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.rho < 0 or self.lam < 0:
-            raise ValueError("regularization weights must be nonnegative")
 
 
 def gradient_estimate(loss_value: float, v, dim: int, delta: float) -> np.ndarray:

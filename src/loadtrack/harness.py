@@ -22,12 +22,12 @@ from .algorithms import (
     FullInformationTracker,
     PartialBanditTracker,
     PartialFeedback,
+    QuadraticTrackingObjective,
 )
 from .core import (
     Box,
     ConfigError,
     EnvBounds,
-    LossParams,
     conservative_bounds,
     soft_threshold,
     step_schedule,
@@ -197,8 +197,6 @@ class ScenarioConfig:
 
     def effective_rho(self) -> float:
         """The mean-penalty weight the tracker actually optimizes."""
-        if self.feedback == "partial":
-            return 0.0
         if self.feedback == "bernoulli" and not self.bernoulli_mean_penalty:
             return 0.0
         return self.rho
@@ -264,25 +262,26 @@ def feedback_channel(kind: str, responses, setpoint_eff: float, played, observed
     raise ConfigError(f"unknown feedback channel kind {kind!r}")
 
 
-def _build_tracker(cfg: ScenarioConfig, box: Box, bounds: EnvBounds, rng: np.random.Generator):
-    rho_eff = cfg.effective_rho()
-    params = LossParams(rho=rho_eff, lam=cfg.lam)
+def _build_tracker(cfg: ScenarioConfig, box: Box, bounds: EnvBounds, rho_eff: float, rng: np.random.Generator):
     dim = box.dim
+    if cfg.scenario == "ev":
+        objective = WeightedChargeObjective(cfg.n_loads, rho_eff, cfg.ev_params)
+    else:
+        objective = QuadraticTrackingObjective(dim, rho_eff)
     if cfg.feedback == "full":
         schedule = step_schedule("full", cfg.rounds, dim, bounds, chi=cfg.chi)
-        objective = WeightedChargeObjective(cfg.n_loads, rho_eff, cfg.ev_params) if cfg.scenario == "ev" else None
-        return FullInformationTracker(schedule, box, params, objective)
+        return FullInformationTracker(schedule, box, objective, cfg.lam)
     if cfg.feedback == "bandit":
         schedule = step_schedule("bandit", cfg.rounds, dim, bounds, chi=cfg.chi)
-        return BanditTracker(schedule, box, params, rng)
+        return BanditTracker(schedule, box, objective, cfg.lam, rng)
     if cfg.feedback == "partial":
         schedule = step_schedule(
             "partial", cfg.rounds, dim, bounds,
             observed=cfg.observed, chi=cfg.chi, chi_full=cfg.chi_full, chi_bandit=cfg.chi_bandit,
         )
-        return PartialBanditTracker(schedule, box, params, cfg.observed, rng)
+        return PartialBanditTracker(schedule, box, objective, cfg.lam, cfg.observed, rng)
     return BernoulliFeedbackTracker(
-        cfg.rounds, box, params, bounds, rng,
+        cfg.rounds, box, objective, cfg.lam, bounds, rng,
         a=cfg.bernoulli_a, chi_full=cfg.chi_full, chi_bandit=cfg.chi_bandit,
         warmup=cfg.bernoulli_warmup,
     )
@@ -325,14 +324,12 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     rho_eff = cfg.effective_rho()
     setpoint_max = float(np.max(np.abs(setpoints_eff)))
     bounds = conservative_bounds(box, setpoint_max, response_max, rho_eff)
-    tracker = _build_tracker(cfg, box, bounds, algo_rng)
+    tracker = _build_tracker(cfg, box, bounds, rho_eff, algo_rng)
 
     T = cfg.rounds
     tracking = np.empty(T)
-    objective = np.empty(T)
     aggregate = np.empty(T)
     mean_norm = np.empty(T)
-    l1 = np.empty(T)
     played_hist = np.empty((T, dim))
     k_track = min(cfg.track_loads, cfg.n_loads)
     trajectories = np.empty((T, k_track))
@@ -362,10 +359,11 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         err = s_eff - achieved
         tracking[j] = err * err
         played_hist[j] = played
-        l1[j] = float(np.abs(played).sum())
         mean_norm[j] = tracker.objective.mean.norm()
         trajectories[j] = fleet.theta[:k_track] if is_tcl else fleet.soc[:k_track]
-        objective[j] = tracking[j] + rho_eff * mean_norm[j] ** 2 + cfg.lam * l1[j]
+
+    l1 = np.abs(played_hist).sum(axis=1)
+    objective = tracking + rho_eff * mean_norm ** 2 + cfg.lam * l1
 
     if is_tcl:
         simultaneous = np.zeros(T, dtype=bool)
@@ -578,10 +576,6 @@ def simultaneity_pct(ledger: MetricsLedger) -> float:
 @dataclass
 class TrialSummary:
     improvement_pct: float
-    total_tracking: float
-    total_baseline: float
-    mean_norm_avg: float
-    l1_avg: float
     simultaneity_pct: float
     regret_total: float | None = None
 
@@ -594,8 +588,7 @@ class ExperimentResult:
     first_trial: TrialResult
 
     def mean_summary(self) -> dict:
-        keys = ("improvement_pct", "total_tracking", "total_baseline",
-                "mean_norm_avg", "l1_avg", "simultaneity_pct")
+        keys = ("improvement_pct", "simultaneity_pct")
         out = {k: float(np.mean([getattr(s, k) for s in self.summaries])) for k in keys}
         regrets = [s.regret_total for s in self.summaries if s.regret_total is not None]
         out["regret_total"] = float(np.mean(regrets)) if regrets else None
@@ -628,10 +621,6 @@ def run_experiment(config: ScenarioConfig) -> ExperimentResult:
         summaries.append(
             TrialSummary(
                 improvement_pct=improvement_pct(ledger),
-                total_tracking=float(ledger.tracking.sum()),
-                total_baseline=float(ledger.baseline_tracking.sum()),
-                mean_norm_avg=float(ledger.mean_norm.mean()),
-                l1_avg=float(ledger.l1.mean()),
                 simultaneity_pct=simultaneity_pct(ledger),
                 regret_total=regret_total,
             )

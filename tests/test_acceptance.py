@@ -8,13 +8,12 @@ quantitative targets carry the wide tolerances stated with each check.
 import numpy as np
 import pytest
 
-from loadtrack.algorithms import BernoulliFeedbackTracker
+from loadtrack.algorithms import BernoulliFeedbackTracker, QuadraticTrackingObjective
 from loadtrack.cli import main as cli_main
 from loadtrack.core import (
     Box,
     ConfigError,
     EnvBounds,
-    LossParams,
     gradient_estimate,
     prox_step,
     sample_unit_sphere,
@@ -180,13 +179,15 @@ def test_criterion_7_bernoulli_schedule():
     fractions = []
     for k in range(100):
         tracker = BernoulliFeedbackTracker(
-            T, box, LossParams(), bounds, np.random.default_rng(k), a=a
+            T, box, QuadraticTrackingObjective(10), 0.0, bounds, np.random.default_rng(k), a=a
         )
         fractions.append(tracker.plan.mean())
     frac = float(np.mean(fractions))
     assert abs(frac - 0.90) <= 0.03
     with pytest.raises(ConfigError):
-        BernoulliFeedbackTracker(8, box, LossParams(), bounds, np.random.default_rng(0), a=7.6)
+        BernoulliFeedbackTracker(
+            8, box, QuadraticTrackingObjective(10), 0.0, bounds, np.random.default_rng(0), a=7.6
+        )
     report("7 (bernoulli schedule)", f"p {p:.4f}, empirical bandit fraction {frac:.4f}")
 
 

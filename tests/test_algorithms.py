@@ -14,12 +14,12 @@ from loadtrack.algorithms import (
     FullInformationTracker,
     PartialBanditTracker,
     PartialFeedback,
+    QuadraticTrackingObjective,
 )
 from loadtrack.core import (
     Box,
     ConfigError,
     EnvBounds,
-    LossParams,
     StepSchedule,
     conservative_bounds,
 )
@@ -29,7 +29,7 @@ BOUNDS = EnvBounds(gradient_bound=20.0, loss_bound=100.0, diameter=2.0)
 
 def full_tracker(dim=1, eta=0.25, rho=0.0, lam=0.0):
     return FullInformationTracker(
-        StepSchedule("full", eta), Box.symmetric(dim), LossParams(rho, lam)
+        StepSchedule("full", eta), Box.symmetric(dim), QuadraticTrackingObjective(dim, rho), lam
     )
 
 
@@ -84,7 +84,7 @@ def test_full_info_converges_on_fixed_quadratic():
         from loadtrack.core import step_schedule
 
         tracker = FullInformationTracker(
-            step_schedule("full", 2000, dim, bounds), box, LossParams()
+            step_schedule("full", 2000, dim, bounds), box, QuadraticTrackingObjective(dim), 0.0
         )
         losses = []
         for _ in range(2000):
@@ -101,7 +101,8 @@ def bandit_tracker(dim=4, eta=0.01, delta=0.2, rho=0.0, lam=0.0, seed=0):
     return BanditTracker(
         StepSchedule("bandit", eta, delta=delta),
         Box.symmetric(dim),
-        LossParams(rho, lam),
+        QuadraticTrackingObjective(dim, rho),
+        lam,
         np.random.default_rng(seed),
     )
 
@@ -148,7 +149,8 @@ def partial_tracker(dim=5, observed=2, eta=0.02, eta2=0.1, delta=0.2, lam=0.0, s
     return PartialBanditTracker(
         StepSchedule("partial", eta, eta2=eta2, delta=delta),
         Box.symmetric(dim),
-        LossParams(0.0, lam),
+        QuadraticTrackingObjective(dim, 0.0),
+        lam,
         observed,
         np.random.default_rng(seed),
     )
@@ -200,7 +202,8 @@ def test_partial_rejects_bad_configuration():
         PartialBanditTracker(
             StepSchedule("partial", 0.1, eta2=0.1, delta=0.2),
             Box.symmetric(4),
-            LossParams(rho=1.0),
+            QuadraticTrackingObjective(4, rho=1.0),
+            0.0,
             2,
             np.random.default_rng(0),
         )
@@ -231,7 +234,8 @@ def test_partial_joint_update_solves_block_separable_objective():
         tracker = PartialBanditTracker(
             StepSchedule("partial", float(eta1), eta2=float(eta2), delta=delta),
             Box.symmetric(4),
-            LossParams(0.0, lam),
+            QuadraticTrackingObjective(4, 0.0),
+            lam,
             2,
             np.random.default_rng(8),
         )
@@ -271,11 +275,12 @@ def test_partial_joint_update_solves_block_separable_objective():
 # --- bernoulli feedback -----------------------------------------------------------
 
 
-def make_bernoulli(horizon=50, dim=3, seed=0, **kw):
+def make_bernoulli(horizon=50, dim=3, seed=0, rho=0.0, lam=0.0, **kw):
     return BernoulliFeedbackTracker(
         horizon,
         Box.symmetric(dim),
-        kw.pop("params", LossParams()),
+        QuadraticTrackingObjective(dim, rho),
+        lam,
         BOUNDS,
         np.random.default_rng(seed),
         **kw,
@@ -311,11 +316,12 @@ def test_bernoulli_plans_and_trajectories_deterministic():
 def test_bernoulli_all_full_plan_matches_full_tracker():
     T, dim = 30, 2
     tracker = make_bernoulli(T, dim, a=0.0, plan=np.zeros(T, bool), warmup=False,
-                             params=LossParams(0.0, 0.05))
+                             rho=0.0, lam=0.05)
     reference = FullInformationTracker(
         StepSchedule("full", tracker.schedule.eta),
         Box.symmetric(dim),
-        LossParams(0.0, 0.05),
+        QuadraticTrackingObjective(dim, 0.0),
+        0.05,
     )
     rng = np.random.default_rng(10)
     responses = rng.normal(size=(T, dim)) + 1.0
@@ -331,11 +337,12 @@ def test_bernoulli_all_full_plan_matches_full_tracker():
 def test_bernoulli_all_bandit_plan_matches_bandit_tracker():
     T, dim = 30, 3
     tracker = make_bernoulli(T, dim, seed=77, a=1.0, plan=np.ones(T, bool), warmup=False,
-                             params=LossParams(0.0, 0.1))
+                             rho=0.0, lam=0.1)
     reference = BanditTracker(
         StepSchedule("bandit", tracker.schedule.eta2, delta=tracker.schedule.delta),
         Box.symmetric(dim),
-        LossParams(0.0, 0.1),
+        QuadraticTrackingObjective(dim, 0.0),
+        0.1,
         np.random.default_rng(77),
     )
     rng = np.random.default_rng(11)
@@ -401,7 +408,7 @@ def test_bernoulli_warmup_prepends_one_full_one_bandit():
 
 def test_bernoulli_warmup_stays_out_of_the_running_mean():
     # The mean penalty and the ledger both cover the scored rounds only.
-    tracker = make_bernoulli(10, 2, a=0.5, warmup=True, params=LossParams(rho=3.0))
+    tracker = make_bernoulli(10, 2, a=0.5, warmup=True, rho=3.0)
     rng = np.random.default_rng(15)
     responses = rng.normal(size=(3, 2)) + 1.0
     _drive(tracker, responses[:2], [1.0, 1.0])
@@ -425,3 +432,33 @@ def test_partial_feedback_carries_exactly_observed_coordinates():
     obs = PartialFeedback(np.zeros(10), 1.0, 2.0)
     assert obs.observed.shape == (10,)
     assert {f.name for f in dataclasses.fields(PartialFeedback)} == {"observed", "total", "setpoint"}
+
+
+# --- construction ---------------------------------------------------------------
+
+
+def _build(kind, objective, lam):
+    box = Box.symmetric(4)
+    rng = np.random.default_rng(0)
+    if kind == "full":
+        return FullInformationTracker(StepSchedule("full", 0.1), box, objective, lam)
+    if kind == "bandit":
+        return BanditTracker(StepSchedule("bandit", 0.1, delta=0.2), box, objective, lam, rng)
+    if kind == "partial":
+        schedule = StepSchedule("partial", 0.1, eta2=0.1, delta=0.2)
+        return PartialBanditTracker(schedule, box, objective, lam, 2, rng)
+    return BernoulliFeedbackTracker(20, box, objective, lam, BOUNDS, rng, a=1.0)
+
+
+@pytest.mark.parametrize("kind", ["full", "bandit", "partial", "bernoulli"])
+def test_tracker_keeps_the_objective_it_is_handed(kind):
+    objective = QuadraticTrackingObjective(4)
+    tracker = _build(kind, objective, 0.5)
+    assert tracker.objective is objective
+    assert tracker.lam == 0.5
+
+
+@pytest.mark.parametrize("kind", ["full", "bandit", "partial", "bernoulli"])
+def test_tracker_rejects_negative_lam(kind):
+    with pytest.raises(ValueError, match="lam"):
+        _build(kind, QuadraticTrackingObjective(4), -0.1)

@@ -293,13 +293,17 @@ def test_every_case_is_validated_before_output(tmp_path, capsys, text, needle):
     assert not out.exists()
 
 
-def test_empty_feedback_list_writes_headers_only(tmp_path):
-    path = write_cfg(tmp_path, "[run]\nscenario = tcl\nfeedback =\n")
+@pytest.mark.parametrize("text,flags", [
+    pytest.param("[run]\nscenario = tcl\nfeedback =\n", [], id="blank-key"),
+    pytest.param("[run]\nscenario = tcl\nfeedback = ,\n", [], id="comma-only"),
+    pytest.param("[run]\nscenario = tcl\nfeedback = full\n", ["--feedback", ""], id="empty-flag"),
+])
+def test_empty_case_list_is_rejected_before_output(tmp_path, capsys, text, flags):
+    path = write_cfg(tmp_path, text)
     out = tmp_path / "out"
-    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
-    rounds = (out / "rounds.csv").read_text().splitlines()
-    assert len(rounds) == 1 and rounds[0].startswith("scenario,feedback,t,")
-    assert len((out / "summary.csv").read_text().splitlines()) == 1
+    assert main(["--config", str(path), "--out", str(out), "--quiet", *flags]) == EXIT_CONFIG
+    assert "feedback lists no regime" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

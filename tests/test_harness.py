@@ -171,6 +171,26 @@ def test_ledger_objective_recomputable_from_trajectories():
         assert led.objective[j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("cfg", [
+    pytest.param(small_cfg(feedback="full", rho=1.5, lam=0.3), id="tcl-full"),
+    pytest.param(small_cfg(feedback="bandit", rho=1.5, lam=0.3), id="tcl-bandit"),
+    pytest.param(small_cfg(feedback="partial", lam=0.3, observed=2), id="tcl-partial"),
+    pytest.param(small_cfg(feedback="bernoulli", rho=1.5, lam=0.3, bernoulli_a=2.0,
+                           bernoulli_mean_penalty=True), id="tcl-bernoulli-warmup-penalty"),
+    pytest.param(ScenarioConfig(scenario="ev", feedback="full", n_loads=5, rounds=30, rho=20.0,
+                                lam=3.0, seed=2), id="ev-full"),
+])
+def test_ledger_l1_and_objective_match_the_per_round_loop_bitwise(cfg):
+    led = run_trial(cfg, 0).ledger
+    assert led.rho_eff > 0 or cfg.feedback == "partial"
+    l1, objective = np.empty(led.rounds), np.empty(led.rounds)
+    for j in range(led.rounds):
+        l1[j] = float(np.abs(led.played[j]).sum())
+        objective[j] = float(led.tracking[j]) + led.rho_eff * float(led.mean_norm[j]) ** 2 + led.lam * l1[j]
+    assert led.l1.tobytes() == l1.tobytes()
+    assert led.objective.tobytes() == objective.tobytes()
+
+
 def test_regret_consistency_with_trajectories():
     cfg = small_cfg(feedback="full", rho=2.0, lam=0.2, rounds=80)
     trial = run_trial(cfg, 0)

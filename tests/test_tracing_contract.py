@@ -112,6 +112,14 @@ def test_every_wrapped_name_is_called_through_its_owner(tmp_path, monkeypatch):
     # objective computes its weighted gradient itself.
     assert len(bernoulli_full_rounds) > 0
     assert calls["algorithms.full_gradient"] == 2 * 40 + len(bernoulli_full_rounds)
+    # One sphere draw and one gradient estimate per bandit, partial and
+    # Bernoulli aggregate round (warm-up included), and one shrunk-box
+    # projection per Bernoulli aggregate round.
+    bernoulli_aggregate = updates["BernoulliFeedbackTracker"] - len(bernoulli_full_rounds)
+    assert bernoulli_aggregate > 0
+    explored = updates["BanditTracker"] + updates["PartialBanditTracker"] + bernoulli_aggregate
+    assert calls["algorithms.sample_unit_sphere"] == calls["algorithms.gradient_estimate"] == explored
+    assert calls["algorithms.project_shrunk_box"] == bernoulli_aggregate
 
 
 def test_write_csv_rows_count_the_data_lines_it_writes(tmp_path, monkeypatch):
