@@ -23,14 +23,12 @@ from .core import (
     Box,
     ConfigError,
     EnvBounds,
-    RunningMean,
     StepSchedule,
     UnsupportedBoxError,
     conservative_bounds,
     gradient_estimate,
     project_shrunk_box,
     prox_step,
-    running_mean_update,
     sample_unit_sphere,
     soft_threshold,
     step_schedule,

@@ -9,6 +9,7 @@ type its regime permits; anything else raises ``FeedbackMismatchError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +18,12 @@ from .core import (
     Box,
     ConfigError,
     EnvBounds,
-    RunningMean,
     StepSchedule,
     _same_length,
     _vector,
     gradient_estimate,
     project_shrunk_box,
     prox_step,
-    running_mean_candidate,
-    running_mean_update,
     sample_unit_sphere,
     step_schedule,
 )
@@ -91,24 +89,31 @@ class QuadraticTrackingObjective:
 
     The smooth loss is err^2 + rho*||mean incl. round t||^2. It is scored
     from every response (``value_and_gradient``) or from the aggregate
-    alone (``value_from_total``); ``advance`` appends the played signal.
+    alone (``value_from_total``); ``advance`` appends the played signal
+    to ``mean``, the average of the ``rounds`` signals appended so far.
     """
 
     def __init__(self, dim: int, rho: float = 0.0):
-        if rho < 0:
+        if not rho >= 0:
             raise ValueError("rho must be nonnegative")
         self.rho = float(rho)
-        self.mean = RunningMean.zero(dim)
+        self.mean = np.zeros(dim)
+        self.rounds = 0
 
-    @property
-    def round(self) -> int:
-        return self.mean.rounds + 1
+    def mean_norm(self) -> float:
+        return math.sqrt(self.mean @ self.mean)
+
+    def _candidate(self, signal) -> np.ndarray:
+        """The running mean after appending ``signal``: (t*mean + signal) / (t + 1)."""
+        signal = _vector(signal, "signal")
+        _same_length(self.mean, signal, "running mean")
+        return (self.rounds * self.mean + signal) / (self.rounds + 1)
 
     def _loss(self, err: float, signal):
         """The smooth loss and the candidate mean after appending ``signal`` (None if rho = 0)."""
         if self.rho == 0.0:
             return err * err, None
-        cand = running_mean_candidate(self.mean, signal)
+        cand = self._candidate(signal)
         return err * err + self.rho * float(cand @ cand), cand
 
     def value_and_gradient(self, setpoint, responses, signal):
@@ -117,14 +122,15 @@ class QuadraticTrackingObjective:
         _same_length(responses, signal, "tracking loss")
         err = float(setpoint) - float(responses @ signal)
         value, cand = self._loss(err, signal)
-        return value, full_gradient(responses, err, self.rho, cand, self.round)
+        return value, full_gradient(responses, err, self.rho, cand, self.rounds + 1)
 
     def value_from_total(self, setpoint: float, total: float, signal) -> float:
         """Reconstruct the smooth loss when only the aggregate is observed."""
         return self._loss(float(setpoint) - float(total), signal)[0]
 
     def advance(self, played) -> None:
-        self.mean = running_mean_update(self.mean, played)
+        self.mean = self._candidate(played)
+        self.rounds += 1
 
 
 def _require(obs, expected, regime: str):
@@ -142,7 +148,7 @@ class _Tracker:
     """
 
     def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float, rng=None):
-        if lam < 0:
+        if not lam >= 0:
             raise ValueError("lam must be nonnegative")
         self.schedule = schedule
         self.box = box

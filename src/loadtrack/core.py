@@ -1,8 +1,8 @@
 """Numerical kernels for online setpoint tracking.
 
-The running mean, the closed-form composite proximal update, sphere
-sampling for gradient estimation, box projections, and step-size
-schedules (the tracking loss and its gradient live in
+The closed-form composite proximal update, sphere sampling for gradient
+estimation, box projections, and step-size schedules (the tracking
+loss, its gradient and the running mean live in
 ``algorithms.QuadraticTrackingObjective``). Every operation is a pure
 function of its inputs; random draws take an explicit generator, so
 everything here is safe to call concurrently.
@@ -19,15 +19,12 @@ __all__ = [
     "Box",
     "ConfigError",
     "EnvBounds",
-    "RunningMean",
     "StepSchedule",
     "UnsupportedBoxError",
     "conservative_bounds",
     "gradient_estimate",
     "project_shrunk_box",
     "prox_step",
-    "running_mean_candidate",
-    "running_mean_update",
     "sample_unit_sphere",
     "soft_threshold",
     "step_schedule",
@@ -127,39 +124,6 @@ class Box:
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
-
-
-@dataclass(frozen=True)
-class RunningMean:
-    """Exact running average of the signals played in rounds 1..t."""
-
-    mean: np.ndarray
-    rounds: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _vector(self.mean, "mean"))
-        if self.rounds < 0:
-            raise ValueError("rounds must be nonnegative")
-
-    @classmethod
-    def zero(cls, dim: int) -> "RunningMean":
-        return cls(np.zeros(dim), 0)
-
-    def norm(self) -> float:
-        return math.sqrt(self.mean @ self.mean)
-
-
-def running_mean_candidate(mean_prev: RunningMean, mu) -> np.ndarray:
-    """The running average after appending ``mu``: ((t-1)*mean_{t-1} + mu) / t."""
-    mu = _vector(mu, "mu")
-    _same_length(mean_prev.mean, mu, "running mean")
-    t = mean_prev.rounds + 1
-    return (mean_prev.rounds * mean_prev.mean + mu) / t
-
-
-def running_mean_update(mean_prev: RunningMean, mu_t) -> RunningMean:
-    """Append one signal to the running mean."""
-    return RunningMean(running_mean_candidate(mean_prev, mu_t), mean_prev.rounds + 1)
 
 
 def gradient_estimate(loss_value: float, v, dim: int, delta: float) -> np.ndarray:

@@ -160,6 +160,11 @@ class ScenarioConfig:
         return cfg
 
     def validate(self) -> None:
+        for spec in (self, self.setpoint, self.noise, self.tcl_ranges, self.ev_params):
+            for f in dataclasses.fields(spec) if spec is not None else ():
+                value = getattr(spec, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.feedback not in FEEDBACK_REGIMES:
@@ -359,7 +364,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         err = s_eff - achieved
         tracking[j] = err * err
         played_hist[j] = played
-        mean_norm[j] = tracker.objective.mean.norm()
+        mean_norm[j] = tracker.objective.mean_norm()
         trajectories[j] = fleet.theta[:k_track] if is_tcl else fleet.soc[:k_track]
 
     l1 = np.abs(played_hist).sum(axis=1)
@@ -577,7 +582,6 @@ def simultaneity_pct(ledger: MetricsLedger) -> float:
 class TrialSummary:
     improvement_pct: float
     simultaneity_pct: float
-    regret_total: float | None = None
 
 
 @dataclass
@@ -589,10 +593,7 @@ class ExperimentResult:
 
     def mean_summary(self) -> dict:
         keys = ("improvement_pct", "simultaneity_pct")
-        out = {k: float(np.mean([getattr(s, k) for s in self.summaries])) for k in keys}
-        regrets = [s.regret_total for s in self.summaries if s.regret_total is not None]
-        out["regret_total"] = float(np.mean(regrets)) if regrets else None
-        return out
+        return {k: float(np.mean([getattr(s, k) for s in self.summaries])) for k in keys}
 
 
 def run_experiment(config: ScenarioConfig) -> ExperimentResult:
@@ -608,11 +609,8 @@ def run_experiment(config: ScenarioConfig) -> ExperimentResult:
     for k in range(cfg.trials):
         trial = run_trial(cfg, k)
         ledger = trial.ledger
-        regret_total = None
         if cfg.compute_regret:
-            report = empirical_regret(ledger, trial.box, max_iters=cfg.hindsight_iters)
-            sums["regret"] += report.series
-            regret_total = report.total
+            sums["regret"] += empirical_regret(ledger, trial.box, max_iters=cfg.hindsight_iters).series
         sums["setpoint_eff"] += ledger.setpoint_eff
         sums["aggregate"] += ledger.aggregate
         sums["tracking"] += ledger.tracking
@@ -622,7 +620,6 @@ def run_experiment(config: ScenarioConfig) -> ExperimentResult:
             TrialSummary(
                 improvement_pct=improvement_pct(ledger),
                 simultaneity_pct=simultaneity_pct(ledger),
-                regret_total=regret_total,
             )
         )
         if first_trial is None:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import QuadraticTrackingObjective
-from .core import running_mean_update
 
 __all__ = [
     "EvFleet",
@@ -342,7 +341,7 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
         grad_discharge = -2.0 * c_discharge * err
         loss, cand = self._loss(err, term)
         if self.rho != 0.0:
-            t = self.round
+            t = self.rounds + 1
             grad_charge = grad_charge + (2.0 * self.rho / t) * (params.inj_eff * c_charge) * cand
             grad_discharge = grad_discharge + (2.0 * self.rho / t) * (c_discharge / params.ext_eff) * cand
         return loss, np.concatenate([grad_charge, grad_discharge])
@@ -355,4 +354,4 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
         if self._pending is None:
             raise ValueError("the EV objective advances only a round that value_and_gradient scored")
         self.weighted, self._pending = self._pending, None
-        self.mean = running_mean_update(self.mean, self.weighted)
+        super().advance(self.weighted)

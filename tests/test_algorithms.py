@@ -412,10 +412,10 @@ def test_bernoulli_warmup_stays_out_of_the_running_mean():
     rng = np.random.default_rng(15)
     responses = rng.normal(size=(3, 2)) + 1.0
     _drive(tracker, responses[:2], [1.0, 1.0])
-    assert tracker.objective.mean.rounds == 0
+    assert tracker.objective.rounds == 0
     played = _drive(tracker, responses[2:], [1.0])
-    assert tracker.objective.mean.rounds == 1
-    np.testing.assert_array_equal(tracker.objective.mean.mean, played[0])
+    assert tracker.objective.rounds == 1
+    np.testing.assert_array_equal(tracker.objective.mean, played[0])
 
 
 # --- observation structure ----------------------------------------------------
@@ -460,5 +460,6 @@ def test_tracker_keeps_the_objective_it_is_handed(kind):
 
 @pytest.mark.parametrize("kind", ["full", "bandit", "partial", "bernoulli"])
 def test_tracker_rejects_negative_lam(kind):
-    with pytest.raises(ValueError, match="lam"):
-        _build(kind, QuadraticTrackingObjective(4), -0.1)
+    for lam in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="lam"):
+            _build(kind, QuadraticTrackingObjective(4), lam)

@@ -140,6 +140,26 @@ n_loads = 8
 rho = 100
 lambda = 46
 """,
+    # TCL with an active mean penalty, on the full and the Bernoulli path.
+    "penalty": """\
+[run]
+scenario = tcl
+feedback = full,bernoulli
+trials = 2
+rounds = 60
+seed = 13
+compute_regret = true
+track_loads = 3
+
+[fleet]
+n_loads = 20
+
+[algorithm]
+rho = 250
+lambda = 0.5
+bernoulli_a = 2.0
+bernoulli_mean_penalty = true
+""",
 }
 
 

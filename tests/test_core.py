@@ -8,14 +8,12 @@ from loadtrack.core import (
     Box,
     ConfigError,
     EnvBounds,
-    RunningMean,
     StepSchedule,
     UnsupportedBoxError,
     conservative_bounds,
     gradient_estimate,
     project_shrunk_box,
     prox_step,
-    running_mean_update,
     sample_unit_sphere,
     soft_threshold,
     step_schedule,
@@ -26,10 +24,10 @@ from loadtrack.core import (
 
 
 def _score(s, c, mu, rho=0.0, mean_prev=None):
-    """Loss and gradient at ``mu`` of an objective that has played ``mean_prev`` so far."""
+    """Loss and gradient at ``mu`` of an objective whose (mean, rounds) so far is ``mean_prev``."""
     objective = QuadraticTrackingObjective(len(mu), rho)
     if mean_prev is not None:
-        objective.mean = mean_prev
+        objective.mean, objective.rounds = mean_prev
     return objective.value_and_gradient(s, np.asarray(c, dtype=float), np.asarray(mu, dtype=float))
 
 
@@ -53,11 +51,11 @@ def test_smooth_loss_reduces_to_tracking_when_rho_zero():
         c = rng.normal(size=4)
         mu = rng.uniform(-1, 1, size=4)
         s = rng.normal()
-        mean = RunningMean(rng.uniform(-1, 1, size=4), 3)
+        mean = (rng.uniform(-1, 1, size=4), 3)
         err = s - float(c @ mu)
         assert _score(s, c, mu, 0.0, mean)[0] == err * err
         objective = QuadraticTrackingObjective(4)
-        objective.mean = mean
+        objective.mean, objective.rounds = mean
         assert objective.value_from_total(s, float(c @ mu), mu) == err * err
 
 
@@ -67,11 +65,11 @@ def test_smooth_loss_first_round_penalty_only():
 
 
 def test_smooth_loss_second_round_recurrence():
-    mean_prev = RunningMean(np.array([1.0]), 1)
+    mean_prev = (np.array([1.0]), 1)
     value, _ = _score(0.0, [0.0], [0.0], 4.0, mean_prev)
     assert value == pytest.approx(1.0, abs=1e-12)  # 4 * (1/2)^2
     objective = QuadraticTrackingObjective(1, 4.0)
-    objective.mean = mean_prev
+    objective.mean, objective.rounds = mean_prev
     assert objective.value_from_total(0.0, 0.0, [0.0]) == value
 
 
@@ -111,7 +109,7 @@ def test_full_gradient_matches_finite_differences():
         mu = rng.uniform(-1, 1, size=n)
         s = rng.normal() * 3
         t = int(rng.integers(1, 10))
-        mean_prev = RunningMean(rng.uniform(-1, 1, size=n), t - 1)
+        mean_prev = (rng.uniform(-1, 1, size=n), t - 1)
         rho = float(rng.uniform(0, 3))
         _, g = _score(s, c, mu, rho, mean_prev)
         fd = _fd_gradient(s, c, mu, rho, mean_prev)
@@ -123,11 +121,11 @@ def test_full_gradient_penalty_follows_the_objective_round():
     # with it: after k advances the penalty gradient at mean 1 is 2*rho/(k+1).
     objective = QuadraticTrackingObjective(1, rho=2.0)
     for k in range(4):
-        assert objective.round == k + 1
+        assert objective.rounds == k
         _, g = objective.value_and_gradient(0.0, np.array([0.0]), np.array([1.0]))
         np.testing.assert_allclose(g, [4.0 / (k + 1)], atol=1e-12)
         objective.advance(np.array([1.0]))
-    assert objective.mean.rounds == 4
+    assert objective.rounds == 4
 
 
 # --- one-point estimator ----------------------------------------------------
@@ -347,32 +345,50 @@ def test_project_shrunk_box_rejects_bad_delta():
 
 
 def test_running_mean_first_round():
-    out = running_mean_update(RunningMean.zero(2), [0.3, -0.4])
+    out = QuadraticTrackingObjective(2)
+    out.advance([0.3, -0.4])
     np.testing.assert_allclose(out.mean, [0.3, -0.4])
     assert out.rounds == 1
 
 
 def test_running_mean_two_rounds():
-    m = running_mean_update(RunningMean.zero(1), [1.0])
-    m = running_mean_update(m, [0.0])
+    m = QuadraticTrackingObjective(1)
+    m.advance([1.0])
+    m.advance([0.0])
     np.testing.assert_allclose(m.mean, [0.5])
 
 
 def test_running_mean_constant_sequence():
-    m = RunningMean.zero(3)
+    m = QuadraticTrackingObjective(3)
     for _ in range(10):
-        m = running_mean_update(m, [0.7, 0.7, 0.7])
+        m.advance([0.7, 0.7, 0.7])
     np.testing.assert_allclose(m.mean, 0.7, atol=1e-12)
 
 
 def test_running_mean_matches_batch_average():
     rng = np.random.default_rng(15)
     signals = rng.uniform(-1, 1, size=(200, 5))
-    m = RunningMean.zero(5)
+    m = QuadraticTrackingObjective(5)
     for row in signals:
-        m = running_mean_update(m, row)
+        m.advance(row)
     np.testing.assert_allclose(m.mean, signals.mean(axis=0), atol=1e-12)
     assert m.rounds == 200
+
+
+def test_running_mean_rejects_wrong_length_and_keeps_state():
+    m = QuadraticTrackingObjective(3)
+    m.advance([0.1, 0.2, 0.3])
+    before = m.mean.copy()
+    for bad in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]):
+        with pytest.raises(ValueError):
+            m.advance(bad)
+        np.testing.assert_array_equal(m.mean, before)
+        assert m.rounds == 1
+
+
+def test_objective_rejects_nan_rho():
+    with pytest.raises(ValueError):
+        QuadraticTrackingObjective(2, float("nan"))
 
 
 # --- schedules -------------------------------------------------------------------
@@ -491,7 +507,9 @@ def test_norms_match_numpy_linalg_bitwise():
     rng = np.random.default_rng(18)
     for n in (1, 2, 7, 100, 1000):
         v = rng.standard_normal(n) * 10.0
-        assert RunningMean(v, 3).norm() == float(np.linalg.norm(v))
+        objective = QuadraticTrackingObjective(n)
+        objective.mean, objective.rounds = v, 3
+        assert objective.mean_norm() == float(np.linalg.norm(v))
         if n > 1:
             g = np.random.default_rng(n).standard_normal(n)
             u = sample_unit_sphere(n, np.random.default_rng(n))

@@ -1,13 +1,14 @@
 """Closed-loop harness tests: channels, determinism, regret, metrics."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from loadtrack import loads
 from loadtrack.algorithms import AggregateFeedback, FullFeedback, PartialFeedback
-from loadtrack.core import Box, ConfigError, RunningMean, running_mean_update
+from loadtrack.core import Box, ConfigError
 from loadtrack.harness import (
     ScenarioConfig,
     SetpointSpec,
@@ -91,6 +92,26 @@ def test_config_validation_errors():
         ScenarioConfig(feedback="bernoulli", rounds=8, bernoulli_a=7.6).resolved()
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"lam": NAN}, id="lam-nan"),
+    pytest.param({"rho": NAN}, id="rho-nan"),
+    pytest.param({"chi": NAN}, id="chi-nan"),
+    pytest.param({"step_hours": NAN}, id="step_hours-nan"),
+    pytest.param({"lam": float("inf")}, id="lam-inf"),
+    pytest.param({"setpoint": SetpointSpec(NAN, 0.1, 155.0)}, id="setpoint-nan"),
+    pytest.param({"feedback": "bernoulli", "bernoulli_a": NAN, "rounds": 600}, id="bernoulli_a-nan"),
+    pytest.param({"ambient": NAN}, id="ambient-nan"),
+    pytest.param({"noise": NoiseSpec(sd=NAN)}, id="noise-sd-nan"),
+])
+def test_config_rejects_non_finite_values(overrides):
+    cfg = ScenarioConfig(**{"n_loads": 4, "rounds": 10, **overrides})
+    with pytest.raises(ConfigError, match="finite"):
+        run_trial(cfg)
+
+
 def test_config_resolves_scenario_defaults():
     cfg = ScenarioConfig(scenario="ev", feedback="full").resolved()
     assert cfg.step_hours == pytest.approx(1.0 / 60.0)
@@ -160,12 +181,12 @@ def test_ledger_objective_recomputable_from_trajectories():
     cfg = small_cfg(feedback="bandit", rho=1.5, lam=0.3, rounds=60)
     trial = run_trial(cfg, 0)
     led = trial.ledger
-    mean = RunningMean.zero(led.played.shape[1])
+    mean = np.zeros(led.played.shape[1])
     for j in range(led.rounds):
-        mean = running_mean_update(mean, led.played[j])
+        mean = (j * mean + led.played[j]) / (j + 1)
         expected = (
             (led.setpoint_eff[j] - led.responses[j] @ led.played[j]) ** 2
-            + led.rho_eff * float(mean.mean @ mean.mean)
+            + led.rho_eff * float(mean @ mean)
             + led.lam * float(np.abs(led.played[j]).sum())
         )
         assert led.objective[j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -381,13 +402,13 @@ def test_ev_ledger_series_match_the_per_round_loop():
     ledger = run_trial(cfg, 0).ledger
     ev, n = cfg.ev_params, cfg.n_loads
     weight_sum = np.zeros(2 * n)
-    mean = RunningMean.zero(n)
+    mean = np.zeros(n)
     for j, (resp, played) in enumerate(zip(ledger.responses, ledger.played)):
         weight_sum += np.concatenate([ev.inj_eff * resp[:n], resp[n:] / ev.ext_eff])
         assert ledger.mean_weights[j].tobytes() == (weight_sum / (j + 1)).tobytes()
         term = weighted_signal(ev, resp[:n], resp[n:], played[:n], played[n:])
-        mean = running_mean_update(mean, term)
-        assert ledger.mean_norm[j] == mean.norm()
+        mean = (j * mean + term) / (j + 1)
+        assert ledger.mean_norm[j] == math.sqrt(mean @ mean)
         simultaneous = np.any(np.minimum(np.abs(played[:n]), np.abs(played[n:])) > 1e-2)
         assert ledger.simultaneous[j] == simultaneous
 

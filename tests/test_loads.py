@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from loadtrack.core import RunningMean
 from loadtrack.harness import ScenarioConfig, run_trial
 from loadtrack.loads import (
     EvFleet,
@@ -345,8 +344,8 @@ def test_ev_objective_weighted_mean_matches_batch(rho):
         objective.value_and_gradient(0.0, responses, signal)
         objective.advance(signal)
         fleet.step(objective.weighted)
-    np.testing.assert_allclose(objective.mean.mean, np.mean(terms, axis=0), atol=1e-12)
-    assert objective.mean.rounds == 60
+    np.testing.assert_allclose(objective.mean, np.mean(terms, axis=0), atol=1e-12)
+    assert objective.rounds == 60
     assert np.all(fleet.soc >= 0.0) and np.all(fleet.soc <= 1.0)
 
 
@@ -372,9 +371,9 @@ def test_ev_objective_reuses_its_weighted_signal(rho):
 
 
 def _ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params):
-    """The objective's loss and its two block gradients, with weighted mean ``wm`` so far."""
+    """The objective's loss and its two block gradients, with (weighted mean, rounds) ``wm`` so far."""
     objective = WeightedChargeObjective(len(c_c), rho, params)
-    objective.mean = wm
+    objective.mean, objective.rounds = wm
     loss, grad = objective.value_and_gradient(s, np.concatenate([c_c, c_d]), np.concatenate([mu_c, mu_d]))
     return loss, grad[: len(c_c)], grad[len(c_c) :]
 
@@ -383,7 +382,7 @@ def test_ev_loss_zero_case():
     params = EvParams()
     loss, g_c, g_d = _ev_loss_and_gradient(
         0.0, np.array([3.0]), np.array([1.5]), np.array([0.0]), np.array([0.0]),
-        0.0, RunningMean.zero(1), params,
+        0.0, (np.zeros(1), 0), params,
     )
     assert loss == 0.0
     np.testing.assert_array_equal(g_c, 0.0)
@@ -394,10 +393,10 @@ def test_ev_loss_rejects_sign_violations():
     params = EvParams()
     with pytest.raises(ValueError):
         _ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]),
-                              np.array([-0.2]), np.array([0.0]), 0.0, RunningMean.zero(1), params)
+                              np.array([-0.2]), np.array([0.0]), 0.0, (np.zeros(1), 0), params)
     with pytest.raises(ValueError):
         _ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]),
-                              np.array([0.2]), np.array([0.5]), 0.0, RunningMean.zero(1), params)
+                              np.array([0.2]), np.array([0.5]), 0.0, (np.zeros(1), 0), params)
 
 
 def _ev_loss_only(s, c_c, c_d, mu_c, mu_d, rho, wm, params):
@@ -418,7 +417,7 @@ def test_ev_gradient_matches_finite_differences():
         s = float(rng.normal() * 5)
         rho = float(rng.uniform(0, 50))
         t_prev = int(rng.integers(0, 5))
-        wm = RunningMean(rng.uniform(-1, 1, size=n), t_prev)
+        wm = (rng.uniform(-1, 1, size=n), t_prev)
         _, g_c, g_d = _ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params)
         for i in range(n):
             up, dn = mu_c.copy(), mu_c.copy()
@@ -444,7 +443,7 @@ def test_ev_loss_midpoint_convexity():
         c_d = 1.5 + rng.uniform(-1, 1, size=n)
         s = float(rng.normal() * 5)
         rho = float(rng.uniform(0, 100))
-        wm = RunningMean(rng.uniform(-1, 1, size=n), int(rng.integers(0, 5)))
+        wm = (rng.uniform(-1, 1, size=n), int(rng.integers(0, 5)))
         xc, yc = rng.uniform(0, 1, size=(2, n))
         xd, yd = -rng.uniform(0, 1, size=(2, n))
         mid = _ev_loss_only(s, c_c, c_d, (xc + yc) / 2, (xd + yd) / 2, rho, wm, params)
