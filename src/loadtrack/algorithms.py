@@ -199,7 +199,8 @@ class FullInformationTracker(_Tracker):
         return "full"
 
     def begin_round(self) -> np.ndarray:
-        return self._mark_played(self.signal.copy())
+        # update replaces self.signal and never mutates it, so _mark_played's copy is the only one.
+        return self._mark_played(self.signal)
 
     def update(self, obs) -> dict:
         played = self._take_played()
@@ -385,7 +386,7 @@ class BernoulliFeedbackTracker(_Tracker):
         if self._current_is_bandit():
             self._base = project_shrunk_box(self.signal, self.schedule.delta, self.box)
             return self._explore(self._base)
-        return self._mark_played(self.signal.copy())
+        return self._mark_played(self.signal)
 
     def update(self, obs) -> dict:
         played = self._take_played()

@@ -36,6 +36,7 @@ from .loads import (
     EvFleet,
     EvParams,
     NoiseSpec,
+    SignalRangeError,
     TclRanges,
     WeightedChargeObjective,
     tcl_fleet_init,
@@ -292,17 +293,28 @@ def _build_tracker(cfg: ScenarioConfig, box: Box, bounds: EnvBounds, rho_eff: fl
     )
 
 
+def _name_round(exc: Exception, round_index: int) -> None:
+    """Prefix the exception's message with the round it belongs to."""
+    head = f"round {round_index}: {exc.args[0]}" if exc.args else f"round {round_index}"
+    exc.args = (head,) + exc.args[1:]
+
+
 def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
-    """One closed-loop trial: setpoint, play, respond, feed back, evolve, record.
+    """One closed-loop trial: setpoint, play, respond, feed back, record, evolve.
 
     The noise stream is independent of the played signals, so a paired
-    no-control baseline is simply the squared effective setpoint.
+    no-control baseline is simply the squared effective setpoint. The
+    fleet's state (temperatures, states of charge) is output only, so the
+    round loop holds just the tracker protocol; the fleet steps once through
+    the played block and the ledger is scored over it after the loop.
     """
     cfg = config.resolved()
     seed_seq = np.random.SeedSequence([int(cfg.seed), int(trial_index)])
     fleet_rng, response_rng, algo_rng = (np.random.default_rng(s) for s in seed_seq.spawn(3))
+    n = cfg.n_loads
+    is_tcl = cfg.scenario == "tcl"
 
-    if cfg.scenario == "tcl":
+    if is_tcl:
         fleet = tcl_fleet_init(cfg.n_loads, fleet_rng, cfg.tcl_ranges, cfg.ambient, cfg.step_hours)
         baseline_power = fleet.baseline_power()
         response_max = float(fleet.response_base.max()) + cfg.noise.hi
@@ -318,10 +330,9 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     t_values = np.arange(1 - warmup, cfg.rounds + 1)
     setpoints_eff = make_setpoint(cfg.setpoint, t_values) - baseline_power
 
-    if cfg.scenario == "tcl":
+    if is_tcl:
         responses = fleet.response_base + cfg.noise.sample(response_rng, size=(total_rounds, dim))
     else:
-        n = cfg.n_loads
         responses = np.empty((total_rounds, dim))
         responses[:, :n] = cfg.ev_params.charge_rate_kw + cfg.noise.sample(response_rng, size=(total_rounds, n))
         responses[:, n:] = cfg.ev_params.discharge_rate_kw + cfg.noise.sample(response_rng, size=(total_rounds, n))
@@ -332,41 +343,40 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     tracker = _build_tracker(cfg, box, bounds, rho_eff, algo_rng)
 
     T = cfg.rounds
-    tracking = np.empty(T)
-    aggregate = np.empty(T)
     mean_norm = np.empty(T)
-    played_hist = np.empty((T, dim))
-    k_track = min(cfg.track_loads, cfg.n_loads)
-    trajectories = np.empty((T, k_track))
-
+    # Warm-up rows included: the fleet steps through every played row.
+    played_all = np.empty((total_rounds, dim))
+    weighted_all = None if is_tcl else np.empty((total_rounds, n))
     infos = []
-    n = cfg.n_loads
-    is_tcl = cfg.scenario == "tcl"
     for i in range(total_rounds):
-        s_eff = float(setpoints_eff[i])
-        resp = responses[i]
         try:
             kind = tracker.next_feedback()
             played = tracker.begin_round()
-            obs = feedback_channel(kind, resp, s_eff, played, observed=cfg.observed)
+            obs = feedback_channel(kind, responses[i], float(setpoints_eff[i]), played, observed=cfg.observed)
             info = tracker.update(obs)
-            fleet.step(played if is_tcl else tracker.objective.weighted)
         except Exception as exc:
-            head = f"round {i - warmup + 1}: {exc.args[0]}" if exc.args else f"round {i - warmup + 1}"
-            exc.args = (head,) + exc.args[1:]
+            _name_round(exc, i - warmup + 1)
             raise
-        j = i - warmup
-        if j < 0:
-            continue
-        infos.append(info)
-        achieved = float(resp @ played)
-        aggregate[j] = achieved
-        err = s_eff - achieved
-        tracking[j] = err * err
-        played_hist[j] = played
-        mean_norm[j] = tracker.objective.mean_norm()
-        trajectories[j] = fleet.theta[:k_track] if is_tcl else fleet.soc[:k_track]
+        played_all[i] = played
+        if not is_tcl:
+            weighted_all[i] = tracker.objective.weighted
+        if i >= warmup:
+            infos.append(info)
+            mean_norm[i - warmup] = tracker.objective.mean_norm()
 
+    try:
+        states = fleet.step(played_all if is_tcl else weighted_all)
+    except SignalRangeError as exc:
+        _name_round(exc, exc.row - warmup + 1)
+        raise
+    trajectories = states[warmup:, : min(cfg.track_loads, n)].copy()  # frees the full state block
+
+    played_hist = played_all[warmup:]
+    scored = responses[warmup:]
+    # The same per-row dot product as resp @ played, for every scored round at once.
+    aggregate = np.matmul(scored[:, None, :], played_hist[:, :, None]).reshape(T)
+    err = setpoints_eff[warmup:] - aggregate
+    tracking = err * err
     l1 = np.abs(played_hist).sum(axis=1)
     objective = tracking + rho_eff * mean_norm ** 2 + cfg.lam * l1
 
@@ -378,7 +388,6 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
             np.minimum(np.abs(played_hist[:, :n]), np.abs(played_hist[:, n:])) > SIMULTANEITY_TOL
         ).any(axis=1)
         # Running means of the battery-impact weights, for all scored rounds at once.
-        scored = responses[warmup:]
         mean_weights = np.empty((T, dim))
         np.multiply(cfg.ev_params.inj_eff, scored[:, :n], out=mean_weights[:, :n])
         np.divide(scored[:, n:], cfg.ev_params.ext_eff, out=mean_weights[:, n:])
@@ -394,17 +403,16 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         l1=l1,
         simultaneous=simultaneous,
         baseline_tracking=setpoints_eff[warmup:] ** 2,
-        responses=responses[warmup:],
+        responses=scored,
         played=played_hist,
         rho_eff=rho_eff,
         lam=cfg.lam,
         mean_weights=mean_weights,
     )
-    saturation = fleet.saturation_events if cfg.scenario == "ev" else 0
     return TrialResult(
         ledger=ledger,
         trajectories=trajectories,
-        saturation_events=saturation,
+        saturation_events=0 if is_tcl else fleet.saturation_events,
         schedule=tracker.schedule,
         bounds=bounds,
         box=box,

@@ -2,7 +2,9 @@
 
 Fleets turn adjustment signals into electrical responses and evolve
 their internal state (temperature or state-of-charge). All per-load
-quantities are stored as vectors over the fleet.
+quantities are stored as vectors over the fleet. The state is output
+only, it never feeds back into the responses, so each fleet's ``step``
+advances it through a whole block of rounds at once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "InfeasibleLoadError",
     "NoiseSpec",
     "SamplingError",
+    "SignalRangeError",
     "TclFleet",
     "TclRanges",
     "WeightedChargeObjective",
@@ -40,6 +43,14 @@ class SamplingError(RuntimeError):
     """Rejection sampling exhausted its draw budget."""
 
 
+class SignalRangeError(ValueError):
+    """An adjustment signal outside [-1, 1]; ``row`` is the first bad row of the block."""
+
+    def __init__(self, row: int):
+        super().__init__("adjustment signals must lie in [-1, 1]")
+        self.row = int(row)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Truncated Gaussian noise: N(mean, sd) conditioned on [lo, hi]."""
@@ -50,13 +61,24 @@ class NoiseSpec:
     hi: float = 1.0
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("noise requires lo < hi")
-        if self.sd < 0:
-            raise ValueError("noise sd must be nonnegative")
+        _check_truncation(self.mean, self.sd, self.lo, self.hi)
 
     def sample(self, rng: np.random.Generator, size=None):
         return sample_truncated_gaussian(self.mean, self.sd, self.lo, self.hi, rng, size=size)
+
+
+def _check_truncation(mean, sd, lo, hi) -> None:
+    """Reject arguments no draw can satisfy before any draw is made.
+
+    A NaN passes a check written ``sd < 0`` but fails every acceptance
+    test, so the sampler would burn its whole rejection budget first.
+    """
+    if not np.isfinite((mean, sd, lo, hi)).all():
+        raise ValueError("noise mean, sd, lo and hi must be finite")
+    if not lo < hi:
+        raise ValueError("noise requires lo < hi")
+    if not sd >= 0:
+        raise ValueError("noise sd must be nonnegative")
 
 
 def sample_truncated_gaussian(mean, sd, lo, hi, rng: np.random.Generator, size=None):
@@ -66,10 +88,7 @@ def sample_truncated_gaussian(mean, sd, lo, hi, rng: np.random.Generator, size=N
     acceptance stays high; a budget of one million rejected draws guards
     against degenerate configurations.
     """
-    if not lo < hi:
-        raise ValueError("requires lo < hi")
-    if sd < 0:
-        raise ValueError("sd must be nonnegative")
+    _check_truncation(mean, sd, lo, hi)
     scalar = size is None
     n = 1 if scalar else int(np.prod(size))
     if sd == 0:
@@ -171,21 +190,36 @@ class TclFleet:
         """Aggregate consumption when every load holds its steady duty."""
         return float(self.unit_power @ self.m_bar)
 
-    def step(self, signal: np.ndarray) -> None:
-        """Advance every load one step of the first-order thermal model.
+    def step(self, signals) -> np.ndarray:
+        """Advance every load through a block of rounds of the first-order thermal model.
 
-        The signal mu commands the duty m = clip(m_bar + mu * swing, 0, 1);
+        ``signals`` is a (rounds, n) block of adjustment signals, or one
+        row. The signal mu commands the duty m = clip(m_bar + mu * swing, 0, 1);
         the symmetric swing keeps m in [0, 1] and makes mu = 0 hold the
         steady state. Then theta' = b*theta + (1-b)*(theta_a - m*R*P_R)
-        with b = exp(-h/(R*C)).
+        with b = exp(-h/(R*C)). The temperatures never feed back into the
+        responses, so the forcing term is computed for the whole block at
+        once and only the recurrence runs row by row. Returns the
+        (rounds, n) temperatures after each row; ``theta`` holds the last.
         """
-        signal = np.asarray(signal, dtype=float)
-        if (np.abs(signal) > 1 + 1e-9).any():
-            raise ValueError("adjustment signals must lie in [-1, 1]")
-        duty = np.minimum(np.maximum(self.m_bar + signal * self.swing, 0.0), 1.0)
-        self.theta = self.decay * self.theta + self.decay_rest * (
-            self.ambient - duty * self.resistance * self.rated_power
-        )
+        block = np.atleast_2d(np.asarray(signals, dtype=float))
+        if block.size and (block.max() > 1 + 1e-9 or block.min() < -1 - 1e-9):
+            raise SignalRangeError(np.flatnonzero((np.abs(block) > 1 + 1e-9).any(axis=1))[0])
+        # The per-row operations in the per-row order, so the bytes match a row-at-a-time step.
+        forcing = block * self.swing
+        forcing += self.m_bar
+        np.maximum(forcing, 0.0, out=forcing)
+        np.minimum(forcing, 1.0, out=forcing)
+        forcing *= self.resistance
+        forcing *= self.rated_power
+        np.subtract(self.ambient, forcing, out=forcing)
+        forcing *= self.decay_rest
+        theta, carried = self.theta, np.empty_like(self.theta)
+        for row in forcing:  # each row becomes its temperatures in place
+            row += np.multiply(self.decay, theta, out=carried)
+            theta = row
+        self.theta = theta.copy()
+        return forcing
 
 
 def tcl_fleet_init(
@@ -291,15 +325,25 @@ class EvFleet:
         self.soc = np.full(self.n_vehicles, float(self.initial_soc))
         self.saturation_events = 0
 
-    def step(self, weighted) -> None:
-        """Advance every vehicle one step, clamp the SoC to [0, 1] and count saturations.
+    def step(self, weighted) -> np.ndarray:
+        """Advance every vehicle through a block of rounds, clamp the SoC to [0, 1] and count saturations.
 
-        ``weighted`` is the round's battery-impact-weighted signal, which
-        ``WeightedChargeObjective`` computes from checked signals.
+        ``weighted`` is a (rounds, n) block of battery-impact-weighted
+        signals, or one row, as ``WeightedChargeObjective`` computes them
+        from checked signals. Returns the (rounds, n) states of charge after
+        each row; ``soc`` holds the last.
         """
-        raw = self.soc + (self.step_hours / self.params.capacity_kwh) * weighted
-        self.soc = raw.clip(0.0, 1.0)
-        self.saturation_events += int(np.count_nonzero(raw != self.soc))
+        raw = (self.step_hours / self.params.capacity_kwh) * np.atleast_2d(np.asarray(weighted, dtype=float))
+        socs = np.empty_like(raw)
+        soc = self.soc
+        for raw_row, soc_row in zip(raw, socs):
+            raw_row += soc
+            # np.clip's bits at a third of its per-call cost; they would differ only
+            # on a -0.0 sum, which needs initial_soc = -0.0.
+            soc = np.minimum(np.maximum(raw_row, 0.0, out=soc_row), 1.0, out=soc_row)
+        self.soc = soc.copy()
+        self.saturation_events += int(np.count_nonzero(raw != socs))
+        return socs
 
 
 class WeightedChargeObjective(QuadraticTrackingObjective):

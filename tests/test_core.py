@@ -491,6 +491,17 @@ def test_box_shrunk_is_cached_per_delta():
             box.shrunk(bad)
 
 
+def test_box_contains_keeps_each_tolerance_apart():
+    box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+    just_out = np.array([1.0 + 1e-10, 2.0])
+    for _ in range(2):  # the second pass reads the cached widened bounds
+        assert box.contains(just_out, tol=1e-9)
+        assert not box.contains(just_out, tol=0.0)
+        assert not box.contains(just_out, tol=1e-12)
+        assert box.contains(np.array([-1.0, 0.0]), tol=0.0)
+        assert not box.contains(np.array([-1.0 - 1e-8, 0.0]))
+
+
 def test_box_clip_matches_np_clip_bitwise():
     rng = np.random.default_rng(17)
     for n in (1, 7, 100, 1000):

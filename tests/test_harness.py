@@ -95,21 +95,22 @@ def test_config_validation_errors():
 NAN = float("nan")
 
 
-@pytest.mark.parametrize("overrides", [
-    pytest.param({"lam": NAN}, id="lam-nan"),
-    pytest.param({"rho": NAN}, id="rho-nan"),
-    pytest.param({"chi": NAN}, id="chi-nan"),
-    pytest.param({"step_hours": NAN}, id="step_hours-nan"),
-    pytest.param({"lam": float("inf")}, id="lam-inf"),
-    pytest.param({"setpoint": SetpointSpec(NAN, 0.1, 155.0)}, id="setpoint-nan"),
-    pytest.param({"feedback": "bernoulli", "bernoulli_a": NAN, "rounds": 600}, id="bernoulli_a-nan"),
-    pytest.param({"ambient": NAN}, id="ambient-nan"),
-    pytest.param({"noise": NoiseSpec(sd=NAN)}, id="noise-sd-nan"),
+@pytest.mark.parametrize("overrides,error", [
+    pytest.param(lambda: {"lam": NAN}, ConfigError, id="lam-nan"),
+    pytest.param(lambda: {"rho": NAN}, ConfigError, id="rho-nan"),
+    pytest.param(lambda: {"chi": NAN}, ConfigError, id="chi-nan"),
+    pytest.param(lambda: {"step_hours": NAN}, ConfigError, id="step_hours-nan"),
+    pytest.param(lambda: {"lam": float("inf")}, ConfigError, id="lam-inf"),
+    pytest.param(lambda: {"setpoint": SetpointSpec(NAN, 0.1, 155.0)}, ConfigError, id="setpoint-nan"),
+    pytest.param(lambda: {"feedback": "bernoulli", "bernoulli_a": NAN, "rounds": 600}, ConfigError,
+                 id="bernoulli_a-nan"),
+    pytest.param(lambda: {"ambient": NAN}, ConfigError, id="ambient-nan"),
+    # NoiseSpec itself rejects a NaN, so such a config cannot be built at all.
+    pytest.param(lambda: {"noise": NoiseSpec(sd=NAN)}, ValueError, id="noise-sd-nan"),
 ])
-def test_config_rejects_non_finite_values(overrides):
-    cfg = ScenarioConfig(**{"n_loads": 4, "rounds": 10, **overrides})
-    with pytest.raises(ConfigError, match="finite"):
-        run_trial(cfg)
+def test_config_rejects_non_finite_values(overrides, error):
+    with pytest.raises(error, match="finite"):
+        run_trial(ScenarioConfig(**{"n_loads": 4, "rounds": 10, **overrides()}))
 
 
 def test_config_resolves_scenario_defaults():
@@ -204,10 +205,16 @@ def test_ledger_objective_recomputable_from_trajectories():
 def test_ledger_l1_and_objective_match_the_per_round_loop_bitwise(cfg):
     led = run_trial(cfg, 0).ledger
     assert led.rho_eff > 0 or cfg.feedback == "partial"
+    aggregate, tracking = np.empty(led.rounds), np.empty(led.rounds)
     l1, objective = np.empty(led.rounds), np.empty(led.rounds)
     for j in range(led.rounds):
+        aggregate[j] = float(led.responses[j] @ led.played[j])
+        err = float(led.setpoint_eff[j]) - aggregate[j]
+        tracking[j] = err * err
         l1[j] = float(np.abs(led.played[j]).sum())
         objective[j] = float(led.tracking[j]) + led.rho_eff * float(led.mean_norm[j]) ** 2 + led.lam * l1[j]
+    assert led.aggregate.tobytes() == aggregate.tobytes()
+    assert led.tracking.tobytes() == tracking.tobytes()
     assert led.l1.tobytes() == l1.tobytes()
     assert led.objective.tobytes() == objective.tobytes()
 
@@ -384,6 +391,48 @@ def test_run_trial_attaches_round_index_to_errors(monkeypatch):
     monkeypatch.setattr(FullInformationTracker, "update", failing_update)
     with pytest.raises(ValueError, match="round 3: synthetic failure"):
         run_trial(small_cfg(), 0)
+
+
+@pytest.mark.parametrize("feedback,bad_call", [
+    ("full", 3),
+    ("bernoulli", 5),  # two warm-up rounds come first, so the fifth play is round 3
+])
+def test_run_trial_names_the_round_of_an_out_of_range_signal(monkeypatch, feedback, bad_call):
+    # The fleet steps once after the loop; its range check still names the round the loop counts.
+    from loadtrack.algorithms import BernoulliFeedbackTracker, FullInformationTracker
+
+    cls = FullInformationTracker if feedback == "full" else BernoulliFeedbackTracker
+    original = cls.begin_round
+    calls = {"n": 0}
+
+    def overreaching_begin_round(self):
+        calls["n"] += 1
+        played = original(self)
+        if calls["n"] == bad_call:
+            played[0] = 1.5
+        return played
+
+    monkeypatch.setattr(cls, "begin_round", overreaching_begin_round)
+    with pytest.raises(ValueError, match=r"^round 3: adjustment signals must lie in \[-1, 1\]$"):
+        run_trial(small_cfg(feedback=feedback, bernoulli_a=2.0), 0)
+
+
+@pytest.mark.parametrize("cfg,rows", [
+    pytest.param(small_cfg(feedback="bernoulli", bernoulli_a=2.0), 42, id="tcl-bernoulli-warmup"),
+    pytest.param(small_cfg(feedback="bandit"), 40, id="tcl-bandit"),
+    pytest.param(ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30), 30, id="ev-full"),
+])
+def test_run_trial_steps_the_fleet_once_over_the_played_block(monkeypatch, cfg, rows):
+    blocks = []
+    for fleet_cls in (loads.TclFleet, loads.EvFleet):
+        def recording(self, block, _original=vars(fleet_cls)["step"]):
+            blocks.append(np.array(block))
+            return _original(self, block)
+        monkeypatch.setattr(fleet_cls, "step", recording)
+    trial = run_trial(cfg, 0)
+    assert [b.shape for b in blocks] == [(rows, cfg.n_loads)]
+    if cfg.scenario == "tcl":  # the scored rows of the block are the ledger's played signals
+        assert blocks[0][rows - cfg.rounds:].tobytes() == trial.ledger.played.tobytes()
 
 
 def test_compute_metrics_layout():

@@ -11,6 +11,7 @@ from loadtrack.loads import (
     EvParams,
     InfeasibleLoadError,
     NoiseSpec,
+    SignalRangeError,
     TclFleet,
     TclRanges,
     WeightedChargeObjective,
@@ -83,23 +84,53 @@ def test_apply_signal_hand_values():
         assert fleet.theta[0] == pytest.approx(b * 25.0 + (1 - b) * (30.0 - duty * 2.0 * 10.0), abs=1e-12)
 
 
-def test_fleet_step_matches_the_thermal_model_formula_bitwise():
+def _clip_active_fleet_and_signals(rows=30):
+    """A 50-load fleet and ``rows`` signal rows on which the duty clip acts."""
     rng = np.random.default_rng(3)
     fleet = tcl_fleet_init(50, rng)
-    r, c, p, m_bar = fleet.resistance, fleet.capacitance, fleet.rated_power, fleet.m_bar
-    theta = fleet.theta.copy()
     # A signal just below -1 on a load with m_bar < 0.5 commands a duty below 0, so the clip acts.
-    under = np.argmin(m_bar)
-    assert m_bar[under] < 0.5
-    for _ in range(30):
-        mu = rng.uniform(-1, 1, size=50)
+    under = np.argmin(fleet.m_bar)
+    assert fleet.m_bar[under] < 0.5
+    signals = np.empty((rows, 50))
+    for mu in signals:
+        mu[:] = rng.uniform(-1, 1, size=50)
         mu[:5] = (-1.0, 1.0, 0.0, -0.0, 1.0 + 1e-10)
         mu[under] = -1.0 - 1e-10
+    return fleet, signals
+
+
+def test_fleet_step_matches_the_thermal_model_formula_bitwise():
+    fleet, signals = _clip_active_fleet_and_signals()
+    r, c, p, m_bar = fleet.resistance, fleet.capacitance, fleet.rated_power, fleet.m_bar
+    theta = fleet.theta.copy()
+    for mu in signals:
         duty = np.clip(m_bar + mu * np.minimum(m_bar, 1.0 - m_bar), 0.0, 1.0)
         b = np.exp(-fleet.step_hours / (r * c))
         theta = b * theta + (1.0 - b) * (fleet.ambient - duty * r * p)
         fleet.step(mu)
         assert fleet.theta.tobytes() == theta.tobytes()
+
+
+def test_fleet_block_step_matches_row_by_row_steps_bitwise():
+    fleet, signals = _clip_active_fleet_and_signals()
+    by_row, _ = _clip_active_fleet_and_signals()
+    rows = [by_row.step(mu)[0].copy() for mu in signals]
+    block = fleet.step(signals)
+    assert block.shape == signals.shape
+    assert block.tobytes() == np.array(rows).tobytes()
+    assert fleet.theta.tobytes() == by_row.theta.tobytes() == rows[-1].tobytes()
+
+
+def test_fleet_block_step_names_the_first_bad_row():
+    fleet = tcl_fleet_init(4, np.random.default_rng(1))
+    theta = fleet.theta.copy()
+    signals = np.zeros((6, 4))
+    signals[2, 3] = -1.5
+    signals[4, 0] = 1.5
+    with pytest.raises(SignalRangeError, match=r"^adjustment signals must lie in \[-1, 1\]$") as info:
+        fleet.step(signals)
+    assert info.value.row == 2
+    assert fleet.theta.tobytes() == theta.tobytes()  # a rejected block leaves the state alone
 
 
 def test_fleet_rejects_nonpositive_step_at_construction():
@@ -167,6 +198,20 @@ class _DrawLimit:
         if self.cells > self.limit:
             raise AssertionError(f"{self.cells} cells drawn without reaching the draw budget")
         return self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("field", ["mean", "sd", "lo", "hi"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_noise_rejects_non_finite_arguments_without_sampling(field, value):
+    args = {"mean": 0.0, "sd": 0.5, "lo": -1.0, "hi": 1.0, field: value}
+    no_draws = _DrawLimit(np.random.default_rng(0), 0)
+    with pytest.raises(ValueError, match="finite"):
+        sample_truncated_gaussian(args["mean"], args["sd"], args["lo"], args["hi"], no_draws)
+    with pytest.raises(ValueError, match="finite"):
+        sample_truncated_gaussian(args["mean"], args["sd"], args["lo"], args["hi"], no_draws, size=(3, 2))
+    with pytest.raises(ValueError, match="finite"):
+        NoiseSpec(**args)
+    assert no_draws.cells == 0
 
 
 def test_truncated_gaussian_draw_budget(monkeypatch):
@@ -324,6 +369,20 @@ def test_ev_soc_clamps_and_counts_saturation():
     _ev_round(objective, fleet, [3.0, 1.5], [1.0, 0.0])
     assert fleet.soc[0] == 1.0
     assert fleet.saturation_events == 1
+
+
+def test_ev_block_step_matches_row_by_row_steps_bitwise():
+    # Long steps on a small battery make vehicles saturate at both ends of [0, 1].
+    params = EvParams(capacity_kwh=2.0)
+    fleet, by_row = EvFleet(params, 6, step_hours=0.5), EvFleet(params, 6, step_hours=0.5)
+    weighted = np.random.default_rng(17).uniform(-3.0, 3.0, size=(40, 6))
+    rows = [by_row.step(w)[0].copy() for w in weighted]
+    block = fleet.step(weighted)
+    assert block.shape == weighted.shape
+    assert block.tobytes() == np.array(rows).tobytes()
+    assert fleet.soc.tobytes() == by_row.soc.tobytes()
+    assert fleet.saturation_events == by_row.saturation_events > 0
+    assert (block == 0.0).any() and (block == 1.0).any()
 
 
 @pytest.mark.parametrize("rho", [0.0, 30.0])
