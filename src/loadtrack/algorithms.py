@@ -91,6 +91,9 @@ class QuadraticTrackingObjective:
     from every response (``value_and_gradient``) or from the aggregate
     alone (``value_from_total``); ``advance`` appends the played signal
     to ``mean``, the average of the ``rounds`` signals appended so far.
+    When rho != 0 the candidate mean the loss was scored with is kept,
+    keyed on its signal object, and ``advance`` of that same signal
+    reuses it.
     """
 
     def __init__(self, dim: int, rho: float = 0.0):
@@ -99,6 +102,7 @@ class QuadraticTrackingObjective:
         self.rho = float(rho)
         self.mean = np.zeros(dim)
         self.rounds = 0
+        self._scored = (None, None)  # (signal, candidate mean) of the last scored round
 
     def mean_norm(self) -> float:
         return math.sqrt(self.mean @ self.mean)
@@ -114,6 +118,7 @@ class QuadraticTrackingObjective:
         if self.rho == 0.0:
             return err * err, None
         cand = self._candidate(signal)
+        self._scored = (signal, cand)
         return err * err + self.rho * float(cand @ cand), cand
 
     def value_and_gradient(self, setpoint, responses, signal):
@@ -129,7 +134,9 @@ class QuadraticTrackingObjective:
         return self._loss(float(setpoint) - float(total), signal)[0]
 
     def advance(self, played) -> None:
-        self.mean = self._candidate(played)
+        scored, cand = self._scored
+        self.mean = cand if played is scored else self._candidate(played)
+        self._scored = (None, None)
         self.rounds += 1
 
 

@@ -368,7 +368,7 @@ def emit_outputs(case_results: list, settings: RunSettings) -> list:
             *lead, float(cfg.rho), float(cfg.lam), cfg.trials,
             *(float(metrics[name]) for name in SUMMARY_HEADER[5:]),
         ))
-        traj = result.first_trial.trajectories
+        traj = result.trajectories
         t = np.arange(1, traj.shape[0] + 1)
         trajectories += [Block((*lead, load), (t, traj[:, load])) for load in range(traj.shape[1])]
 

@@ -5,7 +5,8 @@ estimation, box projections, and step-size schedules (the tracking
 loss, its gradient and the running mean live in
 ``algorithms.QuadraticTrackingObjective``). Every operation is a pure
 function of its inputs; random draws take an explicit generator, so
-everything here is safe to call concurrently.
+everything here is safe to call concurrently. Parameter checks are
+written ``not x > 0`` so that a NaN fails them.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class Box:
 
 def gradient_estimate(loss_value: float, v, dim: int, delta: float) -> np.ndarray:
     """One-point gradient estimate (dim/delta) * loss * v from a perturbed play."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
     v = _vector(v, "v")
     if v.shape[0] != dim:
@@ -179,9 +180,9 @@ def prox_step(mu_t, grad, eta: float, lam: float, box: Box) -> np.ndarray:
     _same_length(mu_t, grad, "prox step")
     if box.dim != mu_t.shape[0]:
         raise ValueError("box dimension mismatch")
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError("eta must be positive")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
     if not box.contains_zero:
         raise UnsupportedBoxError("prox_step requires a box containing 0 coordinate-wise")
@@ -208,7 +209,7 @@ class EnvBounds:
     diameter: float
 
     def __post_init__(self):
-        if min(self.gradient_bound, self.loss_bound, self.diameter) <= 0:
+        if not (self.gradient_bound > 0 and self.loss_bound > 0 and self.diameter > 0):
             raise ValueError("bounds must be positive")
 
 
@@ -247,9 +248,9 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.eta <= 0.0:
+        if not self.eta > 0.0:
             raise ValueError("eta must be positive")
-        if self.eta2 is not None and self.eta2 <= 0.0:
+        if self.eta2 is not None and not self.eta2 > 0.0:
             raise ValueError("eta2 must be positive")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
@@ -280,7 +281,7 @@ def step_schedule(
         raise ConfigError("horizon must be >= 1")
     if n_loads < 1:
         raise ConfigError("n_loads must be >= 1")
-    if chi <= 0:
+    if not chi > 0:
         raise ConfigError("chi must be positive")
     T = float(horizon)
     G, B, D = bounds.gradient_bound, bounds.loss_bound, bounds.diameter
@@ -308,7 +309,7 @@ def step_schedule(
     # bernoulli
     if bernoulli_a is None or bandit_rounds is None:
         raise ConfigError("bernoulli kind needs bernoulli_a and the realized bandit_rounds")
-    if bernoulli_a < 0:
+    if not bernoulli_a >= 0:
         raise ConfigError("bernoulli_a must be nonnegative")
     p = bernoulli_a / T ** (1.0 / 3.0)
     if p > 1.0:

@@ -369,7 +369,8 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     except SignalRangeError as exc:
         _name_round(exc, exc.row - warmup + 1)
         raise
-    trajectories = states[warmup:, : min(cfg.track_loads, n)].copy()  # frees the full state block
+    trajectories = states[warmup:, : min(cfg.track_loads, n)].copy()
+    del states, weighted_all  # the (rounds, n) blocks are not needed for scoring
 
     played_hist = played_all[warmup:]
     scored = responses[warmup:]
@@ -594,47 +595,57 @@ class TrialSummary:
 
 @dataclass
 class ExperimentResult:
+    """A case's trial summaries, averaged round series and first-trial trajectories."""
+
     config: ScenarioConfig
     summaries: list
     rounds: dict
-    first_trial: TrialResult
+    trajectories: np.ndarray
 
     def mean_summary(self) -> dict:
         keys = ("improvement_pct", "simultaneity_pct")
         return {k: float(np.mean([getattr(s, k) for s in self.summaries])) for k in keys}
 
 
+def _add_trial(cfg: ScenarioConfig, trial_index: int, sums: dict) -> tuple[TrialSummary, np.ndarray]:
+    """Run one trial, add its series into ``sums``; return its summary and trajectories.
+
+    The trial's result goes out of scope on return, so its blocks are freed
+    before the next trial starts.
+    """
+    trial = run_trial(cfg, trial_index)
+    ledger = trial.ledger
+    if cfg.compute_regret:
+        sums["regret"] += empirical_regret(ledger, trial.box, max_iters=cfg.hindsight_iters).series
+    sums["setpoint_eff"] += ledger.setpoint_eff
+    sums["aggregate"] += ledger.aggregate
+    sums["tracking"] += ledger.tracking
+    sums["mean_norm"] += ledger.mean_norm
+    sums["l1"] += ledger.l1
+    summary = TrialSummary(
+        improvement_pct=improvement_pct(ledger),
+        simultaneity_pct=simultaneity_pct(ledger),
+    )
+    return summary, trial.trajectories
+
+
 def run_experiment(config: ScenarioConfig) -> ExperimentResult:
-    """Run all trials of one scenario/feedback case and average the series."""
+    """Run all trials of one scenario/feedback case and average the series.
+
+    Only the first trial's trajectories are kept; every trial is released
+    once it is scored.
+    """
     cfg = config.resolved()
     T = cfg.rounds
     sums = {
         name: np.zeros(T)
         for name in ("setpoint_eff", "aggregate", "tracking", "mean_norm", "l1", "regret")
     }
-    summaries = []
-    first_trial = None
-    for k in range(cfg.trials):
-        trial = run_trial(cfg, k)
-        ledger = trial.ledger
-        if cfg.compute_regret:
-            sums["regret"] += empirical_regret(ledger, trial.box, max_iters=cfg.hindsight_iters).series
-        sums["setpoint_eff"] += ledger.setpoint_eff
-        sums["aggregate"] += ledger.aggregate
-        sums["tracking"] += ledger.tracking
-        sums["mean_norm"] += ledger.mean_norm
-        sums["l1"] += ledger.l1
-        summaries.append(
-            TrialSummary(
-                improvement_pct=improvement_pct(ledger),
-                simultaneity_pct=simultaneity_pct(ledger),
-            )
-        )
-        if first_trial is None:
-            first_trial = trial
+    first, trajectories = _add_trial(cfg, 0, sums)
+    summaries = [first] + [_add_trial(cfg, k, sums)[0] for k in range(1, cfg.trials)]
     rounds = {name: series / cfg.trials for name, series in sums.items()}
     rounds["cum_tracking"] = np.cumsum(rounds["tracking"])
-    return ExperimentResult(cfg, summaries, rounds, first_trial)
+    return ExperimentResult(cfg, summaries, rounds, trajectories)
 
 
 def compute_metrics(result: ExperimentResult, unregularized: ExperimentResult | None = None) -> dict:

@@ -203,8 +203,9 @@ class TclFleet:
         (rounds, n) temperatures after each row; ``theta`` holds the last.
         """
         block = np.atleast_2d(np.asarray(signals, dtype=float))
-        if block.size and (block.max() > 1 + 1e-9 or block.min() < -1 - 1e-9):
-            raise SignalRangeError(np.flatnonzero((np.abs(block) > 1 + 1e-9).any(axis=1))[0])
+        # Written so that a NaN fails the checks too.
+        if block.size and not (block.max() <= 1 + 1e-9 and block.min() >= -1 - 1e-9):
+            raise SignalRangeError(np.flatnonzero(~(np.abs(block) <= 1 + 1e-9).all(axis=1))[0])
         # The per-row operations in the per-row order, so the bytes match a row-at-a-time step.
         forcing = block * self.swing
         forcing += self.m_bar
@@ -291,9 +292,10 @@ class EvParams:
 def _check_ev_signals(charge_sig, discharge_sig):
     charge_sig = np.asarray(charge_sig, dtype=float)
     discharge_sig = np.asarray(discharge_sig, dtype=float)
-    if (charge_sig < -1e-9).any() or (charge_sig > 1 + 1e-9).any():
+    # Written so that a NaN fails the checks too.
+    if not ((charge_sig >= -1e-9).all() and (charge_sig <= 1 + 1e-9).all()):
         raise ValueError("charging signals must lie in [0, 1]")
-    if (discharge_sig > 1e-9).any() or (discharge_sig < -1 - 1e-9).any():
+    if not ((discharge_sig <= 1e-9).all() and (discharge_sig >= -1 - 1e-9).all()):
         raise ValueError("discharging signals must lie in [-1, 0]")
     return charge_sig, discharge_sig
 
@@ -377,18 +379,22 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
         chain rule: inj_eff*c_c on the charge block, c_d/ext_eff on discharge.
         """
         params = self.params
+        responses = np.asarray(responses, dtype=float)
         c_charge, c_discharge = self._split(responses)
         charge_sig, discharge_sig = _check_ev_signals(*self._split(signal))
         self._pending = term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
         err = float(setpoint) - float(c_charge @ charge_sig) - float(c_discharge @ discharge_sig)
-        grad_charge = -2.0 * c_charge * err
-        grad_discharge = -2.0 * c_discharge * err
+        # Scaling by -2 is exact, so this has the bits of -2.0 * c * err.
+        grad = (-2.0 * err) * responses
         loss, cand = self._loss(err, term)
         if self.rho != 0.0:
-            t = self.rounds + 1
-            grad_charge = grad_charge + (2.0 * self.rho / t) * (params.inj_eff * c_charge) * cand
-            grad_discharge = grad_discharge + (2.0 * self.rho / t) * (c_discharge / params.ext_eff) * cand
-        return loss, np.concatenate([grad_charge, grad_discharge])
+            weights = np.empty((2, self.n_vehicles))
+            np.multiply(params.inj_eff, c_charge, out=weights[0])
+            np.divide(c_discharge, params.ext_eff, out=weights[1])
+            weights *= 2.0 * self.rho / (self.rounds + 1)
+            weights *= cand
+            grad += weights.ravel()
+        return loss, grad
 
     def advance(self, played) -> None:
         """Fold the round that ``value_and_gradient`` just scored into the weighted mean.

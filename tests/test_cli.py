@@ -467,7 +467,7 @@ def test_emission_names_the_non_finite_series_and_round(tmp_path, monkeypatch, c
         result = original(config)
         if config.feedback == feedback:
             if target == "trajectory":
-                result.first_trial.trajectories[index] = np.nan
+                result.trajectories[index] = np.nan
             else:
                 result.rounds[target][index] = np.nan
         return result

@@ -344,6 +344,43 @@ def test_project_shrunk_box_rejects_bad_delta():
 # --- running mean ---------------------------------------------------------------
 
 
+NAN = float("nan")
+_BOUNDS = EnvBounds(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: StepSchedule("full", NAN), id="schedule-eta"),
+    pytest.param(lambda: StepSchedule("partial", 0.1, eta2=NAN, delta=0.5), id="schedule-eta2"),
+    pytest.param(lambda: EnvBounds(NAN, 1.0, 1.0), id="bounds-gradient"),
+    pytest.param(lambda: EnvBounds(1.0, NAN, 1.0), id="bounds-loss"),
+    pytest.param(lambda: EnvBounds(1.0, 1.0, NAN), id="bounds-diameter"),
+    pytest.param(lambda: prox_step(np.zeros(2), np.ones(2), NAN, 0.0, Box.symmetric(2)), id="prox-eta"),
+    pytest.param(lambda: prox_step(np.zeros(2), np.ones(2), 0.1, NAN, Box.symmetric(2)), id="prox-lam"),
+    pytest.param(lambda: gradient_estimate(1.0, np.array([1.0, 0.0]), 2, NAN), id="estimate-delta"),
+    pytest.param(lambda: step_schedule("full", 10, 2, _BOUNDS, chi=NAN), id="step-schedule-chi"),
+    pytest.param(lambda: step_schedule("bernoulli", 10, 2, _BOUNDS, bernoulli_a=NAN, bandit_rounds=1),
+                 id="step-schedule-bernoulli-a"),
+])
+def test_validators_reject_nan(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("rho", [0.0, 3.0])
+def test_objective_advance_reuses_the_candidate_of_the_scored_signal_only(rho):
+    objective = QuadraticTrackingObjective(3, rho)
+    objective.mean, objective.rounds = np.array([0.3, -0.2, 0.1]), 2
+    scored, other = np.array([0.5, 0.25, -1.0]), np.array([-0.5, 0.75, 0.0])
+    objective.value_and_gradient(1.0, np.ones(3), scored)
+    objective.advance(other)  # not the scored signal, so its own candidate is computed
+    np.testing.assert_array_equal(objective.mean, (2 * np.array([0.3, -0.2, 0.1]) + other) / 3)
+    want = (3 * objective.mean + scored) / 4
+    objective.value_and_gradient(1.0, np.ones(3), scored)
+    objective.advance(scored)
+    assert objective.mean.tobytes() == want.tobytes()
+    assert objective.rounds == 4
+
+
 def test_running_mean_first_round():
     out = QuadraticTrackingObjective(2)
     out.advance([0.3, -0.4])

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from loadtrack import loads
+from loadtrack import harness, loads
 from loadtrack.algorithms import AggregateFeedback, FullFeedback, PartialFeedback
 from loadtrack.core import Box, ConfigError
 from loadtrack.harness import (
@@ -246,6 +248,53 @@ def test_experiment_round_series_average_trials():
     np.testing.assert_allclose(res.rounds["tracking"], stack.mean(axis=0), atol=1e-12)
 
 
+def test_run_experiment_releases_each_trial_before_the_next(monkeypatch):
+    original = harness.run_trial
+    ledgers, alive_at_start = [], []
+
+    def spy(cfg, trial_index):
+        alive_at_start.append(sum(ref() is not None for ref in ledgers))
+        trial = original(cfg, trial_index)
+        ledgers.append(weakref.ref(trial.ledger))
+        return trial
+
+    monkeypatch.setattr(harness, "run_trial", spy)
+    result = run_experiment(small_cfg(trials=3))
+    assert alive_at_start == [0, 0, 0]
+    assert sum(ref() is not None for ref in ledgers) == 0
+    assert len(result.summaries) == 3
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(small_cfg(trials=3, track_loads=4), id="tcl-full"),
+    pytest.param(small_cfg(feedback="bernoulli", bernoulli_a=2.0, trials=2), id="tcl-bernoulli-warmup"),
+    pytest.param(ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, trials=2), id="ev-full"),
+])
+def test_experiment_keeps_the_first_trials_trajectories(cfg):
+    kept = run_experiment(cfg).trajectories
+    first = run_trial(cfg, 0).trajectories
+    assert kept.shape == first.shape == (cfg.rounds, min(cfg.track_loads, cfg.n_loads))
+    assert kept.dtype == first.dtype
+    assert kept.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("feedback", ["full", "bandit"])
+def test_run_experiment_holds_a_few_trial_blocks_at_most(feedback):
+    # One block is a (rounds + 2, n) float64 array, the size of one trial's played signals.
+    cfg = ScenarioConfig(feedback=feedback, n_loads=400, rounds=100, trials=3, seed=5)
+    block = (cfg.rounds + 2) * cfg.n_loads * 8
+    run_experiment(dataclasses.replace(cfg, trials=1))  # one-off allocations happen outside the count
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * block, f"peak {peak / block:.2f} blocks"
+    assert held <= 0.5 * block, f"held {held / block:.2f} blocks after return"
+    assert result.trajectories.shape == (cfg.rounds, cfg.track_loads)
+
+
 def test_ev_trial_tracks_soc_and_simultaneity():
     cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=50, trials=1, seed=2)
     trial = run_trial(cfg, 0)
@@ -415,6 +464,25 @@ def test_run_trial_names_the_round_of_an_out_of_range_signal(monkeypatch, feedba
     monkeypatch.setattr(cls, "begin_round", overreaching_begin_round)
     with pytest.raises(ValueError, match=r"^round 3: adjustment signals must lie in \[-1, 1\]$"):
         run_trial(small_cfg(feedback=feedback, bernoulli_a=2.0), 0)
+
+
+def test_run_trial_names_the_round_of_a_nan_signal(monkeypatch):
+    # A NaN fails the fleet's range check; every later row is NaN too, so the first one is named.
+    from loadtrack.algorithms import FullInformationTracker
+
+    original = FullInformationTracker.begin_round
+    calls = {"n": 0}
+
+    def nan_begin_round(self):
+        calls["n"] += 1
+        played = original(self)
+        if calls["n"] == 3:
+            played[0] = np.nan
+        return played
+
+    monkeypatch.setattr(FullInformationTracker, "begin_round", nan_begin_round)
+    with pytest.raises(ValueError, match=r"^round 3: adjustment signals must lie in \[-1, 1\]$"):
+        run_trial(small_cfg(), 0)
 
 
 @pytest.mark.parametrize("cfg,rows", [

@@ -133,6 +133,38 @@ def test_fleet_block_step_names_the_first_bad_row():
     assert fleet.theta.tobytes() == theta.tobytes()  # a rejected block leaves the state alone
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("signals,row", [
+    pytest.param([[0.1, NAN, 2.0]], 0, id="nan-beside-out-of-range"),
+    pytest.param([[NAN, 0.0, 0.0], [0.0, 3.0, 0.0]], 0, id="nan-before-out-of-range"),
+    pytest.param([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, NAN, 0.0]], 2, id="nan-alone"),
+    pytest.param([[0.0, 0.0, 0.0], [0.0, -3.0, 0.0], [NAN, 0.0, 0.0]], 1, id="out-of-range-before-nan"),
+])
+def test_fleet_block_step_rejects_nan_and_names_its_row(signals, row):
+    fleet = tcl_fleet_init(3, np.random.default_rng(1))
+    theta = fleet.theta.copy()
+    with pytest.raises(SignalRangeError, match=r"^adjustment signals must lie in \[-1, 1\]$") as info:
+        fleet.step(np.array(signals))
+    assert info.value.row == row
+    assert fleet.theta.tobytes() == theta.tobytes()
+
+
+@pytest.mark.parametrize("index,message", [
+    (0, r"^charging signals must lie in \[0, 1\]$"),
+    (2, r"^charging signals must lie in \[0, 1\]$"),
+    (3, r"^discharging signals must lie in \[-1, 0\]$"),
+    (5, r"^discharging signals must lie in \[-1, 0\]$"),
+])
+def test_ev_objective_rejects_a_nan_signal(index, message):
+    objective = WeightedChargeObjective(3, 0.0, EvParams())
+    signal = np.array([0.5, 0.5, 0.5, -0.5, -0.5, -0.5])
+    signal[index] = NAN
+    with pytest.raises(ValueError, match=message):
+        objective.value_and_gradient(1.0, np.concatenate([np.full(3, 3.0), np.full(3, 1.5)]), signal)
+
+
 def test_fleet_rejects_nonpositive_step_at_construction():
     with pytest.raises(ValueError, match="hours"):
         TclFleet(np.array([2.0]), np.array([10.0]), np.array([10.0]), np.array([2.5]),
@@ -427,6 +459,45 @@ def test_ev_objective_reuses_its_weighted_signal(rho):
         assert objective.weighted.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             objective.advance(signal)  # each scored round advances once
+
+
+def _reference_ev_round(params, rho, mean, rounds, setpoint, responses, signal):
+    """Loss, gradient and next weighted mean by the per-block formulas, one pass per operation."""
+    n = responses.shape[0] // 2
+    c_c, c_d, mu_c, mu_d = responses[:n], responses[n:], signal[:n], signal[n:]
+    term = weighted_signal(params, c_c, c_d, mu_c, mu_d)
+    err = float(setpoint) - float(c_c @ mu_c) - float(c_d @ mu_d)
+    grad_c = -2.0 * c_c * err
+    grad_d = -2.0 * c_d * err
+    cand = (rounds * mean + term) / (rounds + 1)
+    loss = err * err
+    if rho != 0.0:
+        loss = err * err + rho * float(cand @ cand)
+        t = rounds + 1
+        grad_c = grad_c + (2.0 * rho / t) * (params.inj_eff * c_c) * cand
+        grad_d = grad_d + (2.0 * rho / t) * (c_d / params.ext_eff) * cand
+    return loss, np.concatenate([grad_c, grad_d]), cand
+
+
+@pytest.mark.parametrize("rho", [0.0, 20.0])
+def test_ev_objective_matches_the_per_block_formulas_bitwise(rho):
+    params = EvParams(inj_eff=0.9, ext_eff=0.8)
+    n = 7
+    objective = WeightedChargeObjective(n, rho, params)
+    mean, rounds = np.zeros(n), 0
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        responses = np.concatenate([3.0 + rng.uniform(-1, 1, n), 1.5 + rng.uniform(-1, 1, n)])
+        signal = np.concatenate([rng.uniform(0, 1, n), -rng.uniform(0, 1, n)])
+        setpoint = rng.uniform(-40, 40)
+        loss, grad = objective.value_and_gradient(setpoint, responses, signal)
+        objective.advance(signal)
+        want_loss, want_grad, mean = _reference_ev_round(params, rho, mean, rounds, setpoint, responses, signal)
+        rounds += 1
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+        assert objective.mean.tobytes() == mean.tobytes()
+        assert objective.rounds == rounds
 
 
 def _ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params):
