@@ -111,7 +111,10 @@ class QuadraticTrackingObjective:
         """The running mean after appending ``signal``: (t*mean + signal) / (t + 1)."""
         signal = _vector(signal, "signal")
         _same_length(self.mean, signal, "running mean")
-        return (self.rounds * self.mean + signal) / (self.rounds + 1)
+        cand = np.multiply(self.mean, self.rounds)
+        cand += signal
+        cand /= self.rounds + 1
+        return cand
 
     def _loss(self, err: float, signal):
         """The smooth loss and the candidate mean after appending ``signal`` (None if rho = 0)."""
@@ -180,10 +183,13 @@ class _Tracker:
 
     def _explore(self, base: np.ndarray, tail=None) -> np.ndarray:
         """Play base + delta*u, u uniform on the unit sphere of base's length, then ``tail``."""
-        self._direction = sample_unit_sphere(base.shape[0], self.rng)
-        played = base + self.schedule.delta * self._direction
+        k = base.shape[0]
+        self._direction = sample_unit_sphere(k, self.rng)
+        played = np.empty(k if tail is None else k + tail.shape[0])
+        np.multiply(self._direction, self.schedule.delta, out=played[:k])
+        played[:k] += base
         if tail is not None:
-            played = np.concatenate([played, tail])
+            played[k:] = tail
         if not self.box.contains(played, tol=1e-9):
             raise RuntimeError("perturbed dispatch left the decision box")
         return self._mark_played(played)

@@ -161,11 +161,21 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def soft_threshold(y, threshold: float) -> np.ndarray:
     """Shrink toward zero: sign(y) * max(|y| - threshold, 0)."""
-    y = np.asarray(y, dtype=float)
+    return _soft_threshold_in_place(np.array(y, dtype=float), threshold)
+
+
+def _soft_threshold_in_place(y: np.ndarray, threshold: float) -> np.ndarray:
+    """``soft_threshold`` written into ``y``'s own buffer, with the same bits."""
     if threshold == 0.0:
         # The same bits as the general formula: y itself, with -0 mapped to +0.
-        return y + 0.0
-    return np.sign(y) * np.maximum(np.abs(y) - threshold, 0.0)
+        y += 0.0
+        return y
+    sign = np.sign(y)
+    np.abs(y, out=y)
+    y -= threshold
+    np.maximum(y, 0.0, out=y)
+    y *= sign
+    return y
 
 
 def prox_step(mu_t, grad, eta: float, lam: float, box: Box) -> np.ndarray:
@@ -186,8 +196,12 @@ def prox_step(mu_t, grad, eta: float, lam: float, box: Box) -> np.ndarray:
         raise ValueError("lam must be nonnegative")
     if not box.contains_zero:
         raise UnsupportedBoxError("prox_step requires a box containing 0 coordinate-wise")
-    y = mu_t - eta * grad
-    return box.clip(soft_threshold(y, eta * lam))
+    # Each step writes into the one buffer, with the bits of the expression it replaces.
+    out = np.multiply(grad, eta)
+    np.subtract(mu_t, out, out=out)
+    _soft_threshold_in_place(out, eta * lam)
+    np.maximum(out, box.lo, out=out)
+    return np.minimum(out, box.hi, out=out)
 
 
 def project_shrunk_box(mu, delta: float, box: Box) -> np.ndarray:

@@ -39,6 +39,8 @@ from .loads import (
     SignalRangeError,
     TclRanges,
     WeightedChargeObjective,
+    ev_decision_box,
+    signal_block,
     tcl_fleet_init,
 )
 
@@ -210,16 +212,18 @@ class ScenarioConfig:
     def decision_box(self) -> Box:
         if self.scenario == "tcl":
             return Box.symmetric(self.n_loads)
-        n = self.n_loads
-        return Box(
-            np.concatenate([np.zeros(n), -np.ones(n)]),
-            np.concatenate([np.ones(n), np.zeros(n)]),
-        )
+        return ev_decision_box(self.n_loads)
 
 
 @dataclass
 class MetricsLedger:
-    """Per-round record of one trial over the scored window."""
+    """Per-round record of one trial over the scored window.
+
+    ``weighted_mean`` marks an EV ledger, whose mean penalty is of the
+    battery-impact-weighted signal; its ``mean_weights`` (the running means
+    of those weights, which only the regret reads) are built only when the
+    trial runs with ``compute_regret`` on.
+    """
 
     setpoint_eff: np.ndarray
     aggregate: np.ndarray
@@ -234,6 +238,7 @@ class MetricsLedger:
     rho_eff: float
     lam: float
     mean_weights: np.ndarray | None = None
+    weighted_mean: bool = False
 
     @property
     def rounds(self) -> int:
@@ -348,28 +353,36 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     played_all = np.empty((total_rounds, dim))
     weighted_all = None if is_tcl else np.empty((total_rounds, n))
     infos = []
+    tracker_objective = tracker.objective
+    next_feedback, begin_round, update = tracker.next_feedback, tracker.begin_round, tracker.update
+    setpoint_list = setpoints_eff.tolist()
     for i in range(total_rounds):
         try:
-            kind = tracker.next_feedback()
-            played = tracker.begin_round()
-            obs = feedback_channel(kind, responses[i], float(setpoints_eff[i]), played, observed=cfg.observed)
-            info = tracker.update(obs)
+            kind = next_feedback()
+            played = begin_round()
+            obs = feedback_channel(kind, responses[i], setpoint_list[i], played, observed=cfg.observed)
+            info = update(obs)
         except Exception as exc:
             _name_round(exc, i - warmup + 1)
             raise
         played_all[i] = played
         if not is_tcl:
-            weighted_all[i] = tracker.objective.weighted
+            weighted_all[i] = tracker_objective.weighted
         if i >= warmup:
             infos.append(info)
-            mean_norm[i - warmup] = tracker.objective.mean_norm()
+            mean_norm[i - warmup] = tracker_objective.mean_norm()
 
+    track = min(cfg.track_loads, n)
     try:
-        states = fleet.step(played_all if is_tcl else weighted_all)
+        if is_tcl:
+            # Every played row is range-checked, but only the tracked loads are stepped.
+            states = fleet.head(track).step(signal_block(played_all)[:, :track])
+        else:
+            states = fleet.step(weighted_all)
     except SignalRangeError as exc:
         _name_round(exc, exc.row - warmup + 1)
         raise
-    trajectories = states[warmup:, : min(cfg.track_loads, n)].copy()
+    trajectories = states[warmup:, :track].copy()
     del states, weighted_all  # the (rounds, n) blocks are not needed for scoring
 
     played_hist = played_all[warmup:]
@@ -383,12 +396,14 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
 
     if is_tcl:
         simultaneous = np.zeros(T, dtype=bool)
-        mean_weights = None
     else:
         simultaneous = (
             np.minimum(np.abs(played_hist[:, :n]), np.abs(played_hist[:, n:])) > SIMULTANEITY_TOL
         ).any(axis=1)
-        # Running means of the battery-impact weights, for all scored rounds at once.
+    mean_weights = None
+    if cfg.compute_regret and not is_tcl:
+        # Running means of the battery-impact weights, for all scored rounds at once;
+        # only the regret's hindsight solve reads them.
         mean_weights = np.empty((T, dim))
         np.multiply(cfg.ev_params.inj_eff, scored[:, :n], out=mean_weights[:, :n])
         np.divide(scored[:, n:], cfg.ev_params.ext_eff, out=mean_weights[:, n:])
@@ -409,6 +424,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         rho_eff=rho_eff,
         lam=cfg.lam,
         mean_weights=mean_weights,
+        weighted_mean=not is_tcl,
     )
     return TrialResult(
         ledger=ledger,
@@ -451,12 +467,21 @@ def hindsight_optimum(
     ``mean_weights`` rows are given. Solved by proximal gradient descent
     with a 1/L step; the l1 kink goes through the prox, the box through
     clipping. Returns the best iterate with a convergence flag.
+
+    When the origin satisfies the KKT conditions, |2b| <= T*lam elementwise
+    for b = R^T s with the box containing 0, the first prox step from the
+    origin returns to it whatever the step size, so the descent would stop
+    there after one iteration. That result (the origin, its value,
+    converged, one iteration) is returned at once, without the eigensolve
+    that sets the step size.
     """
     R = np.asarray(responses, dtype=float)
     s = np.asarray(setpoints, dtype=float)
     T, dim = R.shape
     if s.shape != (T,):
         raise ValueError("setpoints must match the response rows")
+    if box.dim != dim:
+        raise ValueError("box dimension must match the response columns")
     A = R.T @ R
     if rho:
         if mean_weights is None:
@@ -470,14 +495,19 @@ def hindsight_optimum(
     const = float(s @ s)
     l1_weight = T * lam
 
-    eig_max = float(np.linalg.eigvalsh(A)[-1]) if dim > 1 else float(A[0, 0])
-    step = 1.0 / max(2.0 * eig_max, 1e-12)
-
     def value(mu):
         return float(mu @ A @ mu - 2.0 * b @ mu + const + l1_weight * np.abs(mu).sum())
 
     mu = np.zeros(dim)
     best_mu, best_val = mu.copy(), value(mu)
+    # A finite value at 0 means A and l1_weight are finite, and tol >= 0 is the
+    # descent's own stop test between two equal values.
+    if (max_iters >= 1 and box.contains_zero and math.isfinite(best_val) and tol >= 0
+            and (np.abs(2.0 * b) <= l1_weight).all()):
+        return HindsightResult(best_mu, best_val, True, 1)
+
+    eig_max = float(np.linalg.eigvalsh(A)[-1]) if dim > 1 else float(A[0, 0])
+    step = 1.0 / max(2.0 * eig_max, 1e-12)
     prev_val = best_val
     converged = False
     iterations = 0
@@ -533,6 +563,8 @@ def empirical_regret(
     T = ledger.rounds if upto is None else int(upto)
     if not 1 <= T <= ledger.rounds:
         raise ValueError("upto must lie in [1, rounds]")
+    if ledger.weighted_mean and ledger.rho_eff != 0.0 and ledger.mean_weights is None:
+        raise ValueError("the regret of an EV trial needs its mean_weights: run it with compute_regret on")
     weights = None if ledger.mean_weights is None else ledger.mean_weights[:T]
     opt = hindsight_optimum(
         ledger.responses[:T], ledger.setpoint_eff[:T], ledger.rho_eff, ledger.lam,

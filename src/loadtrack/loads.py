@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import QuadraticTrackingObjective
+from .core import Box, _vector
 
 __all__ = [
     "EvFleet",
@@ -25,7 +26,9 @@ __all__ = [
     "TclFleet",
     "TclRanges",
     "WeightedChargeObjective",
+    "ev_decision_box",
     "sample_truncated_gaussian",
+    "signal_block",
     "tcl_fleet_init",
     "tcl_steady_control",
     "weighted_signal",
@@ -33,6 +36,7 @@ __all__ = [
 
 MAX_REJECTIONS = 1_000_000
 FLEET_INIT_MAX_REDRAWS = 1_000
+SIGNAL_TOL = 1e-9  # how far a signal may stray past its range before it is rejected
 
 
 class InfeasibleLoadError(ValueError):
@@ -132,6 +136,19 @@ class TclRanges:
     setpoint_hi: float = 25.0
 
 
+def signal_block(signals) -> np.ndarray:
+    """``signals`` as a (rounds, n) float block, checked to lie in [-1, 1].
+
+    Raises ``SignalRangeError`` naming the first row with a signal outside
+    the range or a NaN.
+    """
+    block = np.atleast_2d(np.asarray(signals, dtype=float))
+    # Written so that a NaN fails the checks too.
+    if block.size and not (block.max() <= 1 + SIGNAL_TOL and block.min() >= -1 - SIGNAL_TOL):
+        raise SignalRangeError(np.flatnonzero(~(np.abs(block) <= 1 + SIGNAL_TOL).all(axis=1))[0])
+    return block
+
+
 def tcl_steady_control(resistance, rated_power, cop, desired_temp, ambient):
     """Steady-state duty, response coefficient and unit power of a TCL.
 
@@ -186,6 +203,15 @@ class TclFleet:
         self.decay = np.exp(-self.step_hours / (self.resistance * self.capacitance))
         self.decay_rest = 1.0 - self.decay
 
+    def head(self, k: int) -> "TclFleet":
+        """A fleet of this fleet's first ``k`` loads, at their desired temperatures.
+
+        Every per-load quantity is elementwise, so its loads step exactly as
+        they would in the whole fleet.
+        """
+        return TclFleet(self.resistance[:k], self.capacitance[:k], self.rated_power[:k], self.cop[:k],
+                        self.desired_temp[:k], self.ambient, self.step_hours)
+
     def baseline_power(self) -> float:
         """Aggregate consumption when every load holds its steady duty."""
         return float(self.unit_power @ self.m_bar)
@@ -202,10 +228,7 @@ class TclFleet:
         once and only the recurrence runs row by row. Returns the
         (rounds, n) temperatures after each row; ``theta`` holds the last.
         """
-        block = np.atleast_2d(np.asarray(signals, dtype=float))
-        # Written so that a NaN fails the checks too.
-        if block.size and not (block.max() <= 1 + 1e-9 and block.min() >= -1 - 1e-9):
-            raise SignalRangeError(np.flatnonzero(~(np.abs(block) <= 1 + 1e-9).all(axis=1))[0])
+        block = signal_block(signals)
         # The per-row operations in the per-row order, so the bytes match a row-at-a-time step.
         forcing = block * self.swing
         forcing += self.m_bar
@@ -289,22 +312,38 @@ class EvParams:
             raise ValueError("capacity and rates must be positive")
 
 
+def ev_decision_box(n_vehicles: int) -> Box:
+    """The stacked (charge, discharge) decision box: [0, 1] per charging signal, [-1, 0] per discharging."""
+    zeros, ones = np.zeros(n_vehicles), np.ones(n_vehicles)
+    return Box(np.concatenate([zeros, -ones]), np.concatenate([ones, zeros]))
+
+
 def _check_ev_signals(charge_sig, discharge_sig):
-    charge_sig = np.asarray(charge_sig, dtype=float)
-    discharge_sig = np.asarray(discharge_sig, dtype=float)
-    # Written so that a NaN fails the checks too.
-    if not ((charge_sig >= -1e-9).all() and (charge_sig <= 1 + 1e-9).all()):
+    """Raise the message of the first block with a signal outside its range or a NaN."""
+    # The bounds of ev_decision_box widened by SIGNAL_TOL; written so that a NaN fails them too.
+    if not ((charge_sig >= -SIGNAL_TOL).all() and (charge_sig <= 1 + SIGNAL_TOL).all()):
         raise ValueError("charging signals must lie in [0, 1]")
-    if not ((discharge_sig <= 1e-9).all() and (discharge_sig >= -1 - 1e-9).all()):
+    if not ((discharge_sig <= SIGNAL_TOL).all() and (discharge_sig >= -1 - SIGNAL_TOL).all()):
         raise ValueError("discharging signals must lie in [-1, 0]")
-    return charge_sig, discharge_sig
+
+
+def _weigh(charge_weight, c_discharge, charge_sig, discharge_sig, ext_eff: float) -> np.ndarray:
+    """(inj_eff*c_c)*mu_c + (c_d*mu_d)/ext_eff, from the charging weight inj_eff*c_c."""
+    term = charge_weight * charge_sig
+    discharge = c_discharge * discharge_sig
+    discharge /= ext_eff
+    term += discharge
+    return term
 
 
 def weighted_signal(params: EvParams, c_charge, c_discharge, charge_sig, discharge_sig):
     """Battery-impact-weighted signal entering the state of charge."""
-    return (
-        params.inj_eff * np.asarray(c_charge, dtype=float) * charge_sig
-        + np.asarray(c_discharge, dtype=float) * discharge_sig / params.ext_eff
+    return _weigh(
+        params.inj_eff * np.asarray(c_charge, dtype=float),
+        np.asarray(c_discharge, dtype=float),
+        charge_sig,
+        discharge_sig,
+        params.ext_eff,
     )
 
 
@@ -353,23 +392,25 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
 
     Drop-in objective for ``FullInformationTracker`` over the stacked
     (charge, discharge) signal; response vectors stack the same way.
-    ``value_and_gradient`` checks the signal and weights it once;
-    ``advance`` folds that weighted signal into the running mean ``mean``
-    and keeps it as ``weighted`` for the fleet's step.
+    ``value_and_gradient`` checks the stacked signal once, against ``box``
+    (the EV decision box), and weights it once; ``advance`` folds that
+    weighted signal into the running mean ``mean`` and keeps it as
+    ``weighted`` for the fleet's step.
     """
 
     def __init__(self, n_vehicles: int, rho: float, params: EvParams):
         super().__init__(n_vehicles, rho)
         self.n_vehicles = n_vehicles
         self.params = params
+        self.box = ev_decision_box(n_vehicles)
         self.weighted = None  # weighted signal of the last advanced round
         self._pending = None  # weighted signal of the round being scored
 
-    def _split(self, stacked):
-        stacked = np.asarray(stacked, dtype=float)
-        if stacked.shape[0] != 2 * self.n_vehicles:
+    def _stacked(self, x, name: str) -> np.ndarray:
+        x = _vector(x, name)
+        if x.shape[0] != 2 * self.n_vehicles:
             raise ValueError(f"expected a stacked vector of length {2 * self.n_vehicles}")
-        return stacked[: self.n_vehicles], stacked[self.n_vehicles :]
+        return x
 
     def value_and_gradient(self, setpoint, responses, signal):
         """Tracking loss with the weighted-mean penalty and its gradient.
@@ -378,18 +419,22 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
         The penalty gradients carry the battery-impact weights through the
         chain rule: inj_eff*c_c on the charge block, c_d/ext_eff on discharge.
         """
-        params = self.params
-        responses = np.asarray(responses, dtype=float)
-        c_charge, c_discharge = self._split(responses)
-        charge_sig, discharge_sig = _check_ev_signals(*self._split(signal))
-        self._pending = term = weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig)
+        n, params = self.n_vehicles, self.params
+        responses = self._stacked(responses, "responses")
+        signal = self._stacked(signal, "signal")
+        if not self.box.contains(signal, tol=SIGNAL_TOL):
+            _check_ev_signals(signal[:n], signal[n:])  # the same bounds per block: this raises
+        c_charge, c_discharge = responses[:n], responses[n:]
+        charge_sig, discharge_sig = signal[:n], signal[n:]
+        charge_weight = params.inj_eff * c_charge
+        self._pending = term = _weigh(charge_weight, c_discharge, charge_sig, discharge_sig, params.ext_eff)
         err = float(setpoint) - float(c_charge @ charge_sig) - float(c_discharge @ discharge_sig)
         # Scaling by -2 is exact, so this has the bits of -2.0 * c * err.
         grad = (-2.0 * err) * responses
         loss, cand = self._loss(err, term)
         if self.rho != 0.0:
-            weights = np.empty((2, self.n_vehicles))
-            np.multiply(params.inj_eff, c_charge, out=weights[0])
+            weights = np.empty((2, n))
+            weights[0] = charge_weight
             np.divide(c_discharge, params.ext_eff, out=weights[1])
             weights *= 2.0 * self.rho / (self.rounds + 1)
             weights *= cand

@@ -296,7 +296,8 @@ def test_run_experiment_holds_a_few_trial_blocks_at_most(feedback):
 
 
 def test_ev_trial_tracks_soc_and_simultaneity():
-    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=50, trials=1, seed=2)
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=50, trials=1, seed=2,
+                         compute_regret=True)
     trial = run_trial(cfg, 0)
     assert trial.trajectories.shape == (50, 4)
     assert np.all(trial.trajectories >= 0.0) and np.all(trial.trajectories <= 1.0)
@@ -305,15 +306,38 @@ def test_ev_trial_tracks_soc_and_simultaneity():
 
 
 @pytest.mark.parametrize("rho", [0.0, 20.0])
+def test_ev_mean_weights_are_built_only_for_the_regret(rho):
+    # Only the hindsight solve reads them, so a trial without regret leaves them out.
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, rho=rho, seed=2)
+    trial = run_trial(cfg, 0)
+    assert trial.ledger.mean_weights is None
+    with_regret = run_trial(dataclasses.replace(cfg, compute_regret=True), 0)
+    assert with_regret.ledger.mean_weights.shape == (30, 8)
+    # Without them the weighted-mean regret cannot be solved, and says so; at rho = 0 it needs none.
+    if rho:
+        with pytest.raises(ValueError, match="compute_regret"):
+            empirical_regret(trial.ledger, trial.box)
+    else:
+        assert empirical_regret(trial.ledger, trial.box).total == empirical_regret(
+            with_regret.ledger, with_regret.box).total
+
+
+@pytest.mark.parametrize("rho", [0.0, 20.0])
 def test_ev_round_checks_and_weights_each_signal_once(monkeypatch, rho):
+    # One stacked box check and one weighting per round; the per-block check runs only on failure.
     calls = {}
-    for name in ("_check_ev_signals", "weighted_signal"):
-        def counting(*args, _name=name, _original=getattr(loads, name)):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args)
-        monkeypatch.setattr(loads, name, counting)
+
+    def count(owner, name):
+        def counting(*args, _original=getattr(owner, name), **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    count(Box, "contains")
+    count(loads, "_check_ev_signals")
+    count(loads, "_weigh")
     run_trial(ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, rho=rho), 0)
-    assert calls == {"_check_ev_signals": 30, "weighted_signal": 30}
+    assert calls == {"contains": 30, "_weigh": 30}
 
 
 @pytest.mark.parametrize("rho", [0.0, 20.0])
@@ -396,6 +420,119 @@ def test_hindsight_weighted_mean_value_consistent():
     assert result.value == pytest.approx(float(manual), rel=1e-9)
 
 
+def _pgd_reference(responses, setpoints, rho, lam, box, mean_weights=None, max_iters=10_000, tol=1e-6):
+    """The proximal gradient descent of hindsight_optimum as it was before the origin exit."""
+    R = np.asarray(responses, dtype=float)
+    s = np.asarray(setpoints, dtype=float)
+    T, dim = R.shape
+    A = R.T @ R
+    if rho:
+        if mean_weights is None:
+            A = A + rho * T * np.eye(dim)
+        else:
+            W = np.asarray(mean_weights, dtype=float)
+            A = A + rho * np.diag((W * W).sum(axis=0))
+    b = R.T @ s
+    const = float(s @ s)
+    l1_weight = T * lam
+    eig_max = float(np.linalg.eigvalsh(A)[-1]) if dim > 1 else float(A[0, 0])
+    step = 1.0 / max(2.0 * eig_max, 1e-12)
+
+    def value(mu):
+        return float(mu @ A @ mu - 2.0 * b @ mu + const + l1_weight * np.abs(mu).sum())
+
+    mu = np.zeros(dim)
+    best_mu, best_val = mu.copy(), value(mu)
+    prev_val = best_val
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        grad = 2.0 * (A @ mu - b)
+        y, threshold = mu - step * grad, step * l1_weight
+        shrunk = y + 0.0 if threshold == 0.0 else np.sign(y) * np.maximum(np.abs(y) - threshold, 0.0)
+        mu = np.minimum(np.maximum(shrunk, box.lo), box.hi)
+        val = value(mu)
+        if val < best_val:
+            best_val, best_mu = val, mu.copy()
+        if abs(prev_val - val) <= tol * max(1.0, abs(val)):
+            converged = True
+            break
+        prev_val = val
+    return best_mu, best_val, converged, iterations
+
+
+def _hindsight_case(rng, box_kind, origin, weighted):
+    T, dim = int(rng.integers(2, 30)), int(rng.integers(2, 7))
+    responses = rng.normal(size=(T, dim)) + rng.uniform(-2, 2)
+    setpoints = rng.normal(size=T) * rng.uniform(0.1, 5)
+    weights = rng.uniform(0.5, 1.5, size=(T, dim)) if weighted else None
+    rho = float(rng.choice([0.0, rng.uniform(0.1, 5)]))
+    need = float(np.abs(2.0 * (responses.T @ setpoints)).max())
+    edge = need / T
+    while T * edge < need:  # the smallest lam with |2b| <= T * lam, the origin's KKT condition
+        edge = float(np.nextafter(edge, np.inf))
+    lam = edge * float(rng.choice([1.0, rng.uniform(1.0, 3.0)])) if origin else edge * rng.uniform(0.0, 0.9)
+    half = dim // 2
+    if box_kind == "symmetric":
+        box = Box.symmetric(dim)
+    elif box_kind == "split":  # the EV shape: nonnegative then nonpositive coordinates
+        box = Box(np.r_[np.zeros(half), -np.ones(dim - half)], np.r_[np.ones(half), np.zeros(dim - half)])
+    else:  # 0 outside the box
+        box = Box(np.full(dim, 0.1), np.ones(dim))
+    return responses, setpoints, rho, lam, box, weights
+
+
+def _same_result(result, want):
+    mu, value, converged, iterations = want
+    assert result.signal.tobytes() == mu.tobytes()
+    assert np.float64(result.value).tobytes() == np.float64(value).tobytes()
+    assert (result.converged, result.iterations) == (converged, iterations)
+
+
+@pytest.mark.parametrize("box_kind", ["symmetric", "split", "offset"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "mean-weights"])
+@pytest.mark.parametrize("origin", [True, False], ids=["origin-optimal", "origin-not-optimal"])
+@pytest.mark.parametrize("max_iters,tol", [(10_000, 1e-6), (0, 1e-6), (-1, 1e-6), (40, -1.0)])
+def test_hindsight_origin_exit_returns_what_the_descent_returns(
+    monkeypatch, box_kind, weighted, origin, max_iters, tol
+):
+    eigensolves = []
+
+    def counting_eigvalsh(a, *args, _original=np.linalg.eigvalsh, **kwargs):
+        eigensolves.append(1)
+        return _original(a, *args, **kwargs)
+
+    rng = np.random.default_rng([len(box_kind), weighted, origin, max_iters + 1])
+    for _ in range(8):
+        responses, setpoints, rho, lam, box, weights = _hindsight_case(rng, box_kind, origin, weighted)
+        want = _pgd_reference(responses, setpoints, rho, lam, box, weights, max_iters, tol)
+        eigensolves.clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        result = hindsight_optimum(responses, setpoints, rho, lam, box, weights, max_iters, tol)
+        monkeypatch.undo()
+        _same_result(result, want)
+        exits = origin and box_kind != "offset" and max_iters >= 1 and tol >= 0
+        assert eigensolves == ([] if exits else [1])
+        if exits:  # the descent itself stops at the origin after one step
+            assert not want[0].any() and want[2:] == (True, 1)
+
+
+def test_hindsight_origin_exit_keeps_a_non_finite_objective_to_the_descent():
+    # lam = inf makes the origin's value NaN (inf * 0), which the descent never calls converged.
+    rng = np.random.default_rng(8)
+    responses, setpoints = rng.normal(size=(6, 3)), rng.normal(size=6)
+    box = Box.symmetric(3)
+    with np.errstate(invalid="ignore"):
+        result = hindsight_optimum(responses, setpoints, 0.0, math.inf, box, max_iters=25)
+        _same_result(result, _pgd_reference(responses, setpoints, 0.0, math.inf, box, max_iters=25))
+    assert (result.converged, result.iterations) == (False, 25)
+
+
+def test_hindsight_rejects_a_box_of_another_dimension():
+    with pytest.raises(ValueError, match="box dimension"):
+        hindsight_optimum(np.ones((4, 3)), np.zeros(4), 0.0, 1.0, Box.symmetric(1))
+
+
 def test_full_info_regret_bound_positive_and_dominates():
     cfg = small_cfg(rounds=60, trials=1)
     trial = run_trial(cfg, 0)
@@ -466,6 +603,32 @@ def test_run_trial_names_the_round_of_an_out_of_range_signal(monkeypatch, feedba
         run_trial(small_cfg(feedback=feedback, bernoulli_a=2.0), 0)
 
 
+@pytest.mark.parametrize("feedback", ["full", "bernoulli"])
+def test_run_trial_checks_the_untracked_loads_too(monkeypatch, feedback):
+    # Only the first track_loads loads are stepped, but a bad signal of any load names its round,
+    # the earliest one, even when a tracked load goes bad later.
+    from loadtrack.algorithms import BernoulliFeedbackTracker, FullInformationTracker
+
+    cls = FullInformationTracker if feedback == "full" else BernoulliFeedbackTracker
+    warmup = 2 if feedback == "bernoulli" else 0
+    original = cls.begin_round
+    calls = {"n": 0}
+
+    def overreaching_begin_round(self):
+        calls["n"] += 1
+        played = original(self)
+        if calls["n"] == 3 + warmup:
+            played[-1] = -1.5  # an untracked load
+        if calls["n"] == 7 + warmup:
+            played[0] = 1.5
+        return played
+
+    monkeypatch.setattr(cls, "begin_round", overreaching_begin_round)
+    cfg = small_cfg(feedback=feedback, bernoulli_a=2.0, track_loads=2)
+    with pytest.raises(ValueError, match=r"^round 3: adjustment signals must lie in \[-1, 1\]$"):
+        run_trial(cfg, 0)
+
+
 def test_run_trial_names_the_round_of_a_nan_signal(monkeypatch):
     # A NaN fails the fleet's range check; every later row is NaN too, so the first one is named.
     from loadtrack.algorithms import FullInformationTracker
@@ -498,9 +661,13 @@ def test_run_trial_steps_the_fleet_once_over_the_played_block(monkeypatch, cfg, 
             return _original(self, block)
         monkeypatch.setattr(fleet_cls, "step", recording)
     trial = run_trial(cfg, 0)
-    assert [b.shape for b in blocks] == [(rows, cfg.n_loads)]
-    if cfg.scenario == "tcl":  # the scored rows of the block are the ledger's played signals
-        assert blocks[0][rows - cfg.rounds:].tobytes() == trial.ledger.played.tobytes()
+    if cfg.scenario == "tcl":
+        # Only the tracked loads are stepped; their scored rows are the ledger's played signals.
+        assert [b.shape for b in blocks] == [(rows, cfg.track_loads)] and cfg.track_loads < cfg.n_loads
+        tracked = np.ascontiguousarray(trial.ledger.played[:, :cfg.track_loads])
+        assert blocks[0][rows - cfg.rounds:].tobytes() == tracked.tobytes()
+    else:  # every vehicle is stepped: the saturation count covers the whole fleet
+        assert [b.shape for b in blocks] == [(rows, cfg.n_loads)]
 
 
 def test_compute_metrics_layout():
@@ -515,7 +682,8 @@ def test_compute_metrics_layout():
 
 
 def test_ev_ledger_series_match_the_per_round_loop():
-    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=5, rounds=30, rho=20.0, seed=2)
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=5, rounds=30, rho=20.0, seed=2,
+                         compute_regret=True)
     ledger = run_trial(cfg, 0).ledger
     ev, n = cfg.ev_params, cfg.n_loads
     weight_sum = np.zeros(2 * n)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from loadtrack import loads
 from loadtrack.harness import ScenarioConfig, run_trial
 from loadtrack.loads import (
     EvFleet,
@@ -15,6 +16,7 @@ from loadtrack.loads import (
     TclFleet,
     TclRanges,
     WeightedChargeObjective,
+    ev_decision_box,
     sample_truncated_gaussian,
     tcl_fleet_init,
     tcl_steady_control,
@@ -119,6 +121,15 @@ def test_fleet_block_step_matches_row_by_row_steps_bitwise():
     assert block.shape == signals.shape
     assert block.tobytes() == np.array(rows).tobytes()
     assert fleet.theta.tobytes() == by_row.theta.tobytes() == rows[-1].tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_fleet_head_steps_its_loads_as_the_whole_fleet_does(k):
+    fleet, signals = _clip_active_fleet_and_signals()
+    head = fleet.head(k)
+    whole = fleet.step(signals)
+    assert head.step(signals[:, :k]).tobytes() == np.ascontiguousarray(whole[:, :k]).tobytes()
+    assert head.theta.tobytes() == fleet.theta[:k].tobytes()
 
 
 def test_fleet_block_step_names_the_first_bad_row():
@@ -527,6 +538,46 @@ def test_ev_loss_rejects_sign_violations():
     with pytest.raises(ValueError):
         _ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]),
                               np.array([0.2]), np.array([0.5]), 0.0, (np.zeros(1), 0), params)
+
+
+EV_EDGES = [  # (stacked index, the signal at its block's edge widened by 1e-9, the way out)
+    pytest.param(0, -1e-9, -np.inf, r"^charging signals must lie in \[0, 1\]$", id="charge-low"),
+    pytest.param(1, 1 + 1e-9, np.inf, r"^charging signals must lie in \[0, 1\]$", id="charge-high"),
+    pytest.param(2, 1e-9, np.inf, r"^discharging signals must lie in \[-1, 0\]$", id="discharge-high"),
+    pytest.param(3, -1 - 1e-9, -np.inf, r"^discharging signals must lie in \[-1, 0\]$", id="discharge-low"),
+]
+
+
+@pytest.mark.parametrize("index,edge,outward,message", EV_EDGES)
+def test_ev_stacked_check_keeps_each_blocks_edges(monkeypatch, index, edge, outward, message):
+    # The objective checks the stacked signal once against the decision box widened by 1e-9;
+    # a signal on an edge passes that check, one a float beyond it fails with its block's message.
+    per_block = []
+    original = loads._check_ev_signals
+    monkeypatch.setattr(loads, "_check_ev_signals", lambda *blocks: per_block.append(1) or original(*blocks))
+    responses = np.array([3.0, 3.0, 1.5, 1.5])
+    signal = np.array([0.5, 0.5, -0.5, -0.5])
+    signal[index] = edge
+    WeightedChargeObjective(2, 5.0, EvParams()).value_and_gradient(1.0, responses, signal)
+    assert per_block == []
+    signal[index] = np.nextafter(edge, outward)
+    with pytest.raises(ValueError, match=message):
+        WeightedChargeObjective(2, 5.0, EvParams()).value_and_gradient(1.0, responses, signal)
+    assert per_block == [1]
+
+
+def test_ev_stacked_check_names_the_charging_block_first():
+    objective = WeightedChargeObjective(2, 0.0, EvParams())
+    with pytest.raises(ValueError, match=r"^charging signals must lie in \[0, 1\]$"):
+        objective.value_and_gradient(1.0, np.ones(4), np.array([0.5, 1.5, 0.5, -0.5]))
+
+
+def test_ev_decision_box_is_the_scenarios_box():
+    box = ev_decision_box(3)
+    assert box.lo.tolist() == [0.0, 0.0, 0.0, -1.0, -1.0, -1.0]
+    assert box.hi.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+    scenario_box = ScenarioConfig(scenario="ev", n_loads=3).decision_box()
+    assert (scenario_box.lo.tobytes(), scenario_box.hi.tobytes()) == (box.lo.tobytes(), box.hi.tobytes())
 
 
 def _ev_loss_only(s, c_c, c_d, mu_c, mu_d, rho, wm, params):

@@ -120,6 +120,11 @@ def test_every_wrapped_name_is_called_through_its_owner(tmp_path, monkeypatch):
     explored = updates["BanditTracker"] + updates["PartialBanditTracker"] + bernoulli_aggregate
     assert calls["algorithms.sample_unit_sphere"] == calls["algorithms.gradient_estimate"] == explored
     assert calls["algorithms.project_shrunk_box"] == bernoulli_aggregate
+    # One EV objective call per EV round, twin included, so a mean per call is a mean per round.
+    assert calls["WeightedChargeObjective.value_and_gradient"] == 2 * 20
+    # One regret, and one hindsight solve, per trial with regret on: the TCL cases' 4 x 2 trials
+    # and the EV case's one trial; the twins skip it.
+    assert calls["harness.empirical_regret"] == calls["harness.hindsight_optimum"] == 4 * 2 + 1
 
 
 def test_write_csv_rows_count_the_data_lines_it_writes(tmp_path, monkeypatch):
