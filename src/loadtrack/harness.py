@@ -40,6 +40,7 @@ from .loads import (
     TclRanges,
     WeightedChargeObjective,
     ev_decision_box,
+    running_mean_weights,
     signal_block,
     tcl_fleet_init,
 )
@@ -219,10 +220,9 @@ class ScenarioConfig:
 class MetricsLedger:
     """Per-round record of one trial over the scored window.
 
-    ``weighted_mean`` marks an EV ledger, whose mean penalty is of the
-    battery-impact-weighted signal; its ``mean_weights`` (the running means
-    of those weights, which only the regret reads) are built only when the
-    trial runs with ``compute_regret`` on.
+    ``ev_params`` marks an EV ledger, whose mean penalty is of the
+    battery-impact-weighted signal; the regret derives those weights from
+    ``responses`` with it.
     """
 
     setpoint_eff: np.ndarray
@@ -237,8 +237,7 @@ class MetricsLedger:
     played: np.ndarray
     rho_eff: float
     lam: float
-    mean_weights: np.ndarray | None = None
-    weighted_mean: bool = False
+    ev_params: EvParams | None = None
 
     @property
     def rounds(self) -> int:
@@ -351,7 +350,6 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     mean_norm = np.empty(T)
     # Warm-up rows included: the fleet steps through every played row.
     played_all = np.empty((total_rounds, dim))
-    weighted_all = None if is_tcl else np.empty((total_rounds, n))
     infos = []
     tracker_objective = tracker.objective
     next_feedback, begin_round, update = tracker.next_feedback, tracker.begin_round, tracker.update
@@ -366,8 +364,6 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
             _name_round(exc, i - warmup + 1)
             raise
         played_all[i] = played
-        if not is_tcl:
-            weighted_all[i] = tracker_objective.weighted
         if i >= warmup:
             infos.append(info)
             mean_norm[i - warmup] = tracker_objective.mean_norm()
@@ -378,12 +374,12 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
             # Every played row is range-checked, but only the tracked loads are stepped.
             states = fleet.head(track).step(signal_block(played_all)[:, :track])
         else:
-            states = fleet.step(weighted_all)
+            states = fleet.step(played_all, responses)
     except SignalRangeError as exc:
         _name_round(exc, exc.row - warmup + 1)
         raise
     trajectories = states[warmup:, :track].copy()
-    del states, weighted_all  # the (rounds, n) blocks are not needed for scoring
+    del states  # the (rounds, n) block is not needed for scoring
 
     played_hist = played_all[warmup:]
     scored = responses[warmup:]
@@ -400,16 +396,6 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         simultaneous = (
             np.minimum(np.abs(played_hist[:, :n]), np.abs(played_hist[:, n:])) > SIMULTANEITY_TOL
         ).any(axis=1)
-    mean_weights = None
-    if cfg.compute_regret and not is_tcl:
-        # Running means of the battery-impact weights, for all scored rounds at once;
-        # only the regret's hindsight solve reads them.
-        mean_weights = np.empty((T, dim))
-        np.multiply(cfg.ev_params.inj_eff, scored[:, :n], out=mean_weights[:, :n])
-        np.divide(scored[:, n:], cfg.ev_params.ext_eff, out=mean_weights[:, n:])
-        np.cumsum(mean_weights, axis=0, out=mean_weights)
-        mean_weights /= np.arange(1, T + 1)[:, None]
-
     ledger = MetricsLedger(
         setpoint_eff=setpoints_eff[warmup:].copy(),
         aggregate=aggregate,
@@ -423,8 +409,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         played=played_hist,
         rho_eff=rho_eff,
         lam=cfg.lam,
-        mean_weights=mean_weights,
-        weighted_mean=not is_tcl,
+        ev_params=None if is_tcl else cfg.ev_params,
     )
     return TrialResult(
         ledger=ledger,
@@ -463,8 +448,9 @@ def hindsight_optimum(
 
     Minimizes sum_t (s_t - r_t.mu)^2 + rho * sum_t ||m_t(mu)||^2
     + T * lam * ||mu||_1 over the box, where m_t is the identity for the
-    plain mean penalty or the per-round diagonal weight map when
-    ``mean_weights`` rows are given. Solved by proximal gradient descent
+    plain mean penalty or, given the EV ``mean_weights`` rows w_t of
+    ``running_mean_weights``, m_t(mu) = w_t[:n]*mu[:n] + w_t[n:]*mu[n:]
+    for the stacked (charge, discharge) signal. Solved by proximal gradient descent
     with a 1/L step; the l1 kink goes through the prox, the box through
     clipping. Returns the best iterate with a convergence flag.
 
@@ -488,9 +474,13 @@ def hindsight_optimum(
             A = A + rho * T * np.eye(dim)
         else:
             W = np.asarray(mean_weights, dtype=float)
-            if W.shape != (T, dim):
-                raise ValueError("mean_weights must be (rounds, dim)")
-            A = A + rho * np.diag((W * W).sum(axis=0))
+            if W.shape != (T, dim) or dim % 2:
+                raise ValueError("mean_weights must be (rounds, dim) with an even dim")
+            # sum_t of m_t's Gram matrix: each coordinate meets only itself and its twin.
+            n = dim // 2
+            gram = np.diag((W * W).sum(axis=0))
+            gram[:n, n:] = gram[n:, :n] = np.diag((W[:, :n] * W[:, n:]).sum(axis=0))
+            A = A + rho * gram
     b = R.T @ s
     const = float(s @ s)
     l1_weight = T * lam
@@ -527,7 +517,7 @@ def hindsight_optimum(
 def comparator_round_losses(
     responses, setpoints, signal, rho: float, lam: float, mean_weights=None
 ) -> np.ndarray:
-    """Per-round composite loss of a fixed signal (its running mean is itself)."""
+    """Per-round composite loss of a fixed signal, with ``hindsight_optimum``'s running mean m_t."""
     R = np.asarray(responses, dtype=float)
     s = np.asarray(setpoints, dtype=float)
     errs = s - R @ signal
@@ -536,8 +526,9 @@ def comparator_round_losses(
         if mean_weights is None:
             losses = losses + rho * float(signal @ signal)
         else:
-            W = np.asarray(mean_weights, dtype=float)
-            losses = losses + rho * ((W * signal) ** 2).sum(axis=1)
+            W, n = np.asarray(mean_weights, dtype=float), len(signal) // 2
+            mean = W[:, :n] * signal[:n] + W[:, n:] * signal[n:]
+            losses = losses + rho * (mean * mean).sum(axis=1)
     return losses
 
 
@@ -555,17 +546,15 @@ def empirical_regret(
     max_iters: int = 10_000,
     tol: float = 1e-6,
 ) -> RegretReport:
-    """Cumulative loss gap to the prefix-optimal fixed signal.
+    """Cumulative loss gap to mu*_T, the best fixed signal over rounds 1..T.
 
-    Uses the loss definition the tracker actually minimized (its
-    effective rho and lam), evaluated on the played signals.
+    Entry t sums f_k(x_k) - f_k(mu*_T) over k <= t: one comparator for every t, not the regret
+    R(t) against the best signal of rounds 1..t. f_k is the tracker's own loss, on the played signals.
     """
     T = ledger.rounds if upto is None else int(upto)
     if not 1 <= T <= ledger.rounds:
         raise ValueError("upto must lie in [1, rounds]")
-    if ledger.weighted_mean and ledger.rho_eff != 0.0 and ledger.mean_weights is None:
-        raise ValueError("the regret of an EV trial needs its mean_weights: run it with compute_regret on")
-    weights = None if ledger.mean_weights is None else ledger.mean_weights[:T]
+    weights = None if ledger.ev_params is None else running_mean_weights(ledger.ev_params, ledger.responses[:T])
     opt = hindsight_optimum(
         ledger.responses[:T], ledger.setpoint_eff[:T], ledger.rho_eff, ledger.lam,
         box, mean_weights=weights, max_iters=max_iters, tol=tol,

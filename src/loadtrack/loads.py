@@ -27,6 +27,7 @@ __all__ = [
     "TclRanges",
     "WeightedChargeObjective",
     "ev_decision_box",
+    "running_mean_weights",
     "sample_truncated_gaussian",
     "signal_block",
     "tcl_fleet_init",
@@ -161,7 +162,7 @@ def tcl_steady_control(resistance, rated_power, cop, desired_temp, ambient):
     cop = np.asarray(cop, dtype=float)
     desired_temp = np.asarray(desired_temp, dtype=float)
     m_bar = (ambient - desired_temp) / (rated_power * resistance)
-    if np.any(m_bar <= 0.0) or np.any(m_bar >= 1.0):
+    if not ((m_bar > 0.0) & (m_bar < 1.0)).all():  # written so that a NaN fails it too
         raise InfeasibleLoadError("steady duty must lie strictly inside (0, 1)")
     unit_power = rated_power / cop
     response_base = unit_power * np.minimum(m_bar, 1.0 - m_bar)
@@ -193,7 +194,7 @@ class TclFleet:
     decay_rest: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.step_hours <= 0:
+        if not self.step_hours > 0:
             raise ValueError("hours must be positive")
         self.m_bar, self.response_base, self.unit_power = tcl_steady_control(
             self.resistance, self.rated_power, self.cop, self.desired_temp, self.ambient
@@ -308,7 +309,7 @@ class EvParams:
     def __post_init__(self):
         if not (0 < self.inj_eff <= 1 and 0 < self.ext_eff <= 1):
             raise ValueError("efficiencies must lie in (0, 1]")
-        if min(self.capacity_kwh, self.charge_rate_kw, self.discharge_rate_kw) <= 0:
+        if not (self.capacity_kwh > 0 and self.charge_rate_kw > 0 and self.discharge_rate_kw > 0):
             raise ValueError("capacity and rates must be positive")
 
 
@@ -347,6 +348,20 @@ def weighted_signal(params: EvParams, c_charge, c_discharge, charge_sig, dischar
     )
 
 
+def running_mean_weights(params: EvParams, responses) -> np.ndarray:
+    """Row t: the means over rounds 1..t of the weights inj_eff*c_c, then c_d/ext_eff.
+
+    A cumulative sum, so the rows of a prefix of ``responses`` are the first rows of the whole.
+    """
+    n = responses.shape[1] // 2
+    weights = np.empty(responses.shape)
+    np.multiply(params.inj_eff, responses[:, :n], out=weights[:, :n])
+    np.divide(responses[:, n:], params.ext_eff, out=weights[:, n:])
+    np.cumsum(weights, axis=0, out=weights)
+    weights /= np.arange(1, len(weights) + 1)[:, None]
+    return weights
+
+
 @dataclass
 class EvFleet:
     """A fleet of identical EV storage units: state of charge and saturation count."""
@@ -361,20 +376,22 @@ class EvFleet:
             raise ValueError("n_vehicles must be positive")
         if not 0 <= self.initial_soc <= 1:
             raise ValueError("initial_soc must lie in [0, 1]")
-        if self.step_hours <= 0:
+        if not self.step_hours > 0:
             raise ValueError("hours must be positive")
         self.soc = np.full(self.n_vehicles, float(self.initial_soc))
         self.saturation_events = 0
 
-    def step(self, weighted) -> np.ndarray:
+    def step(self, signals, responses) -> np.ndarray:
         """Advance every vehicle through a block of rounds, clamp the SoC to [0, 1] and count saturations.
 
-        ``weighted`` is a (rounds, n) block of battery-impact-weighted
-        signals, or one row, as ``WeightedChargeObjective`` computes them
-        from checked signals. Returns the (rounds, n) states of charge after
-        each row; ``soc`` holds the last.
+        ``signals`` and ``responses`` are the (rounds, 2n) stacked played
+        and response blocks, or one row of each; ``WeightedChargeObjective``
+        has checked the signals. Returns the (rounds, n) states of charge
+        after each row; ``soc`` holds the last.
         """
-        raw = (self.step_hours / self.params.capacity_kwh) * np.atleast_2d(np.asarray(weighted, dtype=float))
+        signals, responses = np.atleast_2d(signals, responses)
+        raw = weighted_signal(self.params, *np.hsplit(responses, 2), *np.hsplit(signals, 2))
+        raw *= self.step_hours / self.params.capacity_kwh
         socs = np.empty_like(raw)
         soc = self.soc
         for raw_row, soc_row in zip(raw, socs):
@@ -394,8 +411,7 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
     (charge, discharge) signal; response vectors stack the same way.
     ``value_and_gradient`` checks the stacked signal once, against ``box``
     (the EV decision box), and weights it once; ``advance`` folds that
-    weighted signal into the running mean ``mean`` and keeps it as
-    ``weighted`` for the fleet's step.
+    weighted signal into the running mean ``mean``.
     """
 
     def __init__(self, n_vehicles: int, rho: float, params: EvParams):
@@ -403,7 +419,6 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
         self.n_vehicles = n_vehicles
         self.params = params
         self.box = ev_decision_box(n_vehicles)
-        self.weighted = None  # weighted signal of the last advanced round
         self._pending = None  # weighted signal of the round being scored
 
     def _stacked(self, x, name: str) -> np.ndarray:
@@ -448,5 +463,5 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
         """
         if self._pending is None:
             raise ValueError("the EV objective advances only a round that value_and_gradient scored")
-        self.weighted, self._pending = self._pending, None
-        super().advance(self.weighted)
+        weighted, self._pending = self._pending, None
+        super().advance(weighted)

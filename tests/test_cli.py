@@ -1,5 +1,6 @@
 """CLI tests: config parsing, error paths, output files, determinism."""
 
+import configparser
 import dataclasses
 import math
 from pathlib import Path
@@ -268,6 +269,16 @@ def test_key_table_covers_every_config_field():
     assert [key for section, key, _, _ in cli.KEYS if section == "run"] == [
         "scenario", "feedback", "trials", "rounds", "seed", "compute_regret", "track_loads", "out",
     ]
+
+
+def test_readme_config_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(block)
+    pairs = [(section, key) for section in parser.sections() for key in parser[section]]
+    assert pairs == [(section, key) for section, key, _, _ in cli.KEYS]
+    assert len(pairs) == 43 and parser["fleet"]["step_hours"] == ""
 
 
 @pytest.mark.parametrize("section,key,value", [

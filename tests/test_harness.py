@@ -27,7 +27,12 @@ from loadtrack.harness import (
     run_trial,
     simultaneity_pct,
 )
-from loadtrack.loads import NoiseSpec, weighted_signal
+from loadtrack.loads import (
+    NoiseSpec,
+    WeightedChargeObjective,
+    running_mean_weights,
+    weighted_signal,
+)
 
 
 # --- setpoints -----------------------------------------------------------------
@@ -296,35 +301,36 @@ def test_run_experiment_holds_a_few_trial_blocks_at_most(feedback):
 
 
 def test_ev_trial_tracks_soc_and_simultaneity():
-    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=50, trials=1, seed=2,
-                         compute_regret=True)
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=50, trials=1, seed=2)
     trial = run_trial(cfg, 0)
     assert trial.trajectories.shape == (50, 4)
     assert np.all(trial.trajectories >= 0.0) and np.all(trial.trajectories <= 1.0)
     assert trial.ledger.simultaneous.dtype == bool
-    assert trial.ledger.mean_weights.shape == (50, 8)
+    assert trial.ledger.ev_params == cfg.ev_params
 
 
 @pytest.mark.parametrize("rho", [0.0, 20.0])
-def test_ev_mean_weights_are_built_only_for_the_regret(rho):
-    # Only the hindsight solve reads them, so a trial without regret leaves them out.
+def test_ev_trial_is_the_same_with_regret_on_and_off(rho):
+    # The regret reads the ledger after the trial; the trial itself does not depend on it.
     cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, rho=rho, seed=2)
-    trial = run_trial(cfg, 0)
-    assert trial.ledger.mean_weights is None
-    with_regret = run_trial(dataclasses.replace(cfg, compute_regret=True), 0)
-    assert with_regret.ledger.mean_weights.shape == (30, 8)
-    # Without them the weighted-mean regret cannot be solved, and says so; at rho = 0 it needs none.
-    if rho:
-        with pytest.raises(ValueError, match="compute_regret"):
-            empirical_regret(trial.ledger, trial.box)
-    else:
-        assert empirical_regret(trial.ledger, trial.box).total == empirical_regret(
-            with_regret.ledger, with_regret.box).total
+    off = run_trial(cfg, 0)
+    on = run_trial(dataclasses.replace(cfg, compute_regret=True), 0)
+    for f in dataclasses.fields(off.ledger):
+        a, b = getattr(off.ledger, f.name), getattr(on.ledger, f.name)
+        assert type(a) is type(b)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert a == b, f.name
+    assert on.trajectories.tobytes() == off.trajectories.tobytes()
+    assert on.saturation_events == off.saturation_events
+    assert empirical_regret(off.ledger, off.box).total == empirical_regret(on.ledger, on.box).total
 
 
 @pytest.mark.parametrize("rho", [0.0, 20.0])
 def test_ev_round_checks_and_weights_each_signal_once(monkeypatch, rho):
-    # One stacked box check and one weighting per round; the per-block check runs only on failure.
+    # One stacked box check and one weighting per round, and one weighting of the played block for
+    # the fleet step; the per-block check runs only on failure.
     calls = {}
 
     def count(owner, name):
@@ -337,11 +343,11 @@ def test_ev_round_checks_and_weights_each_signal_once(monkeypatch, rho):
     count(loads, "_check_ev_signals")
     count(loads, "_weigh")
     run_trial(ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, rho=rho), 0)
-    assert calls == {"contains": 30, "_weigh": 30}
+    assert calls == {"contains": 30, "_weigh": 31}
 
 
 @pytest.mark.parametrize("rho", [0.0, 20.0])
-def test_ev_fleet_reuses_the_objective_weighted_signal_bitwise(rho):
+def test_ev_fleet_steps_by_the_per_round_weighted_signals_bitwise(rho):
     # Long steps make vehicles saturate, so the clamp and its count are exercised.
     cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=6, rounds=80, rho=rho,
                          step_hours=0.5, seed=4, track_loads=6)
@@ -420,8 +426,36 @@ def test_hindsight_weighted_mean_value_consistent():
     assert result.value == pytest.approx(float(manual), rel=1e-9)
 
 
+def test_ev_comparator_scores_the_trackers_own_loss():
+    # A fixed signal replayed through the EV objective: its weighted running mean pairs each
+    # vehicle's charging and discharging weights, so the penalty has a cross term per vehicle.
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, rho=5.0, lam=0.3, seed=1)
+    trial = run_trial(cfg, 0)
+    ledger, n = trial.ledger, cfg.n_loads
+    weights = running_mean_weights(cfg.ev_params, ledger.responses)
+
+    def replay(mu):
+        objective = WeightedChargeObjective(n, cfg.rho, cfg.ev_params)
+        losses = []
+        for setpoint, responses in zip(ledger.setpoint_eff, ledger.responses):
+            losses.append(objective.value_and_gradient(setpoint, responses, mu)[0] + cfg.lam * np.abs(mu).sum())
+            objective.advance(mu)
+        return np.array(losses)
+
+    rng = np.random.default_rng(1)
+    for mu in (np.r_[np.ones(n), -np.ones(n)], np.r_[rng.uniform(0, 1, n), -rng.uniform(0, 1, n)]):
+        got = comparator_round_losses(ledger.responses, ledger.setpoint_eff, mu, cfg.rho, cfg.lam, weights)
+        np.testing.assert_allclose(got, replay(mu), rtol=1e-12)
+    opt = empirical_regret(ledger, trial.box).hindsight
+    assert np.abs(opt.signal).sum() > 0  # not the origin, where every penalty is 0
+    assert opt.value == pytest.approx(float(replay(opt.signal).sum()), rel=1e-12)
+
+
 def _pgd_reference(responses, setpoints, rho, lam, box, mean_weights=None, max_iters=10_000, tol=1e-6):
-    """The proximal gradient descent of hindsight_optimum as it was before the origin exit."""
+    """The proximal gradient descent of hindsight_optimum as it was before the origin exit.
+
+    ``mean_weights`` pairs coordinate i with coordinate i + dim/2, as the EV weighted mean does.
+    """
     R = np.asarray(responses, dtype=float)
     s = np.asarray(setpoints, dtype=float)
     T, dim = R.shape
@@ -431,7 +465,10 @@ def _pgd_reference(responses, setpoints, rho, lam, box, mean_weights=None, max_i
             A = A + rho * T * np.eye(dim)
         else:
             W = np.asarray(mean_weights, dtype=float)
-            A = A + rho * np.diag((W * W).sum(axis=0))
+            n = dim // 2
+            gram = np.diag((W * W).sum(axis=0))
+            gram[:n, n:] = gram[n:, :n] = np.diag((W[:, :n] * W[:, n:]).sum(axis=0))
+            A = A + rho * gram
     b = R.T @ s
     const = float(s @ s)
     l1_weight = T * lam
@@ -463,6 +500,7 @@ def _pgd_reference(responses, setpoints, rho, lam, box, mean_weights=None, max_i
 
 def _hindsight_case(rng, box_kind, origin, weighted):
     T, dim = int(rng.integers(2, 30)), int(rng.integers(2, 7))
+    dim += dim % 2 if weighted else 0  # the weighted mean pairs charge and discharge coordinates
     responses = rng.normal(size=(T, dim)) + rng.uniform(-2, 2)
     setpoints = rng.normal(size=T) * rng.uniform(0.1, 5)
     weights = rng.uniform(0.5, 1.5, size=(T, dim)) if weighted else None
@@ -656,9 +694,9 @@ def test_run_trial_names_the_round_of_a_nan_signal(monkeypatch):
 def test_run_trial_steps_the_fleet_once_over_the_played_block(monkeypatch, cfg, rows):
     blocks = []
     for fleet_cls in (loads.TclFleet, loads.EvFleet):
-        def recording(self, block, _original=vars(fleet_cls)["step"]):
+        def recording(self, block, *responses, _original=vars(fleet_cls)["step"]):
             blocks.append(np.array(block))
-            return _original(self, block)
+            return _original(self, block, *responses)
         monkeypatch.setattr(fleet_cls, "step", recording)
     trial = run_trial(cfg, 0)
     if cfg.scenario == "tcl":
@@ -667,7 +705,8 @@ def test_run_trial_steps_the_fleet_once_over_the_played_block(monkeypatch, cfg, 
         tracked = np.ascontiguousarray(trial.ledger.played[:, :cfg.track_loads])
         assert blocks[0][rows - cfg.rounds:].tobytes() == tracked.tobytes()
     else:  # every vehicle is stepped: the saturation count covers the whole fleet
-        assert [b.shape for b in blocks] == [(rows, cfg.n_loads)]
+        assert [b.shape for b in blocks] == [(rows, 2 * cfg.n_loads)]
+        assert blocks[0].tobytes() == trial.ledger.played.tobytes()
 
 
 def test_compute_metrics_layout():
@@ -682,15 +721,17 @@ def test_compute_metrics_layout():
 
 
 def test_ev_ledger_series_match_the_per_round_loop():
-    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=5, rounds=30, rho=20.0, seed=2,
-                         compute_regret=True)
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=5, rounds=30, rho=20.0, seed=2)
     ledger = run_trial(cfg, 0).ledger
     ev, n = cfg.ev_params, cfg.n_loads
+    mean_weights = running_mean_weights(ev, ledger.responses)
     weight_sum = np.zeros(2 * n)
     mean = np.zeros(n)
     for j, (resp, played) in enumerate(zip(ledger.responses, ledger.played)):
         weight_sum += np.concatenate([ev.inj_eff * resp[:n], resp[n:] / ev.ext_eff])
-        assert ledger.mean_weights[j].tobytes() == (weight_sum / (j + 1)).tobytes()
+        assert mean_weights[j].tobytes() == (weight_sum / (j + 1)).tobytes()
+        # A prefix of the responses gives the same rows, as the regret of its first j + 1 rounds reads them.
+        assert running_mean_weights(ev, ledger.responses[:j + 1])[j].tobytes() == mean_weights[j].tobytes()
         term = weighted_signal(ev, resp[:n], resp[n:], played[:n], played[n:])
         mean = (j * mean + term) / (j + 1)
         assert ledger.mean_norm[j] == math.sqrt(mean @ mean)

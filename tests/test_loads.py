@@ -177,9 +177,23 @@ def test_ev_objective_rejects_a_nan_signal(index, message):
 
 
 def test_fleet_rejects_nonpositive_step_at_construction():
-    with pytest.raises(ValueError, match="hours"):
-        TclFleet(np.array([2.0]), np.array([10.0]), np.array([10.0]), np.array([2.5]),
-                 np.array([22.0]), 30.0, 0.0)
+    for step_hours in (0.0, -1.0, NAN):
+        with pytest.raises(ValueError, match="hours"):
+            TclFleet(np.array([2.0]), np.array([10.0]), np.array([10.0]), np.array([2.5]),
+                     np.array([22.0]), 30.0, step_hours)
+        with pytest.raises(ValueError, match="hours"):
+            EvFleet(EvParams(), 2, step_hours)
+
+
+@pytest.mark.parametrize("field", ["capacity_kwh", "charge_rate_kw", "discharge_rate_kw", "inj_eff", "ext_eff"])
+def test_ev_params_reject_nan(field):
+    with pytest.raises(ValueError, match="positive|efficiencies"):
+        EvParams(**{field: NAN})
+
+
+def test_steady_control_rejects_a_nan_duty():
+    with pytest.raises(InfeasibleLoadError):
+        tcl_steady_control(2.0, 10.0, 2.5, 25.0, NAN)
 
 
 def test_apply_signal_image_in_unit_interval():
@@ -372,10 +386,11 @@ def test_ev_response_rates_and_support():
 
 
 def _ev_round(objective, fleet, responses, signal):
-    """One round as ``run_trial`` plays it: score, advance, then step the fleet."""
-    objective.value_and_gradient(0.0, np.asarray(responses, dtype=float), np.asarray(signal, dtype=float))
+    """One round as ``run_trial`` plays it: score, advance, then step the fleet over the played row."""
+    responses, signal = np.asarray(responses, dtype=float), np.asarray(signal, dtype=float)
+    objective.value_and_gradient(0.0, responses, signal)
     objective.advance(signal)
-    fleet.step(objective.weighted)
+    fleet.step(signal, responses)
 
 
 def _ev_pair(n, params=EvParams(), step_hours=1.0 / 60.0):
@@ -386,7 +401,7 @@ def test_ev_soc_step_charging_hand_value():
     objective, fleet = _ev_pair(1)
     _ev_round(objective, fleet, [3.0, 1.5], [1.0, 0.0])
     assert fleet.soc[0] == pytest.approx(0.75425, abs=1e-9)
-    assert objective.weighted[0] == pytest.approx(0.85 * 3.0)
+    assert objective.mean[0] == pytest.approx(0.85 * 3.0)  # one round: the mean is its weighted signal
     assert fleet.saturation_events == 0
 
 
@@ -402,7 +417,7 @@ def test_ev_soc_zero_signal_is_identity():
     fleet.soc = np.array([0.4, 0.9])
     _ev_round(objective, fleet, [3.0, 3.0, 1.5, 1.5], np.zeros(4))
     np.testing.assert_array_equal(fleet.soc, [0.4, 0.9])
-    np.testing.assert_array_equal(objective.weighted, 0.0)
+    np.testing.assert_array_equal(objective.mean, 0.0)
     assert fleet.saturation_events == 0
 
 
@@ -416,16 +431,26 @@ def test_ev_soc_clamps_and_counts_saturation():
 
 def test_ev_block_step_matches_row_by_row_steps_bitwise():
     # Long steps on a small battery make vehicles saturate at both ends of [0, 1].
-    params = EvParams(capacity_kwh=2.0)
-    fleet, by_row = EvFleet(params, 6, step_hours=0.5), EvFleet(params, 6, step_hours=0.5)
-    weighted = np.random.default_rng(17).uniform(-3.0, 3.0, size=(40, 6))
-    rows = [by_row.step(w)[0].copy() for w in weighted]
-    block = fleet.step(weighted)
-    assert block.shape == weighted.shape
+    params, n = EvParams(capacity_kwh=2.0), 6
+    fleet, by_row = EvFleet(params, n, step_hours=0.5), EvFleet(params, n, step_hours=0.5)
+    rng = np.random.default_rng(17)
+    responses = np.hstack([3.0 + rng.uniform(-1, 1, (40, n)), 1.5 + rng.uniform(-1, 1, (40, n))])
+    signals = np.hstack([rng.uniform(0, 1, (40, n)), -rng.uniform(0, 1, (40, n))])
+    rows = [by_row.step(mu, c)[0].copy() for mu, c in zip(signals, responses)]
+    block = fleet.step(signals, responses)
+    assert block.shape == (40, n)
     assert block.tobytes() == np.array(rows).tobytes()
     assert fleet.soc.tobytes() == by_row.soc.tobytes()
     assert fleet.saturation_events == by_row.saturation_events > 0
     assert (block == 0.0).any() and (block == 1.0).any()
+    # The states are those of each round's weighted signal, clamped row by row.
+    soc, saturations = np.full(n, 0.75), 0
+    for j, (mu, c) in enumerate(zip(signals, responses)):
+        raw = soc + (0.5 / params.capacity_kwh) * weighted_signal(params, c[:n], c[n:], mu[:n], mu[n:])
+        soc = np.clip(raw, 0.0, 1.0)
+        saturations += int(np.count_nonzero(raw != soc))
+        assert block[j].tobytes() == soc.tobytes()
+    assert fleet.saturation_events == saturations
 
 
 @pytest.mark.parametrize("rho", [0.0, 30.0])
@@ -445,7 +470,7 @@ def test_ev_objective_weighted_mean_matches_batch(rho):
         responses, signal = np.concatenate([c_c, c_d]), np.concatenate([mu_c, mu_d])
         objective.value_and_gradient(0.0, responses, signal)
         objective.advance(signal)
-        fleet.step(objective.weighted)
+        fleet.step(signal, responses)
     np.testing.assert_allclose(objective.mean, np.mean(terms, axis=0), atol=1e-12)
     assert objective.rounds == 60
     assert np.all(fleet.soc >= 0.0) and np.all(fleet.soc <= 1.0)
@@ -461,13 +486,15 @@ def test_ev_objective_reuses_its_weighted_signal(rho):
     with pytest.raises(ValueError):
         objective.advance(np.zeros(6))  # no round was scored yet
     rng = np.random.default_rng(21)
-    for _ in range(20):
+    mean = np.zeros(3)
+    for k in range(20):
         responses = np.concatenate([3.0 + rng.uniform(-1, 1, 3), 1.5 + rng.uniform(-1, 1, 3)])
         signal = np.concatenate([rng.uniform(0, 1, 3), -rng.uniform(0, 1, 3)])
         objective.value_and_gradient(1.0, responses, signal)
         objective.advance(signal)
-        want = weighted_signal(params, responses[:3], responses[3:], signal[:3], signal[3:])
-        assert objective.weighted.tobytes() == want.tobytes()
+        weighted = weighted_signal(params, responses[:3], responses[3:], signal[:3], signal[3:])
+        mean = (k * mean + weighted) / (k + 1)
+        assert objective.mean.tobytes() == mean.tobytes()
         with pytest.raises(ValueError):
             objective.advance(signal)  # each scored round advances once
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadtrack.harness import ScenarioConfig, run_trial
-from loadtrack.loads import EvFleet, ev_decision_box, weighted_signal
+from loadtrack.loads import ev_decision_box, weighted_signal
 
 
 @st.composite
@@ -65,14 +65,14 @@ def test_ev_rows_stay_in_the_box_and_the_weighted_mean_and_charge_follow_them(cf
     trial = run_trial(cfg)
     ledger, n, ev = trial.ledger, cfg.n_loads, cfg.ev_params
     box = ev_decision_box(n)
-    weighted = np.empty((cfg.rounds, n))
-    mean = np.zeros(n)
+    mean, soc, saturations = np.zeros(n), np.full(n, 0.75), 0
     for j, (resp, played) in enumerate(zip(ledger.responses, ledger.played)):
         assert box.contains(played)
-        weighted[j] = weighted_signal(ev, resp[:n], resp[n:], played[:n], played[n:])
-        mean = (j * mean + weighted[j]) / (j + 1)
+        weighted = weighted_signal(ev, resp[:n], resp[n:], played[:n], played[n:])
+        mean = (j * mean + weighted) / (j + 1)
         assert ledger.mean_norm[j] == math.sqrt(mean @ mean)
-    fleet = EvFleet(ev, n, cfg.step_hours)
-    states = fleet.step(weighted)
-    assert trial.trajectories.tobytes() == np.ascontiguousarray(states[:, : cfg.track_loads]).tobytes()
-    assert trial.saturation_events == fleet.saturation_events
+        raw = soc + (cfg.step_hours / ev.capacity_kwh) * weighted
+        soc = np.clip(raw, 0.0, 1.0)
+        saturations += int(np.count_nonzero(raw != soc))
+        assert trial.trajectories[j].tobytes() == soc[: cfg.track_loads].tobytes()
+    assert trial.saturation_events == saturations
