@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SIGNAL_TOL,
     Box,
     ConfigError,
     EnvBounds,
@@ -190,7 +191,7 @@ class _Tracker:
         played[:k] += base
         if tail is not None:
             played[k:] = tail
-        if not self.box.contains(played, tol=1e-9):
+        if not self.box.contains(played, tol=SIGNAL_TOL):
             raise RuntimeError("perturbed dispatch left the decision box")
         return self._mark_played(played)
 

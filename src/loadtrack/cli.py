@@ -193,6 +193,9 @@ def resolve_settings(args: argparse.Namespace) -> RunSettings:
     feedbacks = [f.strip() for f in feedback_raw.split(",") if f.strip()]
     if not feedbacks:
         raise ConfigError(f"feedback lists no regime: {feedback_raw!r}")
+    for fb in feedbacks:
+        if feedbacks.count(fb) > 1:
+            raise ConfigError(f"feedback lists {fb!r} more than once: {feedback_raw!r}")
 
     attrs = {"compute_regret": True}  # the CLI's own default; the library's is False
     specs = {}

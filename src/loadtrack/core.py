@@ -36,6 +36,7 @@ SCHEDULE_KINDS = ("full", "bandit", "partial", "bernoulli")
 # Numerical tolerances; tests may monkeypatch these.
 UNIT_NORM_TOL = 1e-9
 BOX_MEMBERSHIP_TOL = 1e-12
+SIGNAL_TOL = 1e-9  # how far a played signal may stray past its decision box before it is rejected
 DEGENERATE_NORM_FLOOR = 1e-12
 
 
@@ -100,11 +101,10 @@ class Box:
         object.__setattr__(self, "_widened", {})
 
     @classmethod
-    def symmetric(cls, dim: int, half_width: float = 1.0) -> "Box":
+    def symmetric(cls, dim: int) -> "Box":
         if dim < 1:
             raise ValueError("dim must be positive")
-        w = float(half_width)
-        return cls(np.full(dim, -w), np.full(dim, w))
+        return cls(np.full(dim, -1.0), np.full(dim, 1.0))
 
     @property
     def dim(self) -> int:

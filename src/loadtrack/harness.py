@@ -39,7 +39,6 @@ from .loads import (
     SignalRangeError,
     TclRanges,
     WeightedChargeObjective,
-    ev_decision_box,
     running_mean_weights,
     signal_block,
     tcl_fleet_init,
@@ -76,6 +75,8 @@ SCENARIOS = ("tcl", "ev")
 FEEDBACK_REGIMES = ("full", "bandit", "partial", "bernoulli")
 
 SIMULTANEITY_TOL = 1e-2
+HINDSIGHT_TOL = 1e-6  # the relative change in value at which the hindsight descent stops
+REDUCTION_FLOOR = 1e-12  # a reference mean at or below this reads as no reduction
 
 # Step-size tuning constants per (scenario, feedback). These compensate the
 # deliberately conservative loss/gradient bounds and were calibrated on the
@@ -195,7 +196,7 @@ class ScenarioConfig:
             p = self.bernoulli_a / self.rounds ** (1.0 / 3.0)
             if self.bernoulli_a < 0 or p > 1.0:
                 raise ConfigError(f"bandit probability a/T^(1/3) = {p:.4f} must lie in [0, 1]")
-        for name in ("chi", "chi_full", "chi_bandit"):
+        for name in ("chi", "chi_full", "chi_bandit", "step_hours"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -209,11 +210,6 @@ class ScenarioConfig:
         if self.feedback == "bernoulli" and not self.bernoulli_mean_penalty:
             return 0.0
         return self.rho
-
-    def decision_box(self) -> Box:
-        if self.scenario == "tcl":
-            return Box.symmetric(self.n_loads)
-        return ev_decision_box(self.n_loads)
 
 
 @dataclass
@@ -327,7 +323,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         baseline_power = 0.0
         response_max = max(cfg.ev_params.charge_rate_kw, cfg.ev_params.discharge_rate_kw) + cfg.noise.hi
 
-    box = cfg.decision_box()
+    box = fleet.box
     dim = box.dim
     warmup = 2 if (cfg.feedback == "bernoulli" and cfg.bernoulli_warmup) else 0
     total_rounds = cfg.rounds + warmup
@@ -372,7 +368,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     try:
         if is_tcl:
             # Every played row is range-checked, but only the tracked loads are stepped.
-            states = fleet.head(track).step(signal_block(played_all)[:, :track])
+            states = fleet.head(track).step(signal_block(played_all, box)[:, :track])
         else:
             states = fleet.step(played_all, responses)
     except SignalRangeError as exc:
@@ -442,7 +438,6 @@ def hindsight_optimum(
     box: Box,
     mean_weights=None,
     max_iters: int = 10_000,
-    tol: float = 1e-6,
 ) -> HindsightResult:
     """Best fixed signal in hindsight for the summed composite objective.
 
@@ -490,9 +485,9 @@ def hindsight_optimum(
 
     mu = np.zeros(dim)
     best_mu, best_val = mu.copy(), value(mu)
-    # A finite value at 0 means A and l1_weight are finite, and tol >= 0 is the
-    # descent's own stop test between two equal values.
-    if (max_iters >= 1 and box.contains_zero and math.isfinite(best_val) and tol >= 0
+    # A finite value at 0 means A and l1_weight are finite, so the descent's own
+    # stop test passes between two equal values.
+    if (max_iters >= 1 and box.contains_zero and math.isfinite(best_val)
             and (np.abs(2.0 * b) <= l1_weight).all()):
         return HindsightResult(best_mu, best_val, True, 1)
 
@@ -507,7 +502,7 @@ def hindsight_optimum(
         val = value(mu)
         if val < best_val:
             best_val, best_mu = val, mu.copy()
-        if abs(prev_val - val) <= tol * max(1.0, abs(val)):
+        if abs(prev_val - val) <= HINDSIGHT_TOL * max(1.0, abs(val)):
             converged = True
             break
         prev_val = val
@@ -544,7 +539,6 @@ def empirical_regret(
     box: Box,
     upto: int | None = None,
     max_iters: int = 10_000,
-    tol: float = 1e-6,
 ) -> RegretReport:
     """Cumulative loss gap to mu*_T, the best fixed signal over rounds 1..T.
 
@@ -557,7 +551,7 @@ def empirical_regret(
     weights = None if ledger.ev_params is None else running_mean_weights(ledger.ev_params, ledger.responses[:T])
     opt = hindsight_optimum(
         ledger.responses[:T], ledger.setpoint_eff[:T], ledger.rho_eff, ledger.lam,
-        box, mean_weights=weights, max_iters=max_iters, tol=tol,
+        box, mean_weights=weights, max_iters=max_iters,
     )
     comp = comparator_round_losses(
         ledger.responses[:T], ledger.setpoint_eff[:T], opt.signal,
@@ -587,7 +581,7 @@ def improvement_pct(ledger: MetricsLedger) -> float:
     return 100.0 * (1.0 - float(ledger.tracking.sum()) / base)
 
 
-def per_round_reduction_pct(series, reference, floor: float = 1e-12) -> float:
+def per_round_reduction_pct(series, reference) -> float:
     """Relative reduction of the per-round average of ``series`` vs ``reference``.
 
     Comparing the averages (rather than averaging per-round ratios) keeps
@@ -599,7 +593,7 @@ def per_round_reduction_pct(series, reference, floor: float = 1e-12) -> float:
     if series.shape != reference.shape:
         raise ValueError(f"series length {series.shape} does not match reference {reference.shape}")
     ref_mean = float(reference.mean())
-    if ref_mean <= floor:
+    if ref_mean <= REDUCTION_FLOOR:
         return 0.0
     return float(100.0 * (1.0 - float(series.mean()) / ref_mean))
 

@@ -9,12 +9,12 @@ advances it through a whole block of rounds at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .algorithms import QuadraticTrackingObjective
-from .core import Box, _vector
+from .core import SIGNAL_TOL, Box, _vector
 
 __all__ = [
     "EvFleet",
@@ -37,7 +37,7 @@ __all__ = [
 
 MAX_REJECTIONS = 1_000_000
 FLEET_INIT_MAX_REDRAWS = 1_000
-SIGNAL_TOL = 1e-9  # how far a signal may stray past its range before it is rejected
+EV_INITIAL_SOC = 0.75  # every vehicle's state of charge before the first round
 
 
 class InfeasibleLoadError(ValueError):
@@ -49,10 +49,10 @@ class SamplingError(RuntimeError):
 
 
 class SignalRangeError(ValueError):
-    """An adjustment signal outside [-1, 1]; ``row`` is the first bad row of the block."""
+    """An adjustment signal outside its range [lo, hi]; ``row`` is the first bad row of the block."""
 
-    def __init__(self, row: int):
-        super().__init__("adjustment signals must lie in [-1, 1]")
+    def __init__(self, row: int, lo: float, hi: float):
+        super().__init__(f"adjustment signals must lie in [{lo:g}, {hi:g}]")
         self.row = int(row)
 
 
@@ -136,17 +136,28 @@ class TclRanges:
     setpoint_lo: float = 20.0    # degC desired temperature
     setpoint_hi: float = 25.0
 
+    def __post_init__(self):
+        lo, hi = astuple(self)[::2], astuple(self)[1::2]  # resistance, capacitance, power, cop, setpoint
+        if not all(a <= b for a, b in zip(lo, hi)):  # written so that a NaN fails it too
+            raise ValueError("TCL ranges need lo <= hi")
+        if not min(lo[:4]) > 0:
+            raise ValueError("TCL resistance, capacitance, power and cop must be positive")
 
-def signal_block(signals) -> np.ndarray:
-    """``signals`` as a (rounds, n) float block, checked to lie in [-1, 1].
+
+def signal_block(signals, box: Box) -> np.ndarray:
+    """``signals`` as a (rounds, box.dim) float block, checked to lie in ``box`` widened by SIGNAL_TOL.
 
     Raises ``SignalRangeError`` naming the first row with a signal outside
-    the range or a NaN.
+    its range or a NaN, and that signal's range.
     """
     block = np.atleast_2d(np.asarray(signals, dtype=float))
-    # Written so that a NaN fails the checks too.
-    if block.size and not (block.max() <= 1 + SIGNAL_TOL and block.min() >= -1 - SIGNAL_TOL):
-        raise SignalRangeError(np.flatnonzero(~(np.abs(block) <= 1 + SIGNAL_TOL).all(axis=1))[0])
+    if block.shape[1] != box.dim:  # a narrower block would broadcast against the box
+        raise ValueError(f"signal rows have length {block.shape[1]}, expected {box.dim}")
+    lo, hi = box.lo - SIGNAL_TOL, box.hi + SIGNAL_TOL
+    # Column extremes, so an admissible block makes no per-cell temporaries; a NaN fails them too.
+    if len(block) and not ((block.max(axis=0) <= hi).all() and (block.min(axis=0) >= lo).all()):
+        row, col = np.argwhere(~((block >= lo) & (block <= hi)))[0]  # row-major: the first bad row first
+        raise SignalRangeError(row, box.lo[col], box.hi[col])
     return block
 
 
@@ -175,7 +186,7 @@ class TclFleet:
 
     ``step`` is the fleet's thermal model. The per-load constants of every
     step (steady duty, swing, decay b and 1 - b) are computed once, when
-    the fleet is built.
+    the fleet is built. ``box`` is the decision box, [-1, 1] per load.
     """
 
     resistance: np.ndarray
@@ -192,10 +203,13 @@ class TclFleet:
     swing: np.ndarray = field(init=False)
     decay: np.ndarray = field(init=False)
     decay_rest: np.ndarray = field(init=False)
+    box: Box = field(init=False)
 
     def __post_init__(self):
         if not self.step_hours > 0:
             raise ValueError("hours must be positive")
+        n = len(self.resistance)
+        self.box = Box(np.full(n, -1.0), np.full(n, 1.0))  # not Box.symmetric: a head may hold no load
         self.m_bar, self.response_base, self.unit_power = tcl_steady_control(
             self.resistance, self.rated_power, self.cop, self.desired_temp, self.ambient
         )
@@ -229,7 +243,7 @@ class TclFleet:
         once and only the recurrence runs row by row. Returns the
         (rounds, n) temperatures after each row; ``theta`` holds the last.
         """
-        block = signal_block(signals)
+        block = signal_block(signals, self.box)
         # The per-row operations in the per-row order, so the bytes match a row-at-a-time step.
         forcing = block * self.swing
         forcing += self.m_bar
@@ -319,15 +333,6 @@ def ev_decision_box(n_vehicles: int) -> Box:
     return Box(np.concatenate([zeros, -ones]), np.concatenate([ones, zeros]))
 
 
-def _check_ev_signals(charge_sig, discharge_sig):
-    """Raise the message of the first block with a signal outside its range or a NaN."""
-    # The bounds of ev_decision_box widened by SIGNAL_TOL; written so that a NaN fails them too.
-    if not ((charge_sig >= -SIGNAL_TOL).all() and (charge_sig <= 1 + SIGNAL_TOL).all()):
-        raise ValueError("charging signals must lie in [0, 1]")
-    if not ((discharge_sig <= SIGNAL_TOL).all() and (discharge_sig >= -1 - SIGNAL_TOL).all()):
-        raise ValueError("discharging signals must lie in [-1, 0]")
-
-
 def _weigh(charge_weight, c_discharge, charge_sig, discharge_sig, ext_eff: float) -> np.ndarray:
     """(inj_eff*c_c)*mu_c + (c_d*mu_d)/ext_eff, from the charging weight inj_eff*c_c."""
     term = charge_weight * charge_sig
@@ -364,40 +369,37 @@ def running_mean_weights(params: EvParams, responses) -> np.ndarray:
 
 @dataclass
 class EvFleet:
-    """A fleet of identical EV storage units: state of charge and saturation count."""
+    """A fleet of identical EV storage units: state of charge, saturation count and decision ``box``."""
 
     params: EvParams
     n_vehicles: int
     step_hours: float = 1.0 / 60.0
-    initial_soc: float = 0.75
 
     def __post_init__(self):
         if self.n_vehicles < 1:
             raise ValueError("n_vehicles must be positive")
-        if not 0 <= self.initial_soc <= 1:
-            raise ValueError("initial_soc must lie in [0, 1]")
         if not self.step_hours > 0:
             raise ValueError("hours must be positive")
-        self.soc = np.full(self.n_vehicles, float(self.initial_soc))
+        self.box = ev_decision_box(self.n_vehicles)
+        self.soc = np.full(self.n_vehicles, EV_INITIAL_SOC)
         self.saturation_events = 0
 
     def step(self, signals, responses) -> np.ndarray:
         """Advance every vehicle through a block of rounds, clamp the SoC to [0, 1] and count saturations.
 
         ``signals`` and ``responses`` are the (rounds, 2n) stacked played
-        and response blocks, or one row of each; ``WeightedChargeObjective``
-        has checked the signals. Returns the (rounds, n) states of charge
+        and response blocks, or one row of each; the signals are checked
+        against ``box`` first. Returns the (rounds, n) states of charge
         after each row; ``soc`` holds the last.
         """
-        signals, responses = np.atleast_2d(signals, responses)
+        signals, responses = signal_block(signals, self.box), np.atleast_2d(responses)
         raw = weighted_signal(self.params, *np.hsplit(responses, 2), *np.hsplit(signals, 2))
         raw *= self.step_hours / self.params.capacity_kwh
         socs = np.empty_like(raw)
         soc = self.soc
         for raw_row, soc_row in zip(raw, socs):
             raw_row += soc
-            # np.clip's bits at a third of its per-call cost; they would differ only
-            # on a -0.0 sum, which needs initial_soc = -0.0.
+            # np.clip's bits at a third of its per-call cost.
             soc = np.minimum(np.maximum(raw_row, 0.0, out=soc_row), 1.0, out=soc_row)
         self.soc = soc.copy()
         self.saturation_events += int(np.count_nonzero(raw != socs))
@@ -409,16 +411,15 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
 
     Drop-in objective for ``FullInformationTracker`` over the stacked
     (charge, discharge) signal; response vectors stack the same way.
-    ``value_and_gradient`` checks the stacked signal once, against ``box``
-    (the EV decision box), and weights it once; ``advance`` folds that
-    weighted signal into the running mean ``mean``.
+    Like the TCL objective it scores any signal; the fleet checks the
+    played block. ``value_and_gradient`` weights the signal once;
+    ``advance`` folds that weighted signal into the running mean ``mean``.
     """
 
     def __init__(self, n_vehicles: int, rho: float, params: EvParams):
         super().__init__(n_vehicles, rho)
         self.n_vehicles = n_vehicles
         self.params = params
-        self.box = ev_decision_box(n_vehicles)
         self._pending = None  # weighted signal of the round being scored
 
     def _stacked(self, x, name: str) -> np.ndarray:
@@ -437,8 +438,6 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
         n, params = self.n_vehicles, self.params
         responses = self._stacked(responses, "responses")
         signal = self._stacked(signal, "signal")
-        if not self.box.contains(signal, tol=SIGNAL_TOL):
-            _check_ev_signals(signal[:n], signal[n:])  # the same bounds per block: this raises
         c_charge, c_discharge = responses[:n], responses[n:]
         charge_sig, discharge_sig = signal[:n], signal[n:]
         charge_weight = params.inj_eff * c_charge

@@ -14,6 +14,7 @@ from loadtrack.harness import ScenarioConfig, SetpointSpec
 from loadtrack.loads import EvParams, NoiseSpec, TclRanges
 
 DATA_DIR = Path(__file__).parent / "data"
+CONFIGS_DIR = Path(__file__).parent.parent / "configs"
 
 TINY_CFG = """\
 [run]
@@ -335,6 +336,47 @@ def test_empty_case_list_is_rejected_before_output(tmp_path, capsys, text, flags
     assert main(["--config", str(path), "--out", str(out), "--quiet", *flags]) == EXIT_CONFIG
     assert "feedback lists no regime" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["tcl", "ev"])
+@pytest.mark.parametrize("fleet,needle", [
+    pytest.param("step_hours = -1", "step_hours must be positive", id="step-hours-negative"),
+    pytest.param("resistance_lo = 2.5\nresistance_hi = 1.5", "lo <= hi", id="resistance-reversed"),
+    pytest.param("capacitance_lo = -2\ncapacitance_hi = -1", "must be positive", id="capacitance-negative"),
+])
+def test_bad_fleet_config_is_rejected_before_output(tmp_path, capsys, scenario, fleet, needle):
+    path = write_cfg(tmp_path, f"[run]\nscenario = {scenario}\nfeedback = full\nrounds = 20\n\n[fleet]\n{fleet}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("feedback", ["full,full", "full, bandit ,bandit"])
+def test_a_regime_listed_twice_is_rejected_before_output(tmp_path, capsys, feedback):
+    out = tmp_path / "out"
+    code = main(["--scenario", "tcl", "--feedback", feedback, "--out", str(out), "--quiet"])
+    assert code == EXIT_CONFIG
+    twice = feedback.split(",")[-1].strip()
+    assert f"feedback lists {twice!r} more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["tcl", "ev"])
+def test_no_tracked_load_writes_a_header_only_trajectories_file(tmp_path, scenario):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, f"[run]\nscenario = {scenario}\nfeedback = full\nrounds = 20\ntrack_loads = 0\n")
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert (out / "trajectories.csv").read_text() == ",".join(cli.TRAJECTORIES_HEADER) + "\n"
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS_DIR.glob("*.cfg")))
+def test_shipped_configs_run(tmp_path, config):
+    # 440 rounds is the shortest horizon tcl_comparison.cfg's Bernoulli case accepts: a/T^(1/3) <= 1 at a = 7.6.
+    out = tmp_path / "out"
+    argv = ["--config", str(CONFIGS_DIR / config), "--trials", "1", "--rounds", "440", "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    assert (out / "manifest.txt").exists()
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from loadtrack import loads
 from loadtrack.harness import ScenarioConfig, run_trial
 from loadtrack.loads import (
     EvFleet,
@@ -127,6 +126,7 @@ def test_fleet_block_step_matches_row_by_row_steps_bitwise():
 def test_fleet_head_steps_its_loads_as_the_whole_fleet_does(k):
     fleet, signals = _clip_active_fleet_and_signals()
     head = fleet.head(k)
+    assert (head.box.lo.tolist(), head.box.hi.tolist()) == ([-1.0] * k, [1.0] * k)
     whole = fleet.step(signals)
     assert head.step(signals[:, :k]).tobytes() == np.ascontiguousarray(whole[:, :k]).tobytes()
     assert head.theta.tobytes() == fleet.theta[:k].tobytes()
@@ -162,18 +162,38 @@ def test_fleet_block_step_rejects_nan_and_names_its_row(signals, row):
     assert fleet.theta.tobytes() == theta.tobytes()
 
 
+CHARGE_RANGE = r"^adjustment signals must lie in \[0, 1\]$"
+DISCHARGE_RANGE = r"^adjustment signals must lie in \[-1, 0\]$"
+
+
+def _ev_step_rejects(fleet, signals, message, row):
+    """Step ``fleet`` over a bad block: it must name ``row`` and the range, and leave the state alone."""
+    soc = fleet.soc.copy()
+    responses = np.hstack([np.full((len(signals), fleet.n_vehicles), 3.0),
+                           np.full((len(signals), fleet.n_vehicles), 1.5)])
+    with pytest.raises(SignalRangeError, match=message) as info:
+        fleet.step(signals, responses)
+    assert info.value.row == row
+    assert fleet.soc.tobytes() == soc.tobytes()
+    assert fleet.saturation_events == 0
+
+
 @pytest.mark.parametrize("index,message", [
-    (0, r"^charging signals must lie in \[0, 1\]$"),
-    (2, r"^charging signals must lie in \[0, 1\]$"),
-    (3, r"^discharging signals must lie in \[-1, 0\]$"),
-    (5, r"^discharging signals must lie in \[-1, 0\]$"),
+    (0, CHARGE_RANGE),
+    (2, CHARGE_RANGE),
+    (3, DISCHARGE_RANGE),
+    (5, DISCHARGE_RANGE),
 ])
-def test_ev_objective_rejects_a_nan_signal(index, message):
-    objective = WeightedChargeObjective(3, 0.0, EvParams())
-    signal = np.array([0.5, 0.5, 0.5, -0.5, -0.5, -0.5])
-    signal[index] = NAN
-    with pytest.raises(ValueError, match=message):
-        objective.value_and_gradient(1.0, np.concatenate([np.full(3, 3.0), np.full(3, 1.5)]), signal)
+def test_ev_fleet_rejects_a_nan_signal(index, message):
+    signals = np.tile([0.5, 0.5, 0.5, -0.5, -0.5, -0.5], (4, 1))
+    signals[2, index] = NAN
+    _ev_step_rejects(EvFleet(EvParams(), 3), signals, message, row=2)
+
+
+def test_ev_fleet_rejects_the_block_that_once_left_a_nan_charge():
+    # Unchecked, this row gave a NaN state of charge and one counted saturation.
+    _ev_step_rejects(EvFleet(EvParams(), 3), np.array([[5.0, NAN, 0.5, -7.0, -0.5, -0.5]]),
+                     CHARGE_RANGE, row=0)
 
 
 def test_fleet_rejects_nonpositive_step_at_construction():
@@ -189,6 +209,19 @@ def test_fleet_rejects_nonpositive_step_at_construction():
 def test_ev_params_reject_nan(field):
     with pytest.raises(ValueError, match="positive|efficiencies"):
         EvParams(**{field: NAN})
+
+
+@pytest.mark.parametrize("given", [
+    pytest.param({"resistance_lo": 2.5, "resistance_hi": 1.5}, id="resistance-reversed"),
+    pytest.param({"setpoint_lo": 26.0}, id="setpoint-reversed"),
+    pytest.param({"capacitance_lo": -2.0, "capacitance_hi": -1.0}, id="capacitance-negative"),
+    pytest.param({"power_lo": 0.0}, id="power-zero"),
+    pytest.param({"cop_lo": NAN}, id="cop-nan"),
+    pytest.param({"setpoint_hi": NAN}, id="setpoint-nan"),
+])
+def test_tcl_ranges_reject_a_reversed_or_nonpositive_range(given):
+    with pytest.raises(ValueError, match="^TCL "):
+        TclRanges(**given)
 
 
 def test_steady_control_rejects_a_nan_duty():
@@ -557,54 +590,65 @@ def test_ev_loss_zero_case():
     np.testing.assert_array_equal(g_d, 0.0)
 
 
-def test_ev_loss_rejects_sign_violations():
+def test_fleets_reject_a_block_of_the_wrong_width():
+    # Each would broadcast: one TCL signal column to every load, two EV columns to four.
+    tcl, ev = tcl_fleet_init(3, np.random.default_rng(1)), EvFleet(EvParams(), 2)
+    with pytest.raises(ValueError, match="length 1, expected 3"):
+        tcl.step(np.full((2, 1), 0.5))
+    with pytest.raises(ValueError, match="length 2, expected 4"):
+        ev.step(np.full((2, 2), 0.5), np.full((2, 4), 3.0))
+    assert ev.soc.tolist() == [0.75, 0.75]
+
+
+def test_ev_fleet_rejects_sign_violations_that_the_objective_scores():
+    # Like the TCL objective, the EV objective scores any signal; the fleet step rejects it.
     params = EvParams()
-    with pytest.raises(ValueError):
-        _ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]),
-                              np.array([-0.2]), np.array([0.0]), 0.0, (np.zeros(1), 0), params)
-    with pytest.raises(ValueError):
-        _ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]),
-                              np.array([0.2]), np.array([0.5]), 0.0, (np.zeros(1), 0), params)
+    for signal, message in (([-0.2, 0.0], CHARGE_RANGE), ([0.2, 0.5], DISCHARGE_RANGE)):
+        loss, g_c, g_d = _ev_loss_and_gradient(0.0, np.array([3.0]), np.array([1.5]), np.array(signal[:1]),
+                                               np.array(signal[1:]), 0.0, (np.zeros(1), 0), params)
+        assert np.isfinite([loss, *g_c, *g_d]).all()
+        _ev_step_rejects(EvFleet(params, 1), np.array([signal]), message, row=0)
 
 
 EV_EDGES = [  # (stacked index, the signal at its block's edge widened by 1e-9, the way out)
-    pytest.param(0, -1e-9, -np.inf, r"^charging signals must lie in \[0, 1\]$", id="charge-low"),
-    pytest.param(1, 1 + 1e-9, np.inf, r"^charging signals must lie in \[0, 1\]$", id="charge-high"),
-    pytest.param(2, 1e-9, np.inf, r"^discharging signals must lie in \[-1, 0\]$", id="discharge-high"),
-    pytest.param(3, -1 - 1e-9, -np.inf, r"^discharging signals must lie in \[-1, 0\]$", id="discharge-low"),
+    pytest.param(0, -1e-9, -np.inf, CHARGE_RANGE, id="charge-low"),
+    pytest.param(1, 1 + 1e-9, np.inf, CHARGE_RANGE, id="charge-high"),
+    pytest.param(2, 1e-9, np.inf, DISCHARGE_RANGE, id="discharge-high"),
+    pytest.param(3, -1 - 1e-9, -np.inf, DISCHARGE_RANGE, id="discharge-low"),
 ]
 
 
 @pytest.mark.parametrize("index,edge,outward,message", EV_EDGES)
-def test_ev_stacked_check_keeps_each_blocks_edges(monkeypatch, index, edge, outward, message):
-    # The objective checks the stacked signal once against the decision box widened by 1e-9;
-    # a signal on an edge passes that check, one a float beyond it fails with its block's message.
-    per_block = []
-    original = loads._check_ev_signals
-    monkeypatch.setattr(loads, "_check_ev_signals", lambda *blocks: per_block.append(1) or original(*blocks))
-    responses = np.array([3.0, 3.0, 1.5, 1.5])
-    signal = np.array([0.5, 0.5, -0.5, -0.5])
-    signal[index] = edge
-    WeightedChargeObjective(2, 5.0, EvParams()).value_and_gradient(1.0, responses, signal)
-    assert per_block == []
-    signal[index] = np.nextafter(edge, outward)
-    with pytest.raises(ValueError, match=message):
-        WeightedChargeObjective(2, 5.0, EvParams()).value_and_gradient(1.0, responses, signal)
-    assert per_block == [1]
+def test_ev_fleet_check_keeps_each_blocks_edges(index, edge, outward, message):
+    # The fleet checks the stacked block against its decision box widened by 1e-9; a signal on an
+    # edge passes, one a float beyond it fails naming its block's range.
+    responses = np.array([[3.0, 3.0, 1.5, 1.5]] * 2)
+    signals = np.array([[0.5, 0.5, -0.5, -0.5]] * 2)
+    signals[1, index] = edge
+    EvFleet(EvParams(), 2).step(signals, responses)
+    signals[1, index] = np.nextafter(edge, outward)
+    _ev_step_rejects(EvFleet(EvParams(), 2), signals, message, row=1)
 
 
-def test_ev_stacked_check_names_the_charging_block_first():
-    objective = WeightedChargeObjective(2, 0.0, EvParams())
-    with pytest.raises(ValueError, match=r"^charging signals must lie in \[0, 1\]$"):
-        objective.value_and_gradient(1.0, np.ones(4), np.array([0.5, 1.5, 0.5, -0.5]))
+def test_ev_fleet_check_names_the_first_bad_signal_of_the_first_bad_row():
+    signals = np.array([
+        [0.5, 0.5, -0.5, -0.5],
+        [0.5, 1.5, 0.5, -0.5],   # charging and discharging both out: the charging one comes first
+        [-1.0, 0.5, -0.5, -0.5],
+    ])
+    _ev_step_rejects(EvFleet(EvParams(), 2), signals, CHARGE_RANGE, row=1)
+    signals[1, 1] = 0.5
+    _ev_step_rejects(EvFleet(EvParams(), 2), signals, DISCHARGE_RANGE, row=1)
 
 
-def test_ev_decision_box_is_the_scenarios_box():
+def test_ev_decision_box_is_the_fleets_box():
     box = ev_decision_box(3)
     assert box.lo.tolist() == [0.0, 0.0, 0.0, -1.0, -1.0, -1.0]
     assert box.hi.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
-    scenario_box = ScenarioConfig(scenario="ev", n_loads=3).decision_box()
-    assert (scenario_box.lo.tobytes(), scenario_box.hi.tobytes()) == (box.lo.tobytes(), box.hi.tobytes())
+    fleet_box = EvFleet(EvParams(), 3).box
+    trial_box = run_trial(ScenarioConfig(scenario="ev", n_loads=3, rounds=4)).box
+    for other in (fleet_box, trial_box):
+        assert (other.lo.tobytes(), other.hi.tobytes()) == (box.lo.tobytes(), box.hi.tobytes())
 
 
 def _ev_loss_only(s, c_c, c_d, mu_c, mu_d, rho, wm, params):

@@ -3,11 +3,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loadtrack.core import SIGNAL_TOL, Box
 from loadtrack.harness import ScenarioConfig, run_trial
-from loadtrack.loads import ev_decision_box, weighted_signal
+from loadtrack.loads import SignalRangeError, ev_decision_box, signal_block, weighted_signal
 
 
 @st.composite
@@ -76,3 +78,36 @@ def test_ev_rows_stay_in_the_box_and_the_weighted_mean_and_charge_follow_them(cf
         saturations += int(np.count_nonzero(raw != soc))
         assert trial.trajectories[j].tobytes() == soc[: cfg.track_loads].tobytes()
     assert trial.saturation_events == saturations
+
+
+# Each bound of the decision boxes, its widened edge, the floats either side of that edge, and NaN.
+_EDGES = [edge for bound in (-1.0, 0.0, 1.0) for widened in (bound - SIGNAL_TOL, bound + SIGNAL_TOL)
+          for edge in (bound, widened, np.nextafter(widened, -np.inf), np.nextafter(widened, np.inf))]
+_CELLS = st.sampled_from(_EDGES + [math.nan]) | st.floats(-1.5, 1.5)
+
+
+@st.composite
+def boxes_and_blocks(draw):
+    n = draw(st.integers(1, 4))
+    box = draw(st.sampled_from([Box.symmetric(n), Box.symmetric(2 * n), ev_decision_box(n)]))
+    rows = draw(st.integers(1, 6))
+    cells = draw(st.lists(_CELLS, min_size=rows * box.dim, max_size=rows * box.dim))
+    return box, np.array(cells).reshape(rows, box.dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes_and_blocks())
+def test_signal_block_rejects_exactly_the_cells_outside_the_widened_box(case):
+    box, block = case
+    # One cell at a time, in Python floats: a NaN fails both comparisons.
+    bad = [(i, j) for i, row in enumerate(block.tolist()) for j, x in enumerate(row)
+           if not box.lo[j] - SIGNAL_TOL <= x <= box.hi[j] + SIGNAL_TOL]
+    if not bad:
+        assert signal_block(block, box).tobytes() == block.tobytes()
+        return
+    with pytest.raises(SignalRangeError) as info:
+        signal_block(block, box)
+    row, col = bad[0]
+    assert info.value.row == row
+    named = {(-1.0, 1.0): "[-1, 1]", (0.0, 1.0): "[0, 1]", (-1.0, 0.0): "[-1, 0]"}[box.lo[col], box.hi[col]]
+    assert str(info.value) == f"adjustment signals must lie in {named}"
