@@ -74,15 +74,13 @@ class Box:
 
     The bounds are validated once and kept as read-only copies, so the
     facts derived from them are cached for the life of the box: whether
-    0 lies inside (``contains_zero``), each ``shrunk(delta)`` box and the
-    bounds widened by each tolerance ``contains`` is asked with.
+    0 lies inside (``contains_zero``) and each ``shrunk(delta)`` box.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     contains_zero: bool = field(init=False, repr=False, compare=False)
     _shrunk: dict = field(init=False, repr=False, compare=False)
-    _widened: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.array(_vector(self.lo, "lo"))
@@ -98,7 +96,6 @@ class Box:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "contains_zero", not ((lo > 0.0).any() or (hi < 0.0).any()))
         object.__setattr__(self, "_shrunk", {})
-        object.__setattr__(self, "_widened", {})
 
     @classmethod
     def symmetric(cls, dim: int) -> "Box":
@@ -114,11 +111,8 @@ class Box:
         return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lo), self.hi)
 
     def contains(self, x, tol: float = BOX_MEMBERSHIP_TOL) -> bool:
-        widened = self._widened.get(tol)
-        if widened is None:
-            widened = self._widened[tol] = (self.lo - tol, self.hi + tol)
         arr = np.asarray(x, dtype=float)
-        return bool((arr >= widened[0]).all() and (arr <= widened[1]).all())
+        return bool((arr >= self.lo - tol).all() and (arr <= self.hi + tol).all())
 
     def shrunk(self, delta: float) -> "Box":
         """The set scaled by (1 - delta), so a delta-ball perturbation stays inside."""

@@ -76,7 +76,7 @@ FEEDBACK_REGIMES = ("full", "bandit", "partial", "bernoulli")
 
 SIMULTANEITY_TOL = 1e-2
 HINDSIGHT_TOL = 1e-6  # the relative change in value at which the hindsight descent stops
-REDUCTION_FLOOR = 1e-12  # a reference mean at or below this reads as no reduction
+REDUCTION_FLOOR = 1e-12  # a reference loss (sum or mean) at or below this reads as no reduction
 
 # Step-size tuning constants per (scenario, feedback). These compensate the
 # deliberately conservative loss/gradient bounds and were calibrated on the
@@ -576,8 +576,15 @@ def full_info_regret_bound(chi: float, ledger: MetricsLedger, loss_bound: float)
 
 
 def improvement_pct(ledger: MetricsLedger) -> float:
-    """Total tracking-loss reduction relative to playing no signal at all."""
+    """Total tracking-loss reduction relative to playing no signal at all.
+
+    A no-signal loss at or below ``REDUCTION_FLOOR`` (a setpoint at zero
+    throughout) leaves nothing to reduce and reads 0, as in
+    ``per_round_reduction_pct``.
+    """
     base = float(ledger.baseline_tracking.sum())
+    if base <= REDUCTION_FLOOR:
+        return 0.0
     return 100.0 * (1.0 - float(ledger.tracking.sum()) / base)
 
 

@@ -191,8 +191,9 @@ def test_partial_nearly_full_reduces_to_one_bandit_coordinate():
     tracker = partial_tracker(dim=4, observed=3)
     tracker.begin_round()
     assert tracker.blind == 1
-    assert tracker.blind_signal.shape == (1,)
-    assert tracker.observed_signal.shape == (3,)
+    assert tracker._direction.shape == (1,)
+    assert tracker.signal[: tracker.blind].shape == (1,)
+    assert tracker.signal[tracker.blind :].shape == (3,)
 
 
 def test_partial_rejects_bad_configuration():
@@ -239,14 +240,13 @@ def test_partial_joint_update_solves_block_separable_objective():
             2,
             np.random.default_rng(8),
         )
-        tracker.blind_signal = rng.uniform(-0.8, 0.8, size=2)
-        tracker.observed_signal = rng.uniform(-1, 1, size=2)
-        base = np.concatenate([tracker.blind_signal, tracker.observed_signal])
+        tracker.signal = np.concatenate([rng.uniform(-0.8, 0.8, size=2), rng.uniform(-1, 1, size=2)])
+        base = tracker.signal
         played = tracker.begin_round()
         c = rng.normal(size=4) + 1.5
         obs = PartialFeedback(c[-2:].copy(), float(c @ played), float(rng.normal() * 2))
         tracker.update(obs)
-        update = np.concatenate([tracker.blind_signal, tracker.observed_signal])
+        update = tracker.signal
 
         # Recompute the two gradients exactly as the tracker defines them.
         observed_effect = float(obs.observed @ base[2:])

@@ -370,6 +370,22 @@ def test_no_tracked_load_writes_a_header_only_trajectories_file(tmp_path, scenar
     assert (out / "trajectories.csv").read_text() == ",".join(cli.TRAJECTORIES_HEADER) + "\n"
 
 
+@pytest.mark.parametrize("algorithm", [
+    pytest.param("", id="plain"),
+    pytest.param("\n[algorithm]\nrho = 1\nlambda = 1\n", id="rho-lambda"),
+])
+def test_a_zero_setpoint_reads_zero_improvement(tmp_path, algorithm):
+    # Playing nothing loses nothing against a setpoint at zero, so there is nothing to improve on.
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, "[run]\nscenario = ev\nfeedback = full\ntrials = 2\nrounds = 20\n"
+                               f"{algorithm}\n[setpoint]\namplitude = 0\n")
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    summary = (out / "summary.csv").read_text().splitlines()
+    header, rows = summary[0].split(","), [row.split(",") for row in summary[1:]]
+    assert rows and all(row[header.index("improvement_pct")] == "0" for row in rows)
+    assert "pending" not in (out / "manifest.txt").read_text()
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS_DIR.glob("*.cfg")))
 def test_shipped_configs_run(tmp_path, config):
     # 440 rounds is the shortest horizon tcl_comparison.cfg's Bernoulli case accepts: a/T^(1/3) <= 1 at a = 7.6.

@@ -590,6 +590,18 @@ def test_improvement_zero_for_identical_series():
     assert improvement_pct(ledger) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("rho,lam", [(0.0, 0.0), (1.0, 1.0)])
+def test_improvement_is_zero_when_the_no_signal_loss_is_zero(rho, lam):
+    # A setpoint at zero throughout leaves nothing to reduce; the ratio would divide by 0.
+    flat = SetpointSpec(amplitude=0.0, frequency=0.1, offset=0.0)
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=20, trials=2,
+                         rho=rho, lam=lam, setpoint=flat)
+    trial = run_trial(cfg, 0)
+    assert float(trial.ledger.baseline_tracking.sum()) == 0.0
+    assert improvement_pct(trial.ledger) == 0.0
+    assert run_experiment(cfg).mean_summary()["improvement_pct"] == 0.0
+
+
 def test_reduction_pct_for_identical_series_is_zero():
     series = np.linspace(1, 2, 10)
     assert per_round_reduction_pct(series, series) == pytest.approx(0.0, abs=1e-12)
@@ -620,13 +632,17 @@ def test_run_trial_attaches_round_index_to_errors(monkeypatch):
 
 @pytest.mark.parametrize("feedback,bad_call", [
     ("full", 3),
+    ("bandit", 3),
+    ("partial", 3),
     ("bernoulli", 5),  # two warm-up rounds come first, so the fifth play is round 3
 ])
 def test_run_trial_names_the_round_of_an_out_of_range_signal(monkeypatch, feedback, bad_call):
     # The fleet steps once after the loop; its range check still names the round the loop counts.
-    from loadtrack.algorithms import BernoulliFeedbackTracker, FullInformationTracker
+    # Explored rows (bandit, partial) get no other range check.
+    from loadtrack import algorithms
 
-    cls = FullInformationTracker if feedback == "full" else BernoulliFeedbackTracker
+    cls = {"full": algorithms.FullInformationTracker, "bandit": algorithms.BanditTracker,
+           "partial": algorithms.PartialBanditTracker, "bernoulli": algorithms.BernoulliFeedbackTracker}[feedback]
     original = cls.begin_round
     calls = {"n": 0}
 
@@ -639,7 +655,26 @@ def test_run_trial_names_the_round_of_an_out_of_range_signal(monkeypatch, feedba
 
     monkeypatch.setattr(cls, "begin_round", overreaching_begin_round)
     with pytest.raises(ValueError, match=r"^round 3: adjustment signals must lie in \[-1, 1\]$"):
-        run_trial(small_cfg(feedback=feedback, bernoulli_a=2.0), 0)
+        run_trial(small_cfg(feedback=feedback, observed=2, bernoulli_a=2.0), 0)
+
+
+@pytest.mark.parametrize("feedback", ["bandit", "partial", "bernoulli"])
+def test_explored_rounds_make_no_range_check(monkeypatch, feedback):
+    # The played block's check in the fleet step is the only range check on explored rows.
+    calls = {"contains": 0, "signal_block": 0}
+
+    def count(owner, name):
+        def counting(*args, _original=getattr(owner, name), **kwargs):
+            calls[name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    count(Box, "contains")
+    count(loads, "signal_block")
+    trial = run_trial(small_cfg(feedback=feedback, observed=2, bernoulli_a=2.0), 0)
+    assert calls["contains"] == 0
+    assert calls["signal_block"] >= 1
+    assert trial.box.contains(trial.ledger.played, tol=loads.SIGNAL_TOL)
 
 
 def test_run_trial_names_the_round_of_an_out_of_range_ev_signal(monkeypatch):

@@ -1,4 +1,4 @@
-"""Package surface tests: each module's ``__all__`` and the names the package re-exports."""
+"""Package surface tests: each module's ``__all__``, the names the package re-exports and unused imports."""
 
 import ast
 import importlib
@@ -34,3 +34,22 @@ def test_package_imports_only_names_in_their_module_all():
         outside = sorted(set(names) - set(modules[name].__all__))
         assert not outside, (name, outside)
         assert all(getattr(loadtrack, attr) is getattr(modules[name], attr) for attr in names)
+
+
+def _unused_imports(module) -> list:
+    tree = ast.parse(inspect.getsource(module))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - set(getattr(module, "__all__", ())))
+
+
+def test_every_module_uses_what_it_imports():
+    names = [info.name for info in pkgutil.iter_modules(loadtrack.__path__)]
+    assert {"algorithms", "cli", "core", "harness", "loads"} <= set(names)
+    unused = {name: _unused_imports(importlib.import_module(f"loadtrack.{name}")) for name in names}
+    assert not {name: found for name, found in unused.items() if found}
