@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 
+BERNOULLI_WARMUP = (False, True)  # the Bernoulli warm-up rounds, True for aggregate: one full, then one aggregate
+
+
 class FeedbackMismatchError(TypeError):
     """The observation handed to a tracker does not match its regime."""
 
@@ -143,24 +146,20 @@ class QuadraticTrackingObjective:
         self.rounds += 1
 
 
-def _require(obs, expected, regime: str):
-    if not isinstance(obs, expected):
-        raise FeedbackMismatchError(
-            f"{regime} round expects {expected.__name__}, got {type(obs).__name__}"
-        )
-
-
 class _Tracker:
     """What every tracker holds: its schedule, box, objective, lam and ``signal``.
 
     ``signal`` is the iterate, starting at the origin. Rounds replace it
     and never write into it, because a full round plays it without a
-    copy. The base class also enforces the begin_round/update alternation
-    and runs the one-point exploration (``_explore``, then
-    ``_gradient_estimate``).
+    copy. Subclasses state their schedule ``kind`` and ``feedback`` channel.
+    The base class enforces the begin_round/update alternation and holds
+    the two shared update rules: ``_exact_step`` and the one-point step
+    (``_explore``, then ``_one_point_step``).
     """
 
-    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float, rng=None):
+    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float, rng: np.random.Generator | None):
+        if schedule.kind != self.kind:
+            raise ConfigError(f"expected a {self.kind} schedule, got {schedule.kind!r}")
         if not lam >= 0:
             raise ValueError("lam must be nonnegative")
         self.schedule = schedule
@@ -171,6 +170,15 @@ class _Tracker:
         self.signal = np.zeros(box.dim)
         self._played = None
         self._direction = None
+
+    def next_feedback(self) -> str:
+        return self.feedback
+
+    def _require(self, obs, expected) -> None:
+        if not isinstance(obs, expected):
+            raise FeedbackMismatchError(
+                f"{self.kind} round expects {expected.__name__}, got {type(obs).__name__}"
+            )
 
     def _mark_played(self, played: np.ndarray) -> np.ndarray:
         if self._played is not None:
@@ -200,17 +208,28 @@ class _Tracker:
         u = self._direction
         return gradient_estimate(value, u, u.shape[0], self.schedule.delta)
 
+    def _exact_step(self, obs, played: np.ndarray, eta: float, box: Box) -> float:
+        """Prox step from ``played`` along the exact gradient onto ``box``; returns the loss."""
+        self._require(obs, FullFeedback)
+        value, grad = self.objective.value_and_gradient(obs.setpoint, obs.responses, played)
+        self.signal = prox_step(played, grad, eta, self.lam, box)
+        return value
+
+    def _one_point_step(self, obs, played: np.ndarray, eta: float, box: Box) -> float:
+        """Prox step from ``signal`` along the one-point estimate at ``played`` onto ``box``; returns the loss."""
+        self._require(obs, AggregateFeedback)
+        value = self.objective.value_from_total(obs.setpoint, obs.total, played)
+        self.signal = prox_step(self.signal, self._gradient_estimate(value), eta, self.lam, box)
+        return value
+
 
 class FullInformationTracker(_Tracker):
     """Composite prox-gradient tracking with exact per-round gradients."""
 
-    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float):
-        if schedule.kind != "full":
-            raise ConfigError(f"expected a full-information schedule, got {schedule.kind!r}")
-        super().__init__(schedule, box, objective, lam)
+    kind = feedback = "full"
 
-    def next_feedback(self) -> str:
-        return "full"
+    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float):
+        super().__init__(schedule, box, objective, lam, None)
 
     def begin_round(self) -> np.ndarray:
         # update replaces self.signal and never writes into it, so _mark_played's copy is the only one.
@@ -218,9 +237,7 @@ class FullInformationTracker(_Tracker):
 
     def update(self, obs) -> dict:
         played = self._take_played()
-        _require(obs, FullFeedback, "full-information")
-        value, grad = self.objective.value_and_gradient(obs.setpoint, obs.responses, played)
-        self.signal = prox_step(played, grad, self.schedule.eta, self.lam, self.box)
+        value = self._exact_step(obs, played, self.schedule.eta, self.box)
         self.objective.advance(played)
         return {"loss": float(value)}
 
@@ -232,24 +249,14 @@ class BanditTracker(_Tracker):
     played each round never leaves the decision set.
     """
 
-    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float, rng: np.random.Generator):
-        if schedule.kind != "bandit" or schedule.delta is None:
-            raise ConfigError(f"expected a bandit schedule with delta, got {schedule.kind!r}")
-        super().__init__(schedule, box, objective, lam, rng)
-        self.inner_box = box.shrunk(schedule.delta)
-
-    def next_feedback(self) -> str:
-        return "aggregate"
+    kind, feedback = "bandit", "aggregate"
 
     def begin_round(self) -> np.ndarray:
         return self._explore()
 
     def update(self, obs) -> dict:
         played = self._take_played()
-        _require(obs, AggregateFeedback, "bandit")
-        value = self.objective.value_from_total(obs.setpoint, obs.total, played)
-        grad_est = self._gradient_estimate(value)
-        self.signal = prox_step(self.signal, grad_est, self.schedule.eta, self.lam, self.inner_box)
+        value = self._one_point_step(obs, played, self.schedule.eta, self.box.shrunk(self.schedule.delta))
         self.objective.advance(played)
         return {"loss": float(value)}
 
@@ -263,6 +270,8 @@ class PartialBanditTracker(_Tracker):
     closed-form steps together solve it exactly.
     """
 
+    kind = feedback = "partial"
+
     def __init__(
         self,
         schedule: StepSchedule,
@@ -272,28 +281,22 @@ class PartialBanditTracker(_Tracker):
         observed: int,
         rng: np.random.Generator,
     ):
-        if schedule.kind != "partial" or schedule.eta2 is None or schedule.delta is None:
-            raise ConfigError(f"expected a partial schedule with eta2 and delta, got {schedule.kind!r}")
+        super().__init__(schedule, box, objective, lam, rng)
         if not 1 <= observed <= box.dim - 1:
             raise ConfigError(f"observed must lie in [1, {box.dim - 1}], got {observed}")
         if objective.rho != 0.0:
             raise ConfigError("the mean penalty is unsupported under partial feedback; set rho=0")
-        super().__init__(schedule, box, objective, lam, rng)
         self.observed = observed
         self.blind = box.dim - observed
-        self.blind_box = Box(box.lo[: self.blind], box.hi[: self.blind])
-        self.blind_inner = self.blind_box.shrunk(schedule.delta)
+        self.blind_inner = Box(box.lo[: self.blind], box.hi[: self.blind]).shrunk(schedule.delta)
         self.observed_box = Box(box.lo[self.blind :], box.hi[self.blind :])
-
-    def next_feedback(self) -> str:
-        return "partial"
 
     def begin_round(self) -> np.ndarray:
         return self._explore(self.blind)
 
     def update(self, obs) -> dict:
         played = self._take_played()
-        _require(obs, PartialFeedback, "partial-bandit")
+        self._require(obs, PartialFeedback)
         if obs.observed.shape[0] != self.observed:
             raise ValueError(
                 f"observation carries {obs.observed.shape[0]} responses, expected {self.observed}"
@@ -330,9 +333,11 @@ class BernoulliFeedbackTracker(_Tracker):
     from the realized number of such rounds. Aggregate rounds project the
     signal into the shrunk box before perturbing and update back onto the
     full box, so full and aggregate rounds can follow each other freely.
-    Warm-up plays one full and one aggregate round before the scored
+    Warm-up plays the ``BERNOULLI_WARMUP`` rounds before the scored
     horizon; they do not enter the objective's running mean.
     """
+
+    kind = "bernoulli"
 
     def __init__(
         self,
@@ -346,20 +351,14 @@ class BernoulliFeedbackTracker(_Tracker):
         a: float = 7.6,
         chi_full: float = 1.0,
         chi_bandit: float = 1.0,
-        plan=None,
         warmup: bool = True,
     ):
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
         # step_schedule below rejects a < 0 and a probability above 1.
         self.probability = a / horizon ** (1.0 / 3.0)
-        if plan is None:
-            plan = rng.random(horizon) < self.probability
-        plan = np.asarray(plan, dtype=bool)
-        if plan.shape != (horizon,):
-            raise ConfigError(f"plan must have length {horizon}")
-        self.plan = plan
-        self.bandit_rounds = int(plan.sum())
+        self.plan = rng.random(horizon) < self.probability
+        self.bandit_rounds = int(self.plan.sum())
         schedule = step_schedule(
             "bernoulli",
             horizon,
@@ -371,8 +370,8 @@ class BernoulliFeedbackTracker(_Tracker):
             bandit_rounds=self.bandit_rounds,
         )
         super().__init__(schedule, box, objective, lam, rng)
-        self.warmup_rounds = 2 if warmup else 0
-        self._steps = np.concatenate([np.array([False, True][: self.warmup_rounds], dtype=bool), plan])
+        self.warmup_rounds = len(BERNOULLI_WARMUP) if warmup else 0
+        self._steps = np.concatenate([np.array(BERNOULLI_WARMUP[: self.warmup_rounds], dtype=bool), self.plan])
         self._cursor = 0
 
     @property
@@ -397,15 +396,10 @@ class BernoulliFeedbackTracker(_Tracker):
         played = self._take_played()
         bandit = self._current_is_bandit()
         if bandit:
-            _require(obs, AggregateFeedback, "aggregate-feedback")
-            value = self.objective.value_from_total(obs.setpoint, obs.total, played)
-            grad_est = self._gradient_estimate(value)
             # Updated onto the full box; the next aggregate round re-projects.
-            self.signal = prox_step(self.signal, grad_est, self.schedule.eta2, self.lam, self.box)
+            value = self._one_point_step(obs, played, self.schedule.eta2, self.box)
         else:
-            _require(obs, FullFeedback, "full-feedback")
-            value, grad = self.objective.value_and_gradient(obs.setpoint, obs.responses, played)
-            self.signal = prox_step(played, grad, self.schedule.eta, self.lam, self.box)
+            value = self._exact_step(obs, played, self.schedule.eta, self.box)
         if self._cursor >= self.warmup_rounds:
             self.objective.advance(played)  # the mean covers the scored rounds only
         self._cursor += 1

@@ -113,7 +113,11 @@ def read_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
+        # Opened here: ConfigParser.read skips a file it cannot open without a word.
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle, source=path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     values = {}

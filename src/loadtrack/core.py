@@ -33,11 +33,11 @@ __all__ = [
 
 SCHEDULE_KINDS = ("full", "bandit", "partial", "bernoulli")
 
-# Numerical tolerances; tests may monkeypatch these.
-UNIT_NORM_TOL = 1e-9
-BOX_MEMBERSHIP_TOL = 1e-12
+# Numerical tolerances.
+UNIT_NORM_TOL = 1e-9  # how far a sphere direction's norm may stray from 1 in gradient_estimate
+BOX_MEMBERSHIP_TOL = 1e-12  # Box.contains's default slack, bound when this module is imported
 SIGNAL_TOL = 1e-9  # how far a played signal may stray past its decision box before it is rejected
-DEGENERATE_NORM_FLOOR = 1e-12
+DEGENERATE_NORM_FLOOR = 1e-12  # a Gaussian draw with a norm this small is redrawn, not normalized
 
 
 class ConfigError(ValueError):
@@ -262,6 +262,10 @@ class StepSchedule:
             raise ValueError("eta2 must be positive")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if self.kind != "full" and self.delta is None:
+            raise ConfigError(f"a {self.kind} schedule needs delta")
+        if self.kind in ("partial", "bernoulli") and self.eta2 is None:
+            raise ConfigError(f"a {self.kind} schedule needs eta2")
 
 
 def step_schedule(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import (
+    BERNOULLI_WARMUP,
     AggregateFeedback,
     BanditTracker,
     BernoulliFeedbackTracker,
@@ -274,23 +275,21 @@ def _build_tracker(cfg: ScenarioConfig, box: Box, bounds: EnvBounds, rho_eff: fl
         objective = WeightedChargeObjective(cfg.n_loads, rho_eff, cfg.ev_params)
     else:
         objective = QuadraticTrackingObjective(dim, rho_eff)
+    if cfg.feedback == "bernoulli":
+        return BernoulliFeedbackTracker(
+            cfg.rounds, box, objective, cfg.lam, bounds, rng,
+            a=cfg.bernoulli_a, chi_full=cfg.chi_full, chi_bandit=cfg.chi_bandit,
+            warmup=cfg.bernoulli_warmup,
+        )
+    schedule = step_schedule(
+        cfg.feedback, cfg.rounds, dim, bounds,
+        observed=cfg.observed, chi=cfg.chi, chi_full=cfg.chi_full, chi_bandit=cfg.chi_bandit,
+    )
     if cfg.feedback == "full":
-        schedule = step_schedule("full", cfg.rounds, dim, bounds, chi=cfg.chi)
         return FullInformationTracker(schedule, box, objective, cfg.lam)
     if cfg.feedback == "bandit":
-        schedule = step_schedule("bandit", cfg.rounds, dim, bounds, chi=cfg.chi)
         return BanditTracker(schedule, box, objective, cfg.lam, rng)
-    if cfg.feedback == "partial":
-        schedule = step_schedule(
-            "partial", cfg.rounds, dim, bounds,
-            observed=cfg.observed, chi=cfg.chi, chi_full=cfg.chi_full, chi_bandit=cfg.chi_bandit,
-        )
-        return PartialBanditTracker(schedule, box, objective, cfg.lam, cfg.observed, rng)
-    return BernoulliFeedbackTracker(
-        cfg.rounds, box, objective, cfg.lam, bounds, rng,
-        a=cfg.bernoulli_a, chi_full=cfg.chi_full, chi_bandit=cfg.chi_bandit,
-        warmup=cfg.bernoulli_warmup,
-    )
+    return PartialBanditTracker(schedule, box, objective, cfg.lam, cfg.observed, rng)
 
 
 def _name_round(exc: Exception, round_index: int) -> None:
@@ -325,7 +324,7 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
 
     box = fleet.box
     dim = box.dim
-    warmup = 2 if (cfg.feedback == "bernoulli" and cfg.bernoulli_warmup) else 0
+    warmup = len(BERNOULLI_WARMUP) if (cfg.feedback == "bernoulli" and cfg.bernoulli_warmup) else 0
     total_rounds = cfg.rounds + warmup
     t_values = np.arange(1 - warmup, cfg.rounds + 1)
     setpoints_eff = make_setpoint(cfg.setpoint, t_values) - baseline_power

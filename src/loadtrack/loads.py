@@ -389,10 +389,15 @@ class EvFleet:
 
         ``signals`` and ``responses`` are the (rounds, 2n) stacked played
         and response blocks, or one row of each; the signals are checked
-        against ``box`` first. Returns the (rounds, n) states of charge
-        after each row; ``soc`` holds the last.
+        against ``box`` first, and the two blocks must have the same shape.
+        Returns the (rounds, n) states of charge after each row; ``soc``
+        holds the last.
         """
         signals, responses = signal_block(signals, self.box), np.atleast_2d(responses)
+        if responses.shape != signals.shape:
+            raise ValueError(
+                f"response block has shape {responses.shape}, played block has shape {signals.shape}"
+            )
         raw = weighted_signal(self.params, *np.hsplit(responses, 2), *np.hsplit(signals, 2))
         raw *= self.step_hours / self.params.capacity_kwh
         socs = np.empty_like(raw)

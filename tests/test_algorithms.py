@@ -315,8 +315,7 @@ def test_bernoulli_plans_and_trajectories_deterministic():
 
 def test_bernoulli_all_full_plan_matches_full_tracker():
     T, dim = 30, 2
-    tracker = make_bernoulli(T, dim, a=0.0, plan=np.zeros(T, bool), warmup=False,
-                             rho=0.0, lam=0.05)
+    tracker = make_bernoulli(T, dim, a=0.0, warmup=False, rho=0.0, lam=0.05)
     reference = FullInformationTracker(
         StepSchedule("full", tracker.schedule.eta),
         Box.symmetric(dim),
@@ -336,14 +335,17 @@ def test_bernoulli_all_full_plan_matches_full_tracker():
 
 def test_bernoulli_all_bandit_plan_matches_bandit_tracker():
     T, dim = 30, 3
-    tracker = make_bernoulli(T, dim, seed=77, a=1.0, plan=np.ones(T, bool), warmup=False,
-                             rho=0.0, lam=0.1)
+    # a = T^(1/3) gives p = 1 exactly, so every round is an aggregate round.
+    tracker = make_bernoulli(T, dim, seed=77, a=T ** (1.0 / 3.0), warmup=False, rho=0.0, lam=0.1)
+    assert tracker.plan.all()
+    reference_rng = np.random.default_rng(77)
+    reference_rng.random(T)  # the draw the tracker makes for its plan
     reference = BanditTracker(
         StepSchedule("bandit", tracker.schedule.eta2, delta=tracker.schedule.delta),
         Box.symmetric(dim),
         QuadraticTrackingObjective(dim, 0.0),
         0.1,
-        np.random.default_rng(77),
+        reference_rng,
     )
     rng = np.random.default_rng(11)
     responses = rng.normal(size=(T, dim)) + 1.0
@@ -456,6 +458,19 @@ def test_tracker_keeps_the_objective_it_is_handed(kind):
     tracker = _build(kind, objective, 0.5)
     assert tracker.objective is objective
     assert tracker.lam == 0.5
+
+
+@pytest.mark.parametrize("kind,build", [
+    ("full", lambda box, objective, rng: FullInformationTracker(
+        StepSchedule("bandit", 0.1, delta=0.2), box, objective, 0.0)),
+    ("bandit", lambda box, objective, rng: BanditTracker(
+        StepSchedule("full", 0.1), box, objective, 0.0, rng)),
+    ("partial", lambda box, objective, rng: PartialBanditTracker(
+        StepSchedule("bernoulli", 0.1, eta2=0.1, delta=0.2), box, objective, 0.0, 2, rng)),
+])
+def test_tracker_rejects_a_schedule_of_another_kind(kind, build):
+    with pytest.raises(ConfigError, match=f"expected a {kind} schedule"):
+        build(Box.symmetric(4), QuadraticTrackingObjective(4), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kind", ["full", "bandit", "partial", "bernoulli"])

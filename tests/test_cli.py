@@ -50,6 +50,26 @@ def test_missing_config_names_file(tmp_path, capsys):
     assert "missing.cfg" in capsys.readouterr().err
 
 
+def test_config_directory_is_rejected_by_name(tmp_path, capsys):
+    folder = tmp_path / "folder.cfg"
+    folder.mkdir()
+    out = tmp_path / "out"
+    assert main(["--config", str(folder), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and "folder.cfg" in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_is_rejected_by_name(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"[run]\nscenario = tcl\nfeedback = full\n# caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and "latin.cfg" in err
+    assert not out.exists()
+
+
 def test_unknown_key_lists_alternatives(tmp_path, capsys):
     path = write_cfg(tmp_path, "[run]\nscenario = tcl\nfeedback = full\nvelocity = 3\n")
     code = main(["--config", str(path), "--out", str(tmp_path / "out")])

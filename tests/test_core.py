@@ -485,6 +485,19 @@ def test_schedule_validation():
         StepSchedule("bandit", 0.1, delta=1.0)
 
 
+@pytest.mark.parametrize("kind,given", [
+    ("bandit", {}),
+    ("partial", {"delta": 0.2}),
+    ("partial", {"eta2": 0.1}),
+    ("bernoulli", {"delta": 0.2}),
+    ("bernoulli", {"eta2": 0.1}),
+])
+def test_schedule_rejects_a_missing_step_size(kind, given):
+    missing = "delta" if "delta" not in given else "eta2"
+    with pytest.raises(ConfigError, match=f"^a {kind} schedule needs {missing}$"):
+        StepSchedule(kind, 0.1, **given)
+
+
 def test_conservative_bounds_match_formulas():
     box = Box.symmetric(100)
     b = conservative_bounds(box, setpoint_max=20.0, response_max=5.5, rho=2.0)

@@ -75,6 +75,17 @@ def test_channel_partial_reveals_exact_subset():
     np.testing.assert_array_equal(obs.observed, responses[-10:])
 
 
+def test_channel_rejects_unknown_kind():
+    with pytest.raises(ConfigError, match="unknown feedback channel kind 'adaptive'"):
+        feedback_channel("adaptive", np.ones(3), 0.0, np.zeros(3))
+
+
+@pytest.mark.parametrize("observed", [None, 0, 3])
+def test_channel_partial_needs_a_valid_observed_count(observed):
+    with pytest.raises(ConfigError, match="observed count"):
+        feedback_channel("partial", np.ones(3), 0.0, np.zeros(3), observed=observed)
+
+
 # --- configuration ------------------------------------------------------------------
 
 

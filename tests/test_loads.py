@@ -486,6 +486,15 @@ def test_ev_block_step_matches_row_by_row_steps_bitwise():
     assert fleet.saturation_events == saturations
 
 
+@pytest.mark.parametrize("shape", [(6,), (4, 2)])
+def test_ev_step_rejects_a_response_block_of_another_shape(shape):
+    fleet = EvFleet(EvParams(), 3)
+    signals = np.tile([0.5, 0.5, 0.5, -0.5, -0.5, -0.5], (4, 1))
+    with pytest.raises(ValueError, match=r"response block has shape \(\d+, \d+\), played block has shape \(4, 6\)"):
+        fleet.step(signals, np.ones(shape))
+    assert fleet.soc.tolist() == [0.75] * 3 and fleet.saturation_events == 0
+
+
 @pytest.mark.parametrize("rho", [0.0, 30.0])
 def test_ev_objective_weighted_mean_matches_batch(rho):
     params = EvParams()
