@@ -30,7 +30,6 @@ from .core import (
     project_shrunk_box,
     prox_step,
     sample_unit_sphere,
-    soft_threshold,
     step_schedule,
 )
 from .harness import (

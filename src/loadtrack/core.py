@@ -27,7 +27,6 @@ __all__ = [
     "project_shrunk_box",
     "prox_step",
     "sample_unit_sphere",
-    "soft_threshold",
     "step_schedule",
 ]
 
@@ -153,13 +152,8 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
             return g / nrm
 
 
-def soft_threshold(y, threshold: float) -> np.ndarray:
-    """Shrink toward zero: sign(y) * max(|y| - threshold, 0)."""
-    return _soft_threshold_in_place(np.array(y, dtype=float), threshold)
-
-
 def _soft_threshold_in_place(y: np.ndarray, threshold: float) -> np.ndarray:
-    """``soft_threshold`` written into ``y``'s own buffer, with the same bits."""
+    """Shrink toward zero in ``y``'s own buffer: sign(y) * max(|y| - threshold, 0)."""
     if threshold == 0.0:
         # The same bits as the general formula: y itself, with -0 mapped to +0.
         y += 0.0

@@ -8,6 +8,7 @@ comparator problem the empirical regret is measured against.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -29,11 +30,12 @@ from .core import (
     Box,
     ConfigError,
     EnvBounds,
+    UnsupportedBoxError,
     conservative_bounds,
-    soft_threshold,
     step_schedule,
 )
 from .loads import (
+    STEADY_DUTY_WINDOW,
     EvFleet,
     EvParams,
     NoiseSpec,
@@ -76,7 +78,8 @@ SCENARIOS = ("tcl", "ev")
 FEEDBACK_REGIMES = ("full", "bandit", "partial", "bernoulli")
 
 SIMULTANEITY_TOL = 1e-2
-HINDSIGHT_TOL = 1e-6  # the relative change in value at which the hindsight descent stops
+KKT_TOL = 1e-9  # the largest relative KKT violation a hindsight solve may end with
+LEDGER_SUMS = ("setpoint_eff", "aggregate", "tracking", "mean_norm", "l1")  # averaged by run_experiment
 REDUCTION_FLOOR = 1e-12  # a reference loss (sum or mean) at or below this reads as no reduction
 
 # Step-size tuning constants per (scenario, feedback). These compensate the
@@ -177,6 +180,14 @@ class ScenarioConfig:
             raise ConfigError(f"feedback must be one of {FEEDBACK_REGIMES}, got {self.feedback!r}")
         if self.scenario == "ev" and self.feedback != "full":
             raise ConfigError("the EV scenario supports full feedback only")
+        if self.scenario == "tcl":  # the duty is monotone in each of d, P and R, so its extremes lie at corners
+            tr, (lo, hi) = self.tcl_ranges, STEADY_DUTY_WINDOW
+            d, p, r = np.ix_((tr.setpoint_lo, tr.setpoint_hi), (tr.power_lo, tr.power_hi),
+                             (tr.resistance_lo, tr.resistance_hi))
+            duty = (self.ambient - d) / (p * r)
+            if not (duty.max() > lo and duty.min() < hi):
+                raise ConfigError(f"TCL steady duties span [{duty.min():.4g}, {duty.max():.4g}] at ambient = "
+                                  f"{self.ambient:g}, outside ({lo:g}, {hi:g})")
         if self.n_loads < 1:
             raise ConfigError("n_loads must be >= 1")
         if self.rounds < 4:
@@ -263,9 +274,7 @@ def feedback_channel(kind: str, responses, setpoint_eff: float, played, observed
     if kind == "partial":
         if observed is None or not 1 <= observed <= responses.shape[0] - 1:
             raise ConfigError("partial channel needs a valid observed count")
-        return PartialFeedback(
-            responses[-observed:].copy(), float(responses @ played), float(setpoint_eff)
-        )
+        return PartialFeedback(responses[-observed:].copy(), float(responses @ played), float(setpoint_eff))
     raise ConfigError(f"unknown feedback channel kind {kind!r}")
 
 
@@ -425,8 +434,17 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
 class HindsightResult:
     signal: np.ndarray
     value: float
-    converged: bool
-    iterations: int
+    residual: float  # the final KKT violation relative to max(1, ||2b||_inf, T*lam)
+    iterations: int  # KKT checks, 1 when the origin is optimal
+
+
+def _penalized_gram(R: np.ndarray, rho: float, W: np.ndarray | None) -> np.ndarray:
+    """A = R^T R + rho * sum_t of m_t's Gram matrix, the quadratic form of the summed objective."""
+    T, dim = R.shape
+    if W is None or not rho:  # rho = 0 leaves R^T R either way
+        return R.T @ R + rho * T * np.eye(dim)
+    twins = np.eye(dim) + np.eye(dim, k=dim // 2) + np.eye(dim, k=-dim // 2)  # each coordinate meets its twin
+    return R.T @ R + rho * (W.T @ W) * twins
 
 
 def hindsight_optimum(
@@ -444,68 +462,75 @@ def hindsight_optimum(
     + T * lam * ||mu||_1 over the box, where m_t is the identity for the
     plain mean penalty or, given the EV ``mean_weights`` rows w_t of
     ``running_mean_weights``, m_t(mu) = w_t[:n]*mu[:n] + w_t[n:]*mu[n:]
-    for the stacked (charge, discharge) signal. Solved by proximal gradient descent
-    with a 1/L step; the l1 kink goes through the prox, the box through
-    clipping. Returns the best iterate with a convergence flag.
+    for the stacked (charge, discharge) signal.
 
-    When the origin satisfies the KKT conditions, |2b| <= T*lam elementwise
-    for b = R^T s with the box containing 0, the first prox step from the
-    origin returns to it whatever the step size, so the descent would stop
-    there after one iteration. That result (the origin, its value,
-    converged, one iteration) is returned at once, without the eigensolve
-    that sets the step size.
+    A primal active-set solve from the origin (BVLS, Stark & Parker 1995,
+    with the l1 term): each coordinate is held at a bound or 0, or is free
+    with a fixed sign, so the l1 term is linear. Each iteration checks the
+    KKT conditions (at the origin from R^T s alone), frees the held coordinate
+    that violates them most, and steps toward the free-set minimizer, holding
+    each coordinate that meets a bound or 0. ``max_iters`` failed checks raise.
     """
     R = np.asarray(responses, dtype=float)
     s = np.asarray(setpoints, dtype=float)
     T, dim = R.shape
+    W = None if mean_weights is None else np.asarray(mean_weights, dtype=float)
     if s.shape != (T,):
         raise ValueError("setpoints must match the response rows")
     if box.dim != dim:
         raise ValueError("box dimension must match the response columns")
-    A = R.T @ R
-    if rho:
-        if mean_weights is None:
-            A = A + rho * T * np.eye(dim)
-        else:
-            W = np.asarray(mean_weights, dtype=float)
-            if W.shape != (T, dim) or dim % 2:
-                raise ValueError("mean_weights must be (rounds, dim) with an even dim")
-            # sum_t of m_t's Gram matrix: each coordinate meets only itself and its twin.
-            n = dim // 2
-            gram = np.diag((W * W).sum(axis=0))
-            gram[:n, n:] = gram[n:, :n] = np.diag((W[:, :n] * W[:, n:]).sum(axis=0))
-            A = A + rho * gram
+    if W is not None and (W.shape != (T, dim) or dim % 2):
+        raise ValueError("mean_weights must be (rounds, dim) with an even dim")
+    if not (0.0 <= rho < math.inf and 0.0 <= lam < math.inf and max_iters >= 1):
+        raise ValueError(f"need finite rho, lam >= 0 and max_iters >= 1, got {rho!r}, {lam!r}, {max_iters!r}")
+    if not box.contains_zero:
+        raise UnsupportedBoxError("the hindsight solve starts at 0, so its box must contain 0")
     b = R.T @ s
-    const = float(s @ s)
     l1_weight = T * lam
-
-    def value(mu):
-        return float(mu @ A @ mu - 2.0 * b @ mu + const + l1_weight * np.abs(mu).sum())
-
-    mu = np.zeros(dim)
-    best_mu, best_val = mu.copy(), value(mu)
-    # A finite value at 0 means A and l1_weight are finite, so the descent's own
-    # stop test passes between two equal values.
-    if (max_iters >= 1 and box.contains_zero and math.isfinite(best_val)
-            and (np.abs(2.0 * b) <= l1_weight).all()):
-        return HindsightResult(best_mu, best_val, True, 1)
-
-    eig_max = float(np.linalg.eigvalsh(A)[-1]) if dim > 1 else float(A[0, 0])
-    step = 1.0 / max(2.0 * eig_max, 1e-12)
-    prev_val = best_val
-    converged = False
-    iterations = 0
+    scale = max(1.0, float(np.abs(2.0 * b).max(initial=0.0)), l1_weight)
+    tol = KKT_TOL * scale
+    mu, grad, A = np.zeros(dim), -2.0 * b, None  # grad is 2 (A mu - b)
+    free, sign = np.zeros(dim, dtype=bool), np.zeros(dim)
     for iterations in range(1, max_iters + 1):
-        grad = 2.0 * (A @ mu - b)
-        mu = box.clip(soft_threshold(mu - step * grad, step * l1_weight))
-        val = value(mu)
-        if val < best_val:
-            best_val, best_mu = val, mu.copy()
-        if abs(prev_val - val) <= HINDSIGHT_TOL * max(1.0, abs(val)):
-            converged = True
+        # The distance from -grad to the subdifferential of l1_weight * |mu_i| plus the box's normal cone.
+        below = np.where(mu == box.lo, 0.0, np.where(mu > 0.0, l1_weight, -l1_weight) + grad)
+        above = np.where(mu == box.hi, 0.0, -grad - np.where(mu < 0.0, -l1_weight, l1_weight))
+        violation = np.maximum(np.maximum(below, above), 0.0)
+        worst = float(violation.max(initial=0.0))
+        if worst <= tol:
             break
-        prev_val = val
-    return HindsightResult(best_mu, best_val, converged, iterations)
+        if iterations == max_iters:
+            raise RuntimeError(f"hindsight solve: KKT violation {worst / scale:.3e} after {max_iters} checks")
+        A = _penalized_gram(R, rho, W) if A is None else A
+        j = int(np.argmax(np.where(free, 0.0, violation)))
+        if not free[j] and violation[j] > tol:
+            free[j], sign[j] = True, np.sign(mu[j]) if mu[j] else -np.sign(grad[j])
+        while free.any():
+            F = np.flatnonzero(free)
+            A_FF = A[np.ix_(F, F)]
+            h = -0.5 * (grad[F] + l1_weight * sign[F])  # minus half the free-set objective's gradient
+            step = None
+            with contextlib.suppress(np.linalg.LinAlgError):  # solve is ten times faster than lstsq
+                step = np.linalg.solve(A_FF, h)
+            if step is None or np.abs(h - A_FF @ step).max() > tol / 2:
+                step = np.linalg.lstsq(A_FF, h, rcond=None)[0]
+            # Where A_FF step = h has no solution, the objective falls without bound along the
+            # least-squares residual (A_FF ray = 0, h.ray = ray.ray > 0); the step follows it to a bound.
+            ray = h - A_FF @ step
+            bounded = np.abs(ray).max() <= tol / 2
+            step = step if bounded else ray
+            # Each free coordinate stays between 0 and its bound on its sign's side.
+            end = np.where(step * sign[F] > 0.0, np.where(sign[F] > 0.0, box.hi[F], box.lo[F]), 0.0)
+            ratio = np.divide(end - mu[F], step, out=np.full_like(step, math.inf), where=step != 0.0)
+            alpha = max(min(float(ratio.min()), 1.0 if bounded else math.inf), 0.0)
+            hit = ratio <= alpha
+            mu[F] += alpha * step
+            mu[F[hit]], free[F[hit]] = end[hit], False
+            grad = 2.0 * (A @ mu - b)
+            if not hit.any():
+                break
+    value = float(comparator_round_losses(R, s, mu, rho, lam, W).sum())
+    return HindsightResult(mu, value, worst / scale, iterations)
 
 
 def comparator_round_losses(
@@ -547,15 +572,10 @@ def empirical_regret(
     T = ledger.rounds if upto is None else int(upto)
     if not 1 <= T <= ledger.rounds:
         raise ValueError("upto must lie in [1, rounds]")
-    weights = None if ledger.ev_params is None else running_mean_weights(ledger.ev_params, ledger.responses[:T])
-    opt = hindsight_optimum(
-        ledger.responses[:T], ledger.setpoint_eff[:T], ledger.rho_eff, ledger.lam,
-        box, mean_weights=weights, max_iters=max_iters,
-    )
-    comp = comparator_round_losses(
-        ledger.responses[:T], ledger.setpoint_eff[:T], opt.signal,
-        ledger.rho_eff, ledger.lam, mean_weights=weights,
-    )
+    R, s = ledger.responses[:T], ledger.setpoint_eff[:T]
+    weights = None if ledger.ev_params is None else running_mean_weights(ledger.ev_params, R)
+    opt = hindsight_optimum(R, s, ledger.rho_eff, ledger.lam, box, weights, max_iters)
+    comp = comparator_round_losses(R, s, opt.signal, ledger.rho_eff, ledger.lam, weights)
     series = np.cumsum(ledger.objective[:T]) - np.cumsum(comp)
     return RegretReport(series=series, total=float(series[-1]), hindsight=opt)
 
@@ -638,16 +658,9 @@ def _add_trial(cfg: ScenarioConfig, trial_index: int, sums: dict) -> tuple[Trial
     ledger = trial.ledger
     if cfg.compute_regret:
         sums["regret"] += empirical_regret(ledger, trial.box, max_iters=cfg.hindsight_iters).series
-    sums["setpoint_eff"] += ledger.setpoint_eff
-    sums["aggregate"] += ledger.aggregate
-    sums["tracking"] += ledger.tracking
-    sums["mean_norm"] += ledger.mean_norm
-    sums["l1"] += ledger.l1
-    summary = TrialSummary(
-        improvement_pct=improvement_pct(ledger),
-        simultaneity_pct=simultaneity_pct(ledger),
-    )
-    return summary, trial.trajectories
+    for name in LEDGER_SUMS:
+        sums[name] += getattr(ledger, name)
+    return TrialSummary(improvement_pct(ledger), simultaneity_pct(ledger)), trial.trajectories
 
 
 def run_experiment(config: ScenarioConfig) -> ExperimentResult:
@@ -658,10 +671,7 @@ def run_experiment(config: ScenarioConfig) -> ExperimentResult:
     """
     cfg = config.resolved()
     T = cfg.rounds
-    sums = {
-        name: np.zeros(T)
-        for name in ("setpoint_eff", "aggregate", "tracking", "mean_norm", "l1", "regret")
-    }
+    sums = {name: np.zeros(T) for name in (*LEDGER_SUMS, "regret")}
     first, trajectories = _add_trial(cfg, 0, sums)
     summaries = [first] + [_add_trial(cfg, k, sums)[0] for k in range(1, cfg.trials)]
     rounds = {name: series / cfg.trials for name, series in sums.items()}
@@ -688,10 +698,6 @@ def compute_metrics(result: ExperimentResult, unregularized: ExperimentResult | 
         "simultaneity_pct": means["simultaneity_pct"],
     }
     if unregularized is not None:
-        summary["mean_improvement_pct"] = per_round_reduction_pct(
-            result.rounds["mean_norm"], unregularized.rounds["mean_norm"]
-        )
-        summary["sparsity_improvement_pct"] = per_round_reduction_pct(
-            result.rounds["l1"], unregularized.rounds["l1"]
-        )
+        for key, series in (("mean_improvement_pct", "mean_norm"), ("sparsity_improvement_pct", "l1")):
+            summary[key] = per_round_reduction_pct(result.rounds[series], unregularized.rounds[series])
     return summary

@@ -37,6 +37,7 @@ __all__ = [
 
 MAX_REJECTIONS = 1_000_000
 FLEET_INIT_MAX_REDRAWS = 1_000
+STEADY_DUTY_WINDOW = (0.05, 0.95)  # the open interval every sampled TCL's steady duty lands in
 EV_INITIAL_SOC = 0.75  # every vehicle's state of charge before the first round
 
 
@@ -268,7 +269,7 @@ def tcl_fleet_init(
     ambient: float = 30.0,
     step_hours: float = 1.0 / 12.0,
 ) -> TclFleet:
-    """Sample a fleet whose steady duties all land strictly inside (0.05, 0.95)."""
+    """Sample a fleet whose steady duties all land strictly inside ``STEADY_DUTY_WINDOW``."""
     if n_loads < 1:
         raise ValueError("n_loads must be positive")
 
@@ -290,7 +291,7 @@ def tcl_fleet_init(
         q = draw(ranges.cop_lo, ranges.cop_hi, k)
         d = draw(ranges.setpoint_lo, ranges.setpoint_hi, k)
         m_bar = (ambient - d) / (p * r)
-        ok = (m_bar > 0.05) & (m_bar < 0.95)
+        ok = (m_bar > STEADY_DUTY_WINDOW[0]) & (m_bar < STEADY_DUTY_WINDOW[1])
         idx = pending[ok]
         resistance[idx] = r[ok]
         capacitance[idx] = c[ok]

@@ -372,6 +372,15 @@ def test_bad_fleet_config_is_rejected_before_output(tmp_path, capsys, scenario, 
     assert not (out / "manifest.txt").exists()
 
 
+def test_an_infeasible_steady_duty_is_rejected_before_output(tmp_path, capsys):
+    # With the default ranges every duty (10 - d) / (P R) is negative.
+    path = write_cfg(tmp_path, "[run]\nscenario = tcl\nfeedback = full,bandit\n\n[fleet]\nambient = 10\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "span [-1, -0.2222] at ambient = 10, outside (0.05, 0.95)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("feedback", ["full,full", "full, bandit ,bandit"])
 def test_a_regime_listed_twice_is_rejected_before_output(tmp_path, capsys, feedback):
     out = tmp_path / "out"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadtrack.core import SIGNAL_TOL, Box
-from loadtrack.harness import ScenarioConfig, run_trial
+from loadtrack.harness import ScenarioConfig, hindsight_optimum, run_trial
 from loadtrack.loads import SignalRangeError, ev_decision_box, signal_block, weighted_signal
 
 
@@ -111,3 +111,47 @@ def test_signal_block_rejects_exactly_the_cells_outside_the_widened_box(case):
     assert info.value.row == row
     named = {(-1.0, 1.0): "[-1, 1]", (0.0, 1.0): "[0, 1]", (-1.0, 0.0): "[-1, 0]"}[box.lo[col], box.hi[col]]
     assert str(info.value) == f"adjustment signals must lie in {named}"
+
+
+@st.composite
+def box_qps(draw):
+    """A hindsight problem: T from 1 to 14 rounds, 1 to 10 coordinates (so T < dim too), rho and lam >= 0."""
+    T, weighted = draw(st.integers(1, 14)), draw(st.booleans())
+    dim = 2 * draw(st.integers(1, 5)) if weighted else draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    responses = rng.normal(size=(T, dim)) * draw(st.sampled_from([0.3, 1.0, 3.0])) + draw(st.floats(-2.0, 2.0))
+    setpoints = rng.normal(size=T) * draw(st.floats(0.1, 5.0))
+    rho = draw(st.just(0.0) | st.floats(0.0, 5.0))
+    # lam as a fraction of max |2 R^T s| / T, above which the origin is optimal on a symmetric box.
+    lam = draw(st.just(0.0) | st.floats(-4.0, 0.5).map(lambda e: 10.0 ** e))
+    lam *= float(np.abs(2.0 * responses.T @ setpoints).max()) / T
+    weights = rng.uniform(0.5, 1.5, size=(T, dim)) if weighted else None
+    half = dim // 2
+    split = Box(np.r_[np.zeros(half), -np.ones(dim - half)], np.r_[np.ones(half), np.zeros(dim - half)])
+    return responses, setpoints, rho, lam, draw(st.sampled_from([Box.symmetric(dim), split])), weights
+
+
+@settings(max_examples=1000, deadline=None)
+@given(box_qps())
+def test_hindsight_solution_meets_the_kkt_conditions(case):
+    responses, setpoints, rho, lam, box, weights = case
+    mu = hindsight_optimum(responses, setpoints, rho, lam, box, weights).signal
+    assert box.contains(mu, tol=0.0)
+    # The objective's quadratic form, one round's running-mean map M_t at a time.
+    T, dim = responses.shape
+    A = responses.T @ responses
+    for t in range(T):
+        if weights is None:
+            M = np.eye(dim)
+        else:  # m_t(mu) = w_t[:n] * mu[:n] + w_t[n:] * mu[n:]
+            M = np.hstack([np.diag(weights[t, : dim // 2]), np.diag(weights[t, dim // 2:])])
+        A += rho * M.T @ M
+    b, l1_weight = responses.T @ setpoints, T * lam
+    grad = 2.0 * (A @ mu - b)
+    violation = 0.0
+    for i in range(dim):
+        # -grad_i must lie in the subdifferential of l1_weight * |mu_i| plus the box's normal cone at mu_i.
+        low = -math.inf if mu[i] == box.lo[i] else (l1_weight if mu[i] > 0 else -l1_weight)
+        high = math.inf if mu[i] == box.hi[i] else (-l1_weight if mu[i] < 0 else l1_weight)
+        violation = max(violation, low + grad[i], -grad[i] - high)
+    assert violation <= 1e-9 * max(1.0, float(np.abs(2.0 * b).max()), l1_weight)
