@@ -32,6 +32,11 @@ from .harness import (
 )
 from .loads import EvParams, NoiseSpec, TclRanges
 
+try:
+    import resource
+except ImportError:  # Windows has none; the manifest then leaves out the peak
+    resource = None
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
@@ -120,6 +125,10 @@ def read_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ConfigError(
+            f"a [DEFAULT] section is not supported in {path}; valid sections: " + ", ".join(sorted(SECTIONS))
+        )
     values = {}
     for section in parser.sections():
         if section == "manifest":
@@ -329,13 +338,23 @@ def write_csv(path: Path, header, rows) -> None:
             first_row += len(block)
 
 
-def _manifest_text(settings: RunSettings, duration: float | None, outputs: list) -> str:
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident memory in MiB, or None where ``resource`` is missing."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
+def _manifest_text(settings: RunSettings, duration: float | None, outputs: list, stats=()) -> str:
+    """The manifest; ``stats`` holds (name, text) pairs written as comments after the duration."""
     cfg = settings.base
     dur = "pending" if duration is None else f"{duration:.3f}"
     lines = [
         "# loadtrack run manifest (readable as a config file)",
         f"# version: {__version__}",
         f"# duration_seconds: {dur}",
+        *(f"# {name}: {text}" for name, text in stats),
         "# outputs: " + " ".join(outputs),
         "",
     ]
@@ -412,9 +431,14 @@ def execute(settings: RunSettings) -> int:
             twin = run_experiment(replace(cfg, rho=0.0, lam=0.0, compute_regret=False))
         case_results.append((result, twin))
 
+    emit_start = time.monotonic()
     case_metrics = emit_outputs(case_results, settings)
+    emit_seconds = time.monotonic() - emit_start
     duration = time.monotonic() - start
-    manifest_path.write_text(_manifest_text(settings, duration, output_names))
+    stats = [("emit_seconds", f"{emit_seconds:.3f}")]
+    if (peak := _peak_rss_mb()) is not None:
+        stats.insert(0, ("peak_rss_mb", f"{peak:.1f}"))
+    manifest_path.write_text(_manifest_text(settings, duration, output_names, stats))
     if not settings.quiet:
         _print_summary(case_metrics)
     return EXIT_OK

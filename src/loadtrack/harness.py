@@ -81,6 +81,7 @@ SIMULTANEITY_TOL = 1e-2
 KKT_TOL = 1e-9  # the largest relative KKT violation a hindsight solve may end with
 LEDGER_SUMS = ("setpoint_eff", "aggregate", "tracking", "mean_norm", "l1")  # averaged by run_experiment
 REDUCTION_FLOOR = 1e-12  # a reference loss (sum or mean) at or below this reads as no reduction
+L1_SLAB_ROWS = 64  # played rows whose |x| is held at once while a trial's l1 is scored
 
 # Step-size tuning constants per (scenario, feedback). These compensate the
 # deliberately conservative loss/gradient bounds and were calibrated on the
@@ -391,7 +392,10 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     aggregate = np.matmul(scored[:, None, :], played_hist[:, :, None]).reshape(T)
     err = setpoints_eff[warmup:] - aggregate
     tracking = err * err
-    l1 = np.abs(played_hist).sum(axis=1)
+    l1 = np.empty(T)
+    for start in range(0, T, L1_SLAB_ROWS):  # slabs, so no third (rounds, dim) block is made
+        stop = start + L1_SLAB_ROWS
+        np.abs(played_hist[start:stop]).sum(axis=1, out=l1[start:stop])
     objective = tracking + rho_eff * mean_norm ** 2 + cfg.lam * l1
 
     if is_tcl:

@@ -257,6 +257,20 @@ def test_manifest_reproduces_run(tmp_path, name):
     assert _settings_lines(manifest) == _settings_lines(out_b / "manifest.txt")
 
 
+def test_final_manifest_reports_peak_memory_and_emission_time(tmp_path):
+    path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    comments = dict(ln[2:].split(": ", 1) for ln in (out / "manifest.txt").read_text().splitlines()
+                    if ln.startswith("# ") and ": " in ln)
+    assert float(comments["peak_rss_mb"]) > 0.0
+    assert float(comments["emit_seconds"]) >= 0.0
+    settings = cli.resolve_settings(cli.parse_args(["--config", str(path), "--out", str(out)]))
+    pending = tmp_path / "pending.txt"
+    pending.write_text(cli._manifest_text(settings, None, []))
+    assert _settings_lines(out / "manifest.txt") == _settings_lines(pending)
+
+
 def _manifest_for(path) -> str:
     return cli._manifest_text(cli.resolve_settings(cli.parse_args(["--config", str(path)])), None, [])
 
@@ -379,6 +393,21 @@ def test_an_infeasible_steady_duty_is_rejected_before_output(tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
     assert "span [-1, -0.2222] at ambient = 10, outside (0.05, 0.95)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[DEFAULT]\nseed = 3\n\n[run]\nscenario = tcl\nfeedback = full\n\n[algorithm]\nlambda = 0.5\n",
+                 id="beside-algorithm"),
+    pytest.param("[DEFAULT]\nseed = 3\n\n[run]\nscenario = tcl\nfeedback = full\n", id="without-algorithm"),
+])
+def test_a_default_section_is_rejected_before_output(tmp_path, capsys, text):
+    # configparser copies [DEFAULT]'s keys into every section, where they were never written.
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[DEFAULT]" in err and "valid sections: algorithm, fleet, noise, run, setpoint" in err
+    assert not (out / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("feedback", ["full,full", "full, bandit ,bandit"])

@@ -235,6 +235,9 @@ def test_ledger_objective_recomputable_from_trajectories():
     pytest.param(small_cfg(feedback="partial", lam=0.3, observed=2), id="tcl-partial"),
     pytest.param(small_cfg(feedback="bernoulli", rho=1.5, lam=0.3, bernoulli_a=2.0,
                            bernoulli_mean_penalty=True), id="tcl-bernoulli-warmup-penalty"),
+    # Two warm-up rows, two whole l1 slabs and a partial third.
+    pytest.param(small_cfg(feedback="bernoulli", rho=1.5, lam=0.3, bernoulli_a=2.0, bernoulli_mean_penalty=True,
+                           rounds=2 * harness.L1_SLAB_ROWS + 3), id="tcl-bernoulli-slabs"),
     pytest.param(ScenarioConfig(scenario="ev", feedback="full", n_loads=5, rounds=30, rho=20.0,
                                 lam=3.0, seed=2), id="ev-full"),
 ])
@@ -327,6 +330,23 @@ def test_run_experiment_holds_a_few_trial_blocks_at_most(feedback):
     assert peak <= 5 * block, f"peak {peak / block:.2f} blocks"
     assert held <= 0.5 * block, f"held {held / block:.2f} blocks after return"
     assert result.trajectories.shape == (cfg.rounds, cfg.track_loads)
+
+
+@pytest.mark.parametrize("feedback", ["full", "bernoulli"])
+def test_a_trial_peaks_at_its_ledger_blocks_and_little_more(feedback):
+    # The response and played blocks are the ledger's; scoring the trial adds no third block.
+    cfg = ScenarioConfig(feedback=feedback, n_loads=1000, rounds=600, track_loads=10, seed=5)
+    run_trial(cfg, 0)  # one-off allocations happen outside the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ledger = run_trial(cfg, 0).ledger
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block = ledger.played.base.nbytes
+    assert ledger.responses.base.nbytes == block == (cfg.rounds + 2 * (feedback == "bernoulli")) * cfg.n_loads * 8
+    assert peak - 2 * block < 0.5 * block, f"peak {(peak - 2 * block) / block:.2f} blocks above the ledger's two"
 
 
 def test_ev_trial_tracks_soc_and_simultaneity():

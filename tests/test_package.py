@@ -1,4 +1,4 @@
-"""Package surface tests: each module's ``__all__``, the names the package re-exports and unused imports."""
+"""Package surface tests: each module's ``__all__``, the names the package re-exports and its imports."""
 
 import ast
 import importlib
@@ -53,3 +53,24 @@ def test_every_module_uses_what_it_imports():
     assert {"algorithms", "cli", "core", "harness", "loads"} <= set(names)
     unused = {name: _unused_imports(importlib.import_module(f"loadtrack.{name}")) for name in names}
     assert not {name: found for name, found in unused.items() if found}
+
+
+TEST_ONLY_PACKAGES = {"scipy", "hypothesis", "pytest", "tracemalloc"}  # references and tools for tests, not deps
+
+
+def _imported_packages(module) -> set:
+    packages = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_no_module_imports_a_test_only_package():
+    names = [info.name for info in pkgutil.iter_modules(loadtrack.__path__)]
+    modules = [loadtrack] + [importlib.import_module(f"loadtrack.{name}") for name in names]
+    assert {"numpy", "argparse"} <= set().union(*map(_imported_packages, modules))
+    found = {m.__name__: sorted(_imported_packages(m) & TEST_ONLY_PACKAGES) for m in modules}
+    assert not {name: packages for name, packages in found.items() if packages}
