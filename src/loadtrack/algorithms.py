@@ -21,6 +21,7 @@ from .core import (
     StepSchedule,
     _same_length,
     _vector,
+    bandit_probability,
     gradient_estimate,
     project_shrunk_box,
     prox_step,
@@ -355,8 +356,7 @@ class BernoulliFeedbackTracker(_Tracker):
     ):
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
-        # step_schedule below rejects a < 0 and a probability above 1.
-        self.probability = a / horizon ** (1.0 / 3.0)
+        self.probability = bandit_probability(a, horizon)  # checked before the plan is drawn
         self.plan = rng.random(horizon) < self.probability
         self.bandit_rounds = int(self.plan.sum())
         schedule = step_schedule(

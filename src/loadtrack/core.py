@@ -22,6 +22,7 @@ __all__ = [
     "EnvBounds",
     "StepSchedule",
     "UnsupportedBoxError",
+    "bandit_probability",
     "conservative_bounds",
     "gradient_estimate",
     "project_shrunk_box",
@@ -262,6 +263,14 @@ class StepSchedule:
             raise ConfigError(f"a {self.kind} schedule needs eta2")
 
 
+def bandit_probability(a: float, horizon: int) -> float:
+    """The Bernoulli aggregate-round probability p = a / T^(1/3); raises unless 0 <= p <= 1."""
+    p = a / horizon ** (1.0 / 3.0)
+    if not 0.0 <= p <= 1.0:  # written so that a NaN fails it too
+        raise ConfigError(f"bandit probability a/T^(1/3) = {p:.4f} must lie in [0, 1]")
+    return p
+
+
 def step_schedule(
     kind: str,
     horizon: int,
@@ -315,11 +324,7 @@ def step_schedule(
     # bernoulli
     if bernoulli_a is None or bandit_rounds is None:
         raise ConfigError("bernoulli kind needs bernoulli_a and the realized bandit_rounds")
-    if not bernoulli_a >= 0:
-        raise ConfigError("bernoulli_a must be nonnegative")
-    p = bernoulli_a / T ** (1.0 / 3.0)
-    if p > 1.0:
-        raise ConfigError(f"bandit probability a/T^(1/3) = {p:.4f} exceeds 1")
+    bandit_probability(bernoulli_a, horizon)
     if not 0 <= bandit_rounds <= horizon:
         raise ConfigError("bandit_rounds must lie in [0, horizon]")
     eta = D * cf / (G * math.sqrt(T - bandit_rounds + 1))

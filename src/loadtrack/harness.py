@@ -31,6 +31,7 @@ from .core import (
     ConfigError,
     EnvBounds,
     UnsupportedBoxError,
+    bandit_probability,
     conservative_bounds,
     step_schedule,
 )
@@ -44,14 +45,14 @@ from .loads import (
     WeightedChargeObjective,
     running_mean_weights,
     signal_block,
+    steady_duty,
     tcl_fleet_init,
 )
 
 __all__ = [
-    "DEFAULT_CHI",
-    "DEFAULT_NOISE",
     "FEEDBACK_REGIMES",
     "SCENARIOS",
+    "SCENARIO_DEFAULTS",
     "ExperimentResult",
     "HindsightResult",
     "MetricsLedger",
@@ -74,7 +75,6 @@ __all__ = [
     "simultaneity_pct",
 ]
 
-SCENARIOS = ("tcl", "ev")
 FEEDBACK_REGIMES = ("full", "bandit", "partial", "bernoulli")
 
 SIMULTANEITY_TOL = 1e-2
@@ -82,21 +82,6 @@ KKT_TOL = 1e-9  # the largest relative KKT violation a hindsight solve may end w
 LEDGER_SUMS = ("setpoint_eff", "aggregate", "tracking", "mean_norm", "l1")  # averaged by run_experiment
 REDUCTION_FLOOR = 1e-12  # a reference loss (sum or mean) at or below this reads as no reduction
 L1_SLAB_ROWS = 64  # played rows whose |x| is held at once while a trial's l1 is scored
-
-# Step-size tuning constants per (scenario, feedback). These compensate the
-# deliberately conservative loss/gradient bounds and were calibrated on the
-# default fleets; override any of them through ScenarioConfig.
-DEFAULT_CHI = {
-    ("tcl", "full"): {"chi": 60.0},
-    ("tcl", "bandit"): {"chi": 8000.0},
-    ("tcl", "partial"): {"chi_full": 45.0, "chi_bandit": 8000.0},
-    ("tcl", "bernoulli"): {"chi_full": 35.0, "chi_bandit": 8000.0},
-    ("ev", "full"): {"chi": 35.0},
-}
-
-# Response noise per scenario, used when ScenarioConfig.noise is unset.
-DEFAULT_NOISE = {"tcl": NoiseSpec(), "ev": NoiseSpec(mean=0.0, sd=0.1, lo=-1.5, hi=1.5)}
-
 
 @dataclass(frozen=True)
 class SetpointSpec:
@@ -106,13 +91,28 @@ class SetpointSpec:
     frequency: float
     offset: float
 
-    @classmethod
-    def for_scenario(cls, scenario: str) -> "SetpointSpec":
-        if scenario == "tcl":
-            return cls(amplitude=15.0, frequency=0.1, offset=155.0)
-        if scenario == "ev":
-            return cls(amplitude=25.0, frequency=0.1, offset=0.0)
-        raise ConfigError(f"unknown scenario {scenario!r}")
+
+# What an unset ScenarioConfig field resolves to, per scenario: the setpoint, the
+# response noise, the step length, and per feedback regime the step-size tuning
+# constants. The chi values compensate the deliberately conservative loss and
+# gradient bounds and were calibrated on the default fleets.
+SCENARIO_DEFAULTS = {
+    "tcl": {
+        "setpoint": SetpointSpec(amplitude=15.0, frequency=0.1, offset=155.0),
+        "noise": NoiseSpec(),
+        "step_hours": 1.0 / 12.0,
+        "chi": {"full": {"chi": 60.0}, "bandit": {"chi": 8000.0},
+                "partial": {"chi_full": 45.0, "chi_bandit": 8000.0},
+                "bernoulli": {"chi_full": 35.0, "chi_bandit": 8000.0}},
+    },
+    "ev": {
+        "setpoint": SetpointSpec(amplitude=25.0, frequency=0.1, offset=0.0),
+        "noise": NoiseSpec(mean=0.0, sd=0.1, lo=-1.5, hi=1.5),
+        "step_hours": 1.0 / 60.0,
+        "chi": {"full": {"chi": 35.0}},
+    },
+}
+SCENARIOS = tuple(SCENARIO_DEFAULTS)
 
 
 def make_setpoint(spec: SetpointSpec, t) -> float | np.ndarray:
@@ -153,13 +153,11 @@ class ScenarioConfig:
 
     def resolved(self) -> "ScenarioConfig":
         cfg = dataclasses.replace(self)
-        if cfg.setpoint is None:
-            cfg.setpoint = SetpointSpec.for_scenario(cfg.scenario)
-        if cfg.noise is None:
-            cfg.noise = DEFAULT_NOISE.get(cfg.scenario)
-        if cfg.step_hours is None:
-            cfg.step_hours = 1.0 / 12.0 if cfg.scenario == "tcl" else 1.0 / 60.0
-        tuning = DEFAULT_CHI.get((cfg.scenario, cfg.feedback), {})
+        defaults = SCENARIO_DEFAULTS.get(cfg.scenario, {})  # validate rejects an unknown scenario
+        for name in ("setpoint", "noise", "step_hours"):
+            if getattr(cfg, name) is None:
+                setattr(cfg, name, defaults.get(name))
+        tuning = defaults.get("chi", {}).get(cfg.feedback, {})
         if cfg.chi is None:
             cfg.chi = tuning.get("chi", 1.0)
         if cfg.chi_full is None:
@@ -185,7 +183,7 @@ class ScenarioConfig:
             tr, (lo, hi) = self.tcl_ranges, STEADY_DUTY_WINDOW
             d, p, r = np.ix_((tr.setpoint_lo, tr.setpoint_hi), (tr.power_lo, tr.power_hi),
                              (tr.resistance_lo, tr.resistance_hi))
-            duty = (self.ambient - d) / (p * r)
+            duty = steady_duty(r, p, d, self.ambient)
             if not (duty.max() > lo and duty.min() < hi):
                 raise ConfigError(f"TCL steady duties span [{duty.min():.4g}, {duty.max():.4g}] at ambient = "
                                   f"{self.ambient:g}, outside ({lo:g}, {hi:g})")
@@ -206,9 +204,7 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.feedback == "bernoulli":
-            p = self.bernoulli_a / self.rounds ** (1.0 / 3.0)
-            if self.bernoulli_a < 0 or p > 1.0:
-                raise ConfigError(f"bandit probability a/T^(1/3) = {p:.4f} must lie in [0, 1]")
+            bandit_probability(self.bernoulli_a, self.rounds)
         for name in ("chi", "chi_full", "chi_bandit", "step_hours"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -437,9 +433,10 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
 @dataclass
 class HindsightResult:
     signal: np.ndarray
-    value: float
+    value: float  # the sum of ``losses``
     residual: float  # the final KKT violation relative to max(1, ||2b||_inf, T*lam)
     iterations: int  # KKT checks, 1 when the origin is optimal
+    losses: np.ndarray  # the signal's per-round composite losses, from comparator_round_losses
 
 
 def _penalized_gram(R: np.ndarray, rho: float, W: np.ndarray | None) -> np.ndarray:
@@ -533,8 +530,8 @@ def hindsight_optimum(
             grad = 2.0 * (A @ mu - b)
             if not hit.any():
                 break
-    value = float(comparator_round_losses(R, s, mu, rho, lam, W).sum())
-    return HindsightResult(mu, value, worst / scale, iterations)
+    losses = comparator_round_losses(R, s, mu, rho, lam, W)
+    return HindsightResult(mu, float(losses.sum()), worst / scale, iterations, losses)
 
 
 def comparator_round_losses(
@@ -579,8 +576,7 @@ def empirical_regret(
     R, s = ledger.responses[:T], ledger.setpoint_eff[:T]
     weights = None if ledger.ev_params is None else running_mean_weights(ledger.ev_params, R)
     opt = hindsight_optimum(R, s, ledger.rho_eff, ledger.lam, box, weights, max_iters)
-    comp = comparator_round_losses(R, s, opt.signal, ledger.rho_eff, ledger.lam, weights)
-    series = np.cumsum(ledger.objective[:T]) - np.cumsum(comp)
+    series = np.cumsum(ledger.objective[:T]) - np.cumsum(opt.losses)
     return RegretReport(series=series, total=float(series[-1]), hindsight=opt)
 
 

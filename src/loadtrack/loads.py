@@ -30,6 +30,7 @@ __all__ = [
     "running_mean_weights",
     "sample_truncated_gaussian",
     "signal_block",
+    "steady_duty",
     "tcl_fleet_init",
     "tcl_steady_control",
     "weighted_signal",
@@ -162,18 +163,22 @@ def signal_block(signals, box: Box) -> np.ndarray:
     return block
 
 
+def steady_duty(resistance, rated_power, desired_temp, ambient):
+    """m_bar = (theta_a - theta_d) / (P_R * R), the duty that holds a TCL at its desired temperature."""
+    return (ambient - desired_temp) / (rated_power * resistance)
+
+
 def tcl_steady_control(resistance, rated_power, cop, desired_temp, ambient):
     """Steady-state duty, response coefficient and unit power of a TCL.
 
-    m_bar = (theta_a - theta_d) / (P_R * R) holds the load at its desired
-    temperature; c0 = (P_R / COP) * min(m_bar, 1 - m_bar) is the power
-    swing available per unit adjustment signal.
+    m_bar is ``steady_duty``; c0 = (P_R / COP) * min(m_bar, 1 - m_bar) is
+    the power swing available per unit adjustment signal.
     """
     resistance = np.asarray(resistance, dtype=float)
     rated_power = np.asarray(rated_power, dtype=float)
     cop = np.asarray(cop, dtype=float)
     desired_temp = np.asarray(desired_temp, dtype=float)
-    m_bar = (ambient - desired_temp) / (rated_power * resistance)
+    m_bar = steady_duty(resistance, rated_power, desired_temp, ambient)
     if not ((m_bar > 0.0) & (m_bar < 1.0)).all():  # written so that a NaN fails it too
         raise InfeasibleLoadError("steady duty must lie strictly inside (0, 1)")
     unit_power = rated_power / cop
@@ -269,35 +274,23 @@ def tcl_fleet_init(
     ambient: float = 30.0,
     step_hours: float = 1.0 / 12.0,
 ) -> TclFleet:
-    """Sample a fleet whose steady duties all land strictly inside ``STEADY_DUTY_WINDOW``."""
+    """Sample a fleet whose steady duties all land strictly inside ``STEADY_DUTY_WINDOW``.
+
+    Each rejection pass draws one (5, k) table of the pending loads' parameters, rows in ``TclRanges`` order.
+    """
     if n_loads < 1:
         raise ValueError("n_loads must be positive")
-
-    def draw(lo, hi, k):
-        return rng.uniform(lo, hi, size=k)
-
-    resistance = np.empty(n_loads)
-    capacitance = np.empty(n_loads)
-    rated_power = np.empty(n_loads)
-    cop = np.empty(n_loads)
-    desired = np.empty(n_loads)
+    bounds = np.reshape(astuple(ranges), (5, 2))
+    params = np.empty((5, n_loads))
     pending = np.arange(n_loads)
     consecutive_rejects = 0
     while pending.size:
         k = pending.size
-        r = draw(ranges.resistance_lo, ranges.resistance_hi, k)
-        c = draw(ranges.capacitance_lo, ranges.capacitance_hi, k)
-        p = draw(ranges.power_lo, ranges.power_hi, k)
-        q = draw(ranges.cop_lo, ranges.cop_hi, k)
-        d = draw(ranges.setpoint_lo, ranges.setpoint_hi, k)
-        m_bar = (ambient - d) / (p * r)
+        draws = rng.uniform(bounds[:, :1], bounds[:, 1:], size=(5, k))
+        r, _, p, _, d = draws
+        m_bar = steady_duty(r, p, d, ambient)
         ok = (m_bar > STEADY_DUTY_WINDOW[0]) & (m_bar < STEADY_DUTY_WINDOW[1])
-        idx = pending[ok]
-        resistance[idx] = r[ok]
-        capacitance[idx] = c[ok]
-        rated_power[idx] = p[ok]
-        cop[idx] = q[ok]
-        desired[idx] = d[ok]
+        params[:, pending[ok]] = draws[:, ok]
         if ok.any():
             consecutive_rejects = 0
         else:
@@ -305,7 +298,7 @@ def tcl_fleet_init(
             if consecutive_rejects > FLEET_INIT_MAX_REDRAWS:
                 raise InfeasibleLoadError("parameter ranges cannot produce feasible steady duties")
         pending = pending[~ok]
-    return TclFleet(resistance, capacitance, rated_power, cop, desired, ambient, step_hours)
+    return TclFleet(*params, ambient, step_hours)
 
 
 # --- Electric vehicles ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Tracker tests: hand-checked updates, feasibility, plan equivalences."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from loadtrack.core import (
     EnvBounds,
     StepSchedule,
     conservative_bounds,
+    step_schedule,
 )
+from loadtrack.harness import ScenarioConfig
 
 BOUNDS = EnvBounds(gradient_bound=20.0, loss_bound=100.0, diameter=2.0)
 
@@ -375,6 +378,36 @@ def test_bernoulli_empirical_fraction():
 def test_bernoulli_rejects_probability_above_one():
     with pytest.raises(ConfigError):
         make_bernoulli(horizon=8, a=7.6)  # 7.6 / 2 = 3.8 > 1
+
+
+BAD_A = pytest.mark.parametrize("a", [-0.1, 7.6, math.nan], ids=["negative", "p-above-one", "nan"])
+
+
+BANDIT_PROBABILITY_CALLERS = {
+    "validate": lambda a: ScenarioConfig(feedback="bernoulli", rounds=8, bernoulli_a=a).resolved(),
+    "tracker": lambda a: make_bernoulli(horizon=8, a=a),
+    "step_schedule": lambda a: step_schedule("bernoulli", 8, 3, BOUNDS, bernoulli_a=a, bandit_rounds=2),
+}
+
+
+@BAD_A
+@pytest.mark.parametrize("caller", list(BANDIT_PROBABILITY_CALLERS))
+def test_each_caller_rejects_a_bad_bandit_probability_with_one_message(caller, a):
+    # At T = 8, T^(1/3) = 2, so a = 7.6 gives p = 3.8.
+    message = r"bandit probability a/T\^\(1/3\) = \S+ must lie in \[0, 1\]"
+    if caller == "validate" and math.isnan(a):
+        message = "bernoulli_a must be finite"  # validate's finite-field check comes first
+    with pytest.raises(ConfigError, match=message):
+        BANDIT_PROBABILITY_CALLERS[caller](a)
+
+
+@BAD_A
+def test_bernoulli_rejects_its_probability_before_touching_its_generator(a):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError):
+        BernoulliFeedbackTracker(8, Box.symmetric(3), QuadraticTrackingObjective(3), 0.0, BOUNDS, rng, a=a)
+    assert rng.bit_generator.state == state
 
 
 def test_bernoulli_plan_exhaustion():

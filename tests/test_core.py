@@ -10,6 +10,7 @@ from loadtrack.core import (
     EnvBounds,
     StepSchedule,
     UnsupportedBoxError,
+    bandit_probability,
     conservative_bounds,
     gradient_estimate,
     project_shrunk_box,
@@ -472,6 +473,12 @@ def test_step_schedule_bernoulli_realized_counts():
 def test_step_schedule_bernoulli_rejects_large_probability():
     with pytest.raises(ConfigError):
         step_schedule("bernoulli", 100, 10, _bounds(), bernoulli_a=7.6, bandit_rounds=10)
+
+
+@pytest.mark.parametrize("horizon", [8, 440, 600, 1000])
+def test_bandit_probability_runs_from_zero_to_exactly_one(horizon):
+    assert bandit_probability(0.0, horizon) == 0.0
+    assert bandit_probability(horizon ** (1.0 / 3.0), horizon) == 1.0  # a = T^(1/3)
 
 
 def test_step_schedule_rejects_unknown_kind():

@@ -41,14 +41,14 @@ from loadtrack.loads import (
 
 
 def test_setpoint_tcl_values():
-    spec = SetpointSpec.for_scenario("tcl")
+    spec = harness.SCENARIO_DEFAULTS["tcl"]["setpoint"]
     assert make_setpoint(spec, 0) == pytest.approx(155.0)
     series = make_setpoint(spec, np.arange(1, 2001))
     assert series.min() >= 140.0 and series.max() <= 170.0
 
 
 def test_setpoint_ev_zero_crossing():
-    spec = SetpointSpec.for_scenario("ev")
+    spec = harness.SCENARIO_DEFAULTS["ev"]["setpoint"]
     assert make_setpoint(spec, 0) == pytest.approx(0.0)
 
 
@@ -160,6 +160,21 @@ def test_config_resolves_scenario_defaults():
     assert tcl.chi == 8000.0
 
 
+@pytest.mark.parametrize("scenario,feedback,setpoint,noise,step_hours,chis", [
+    ("tcl", "full", (15.0, 0.1, 155.0), (0.0, 0.5, -1.0, 1.0), 1.0 / 12.0, (60.0, 60.0, 60.0)),
+    ("tcl", "bandit", (15.0, 0.1, 155.0), (0.0, 0.5, -1.0, 1.0), 1.0 / 12.0, (8000.0, 8000.0, 8000.0)),
+    ("tcl", "partial", (15.0, 0.1, 155.0), (0.0, 0.5, -1.0, 1.0), 1.0 / 12.0, (1.0, 45.0, 8000.0)),
+    ("tcl", "bernoulli", (15.0, 0.1, 155.0), (0.0, 0.5, -1.0, 1.0), 1.0 / 12.0, (1.0, 35.0, 8000.0)),
+    ("ev", "full", (25.0, 0.1, 0.0), (0.0, 0.1, -1.5, 1.5), 1.0 / 60.0, (35.0, 35.0, 35.0)),
+])
+def test_every_valid_case_resolves_to_its_scenario_defaults(scenario, feedback, setpoint, noise, step_hours, chis):
+    cfg = ScenarioConfig(scenario=scenario, feedback=feedback).resolved()
+    assert dataclasses.astuple(cfg.setpoint) == setpoint
+    assert dataclasses.astuple(cfg.noise) == noise
+    assert cfg.step_hours == step_hours
+    assert (cfg.chi, cfg.chi_full, cfg.chi_bandit) == chis
+
+
 # --- trials ---------------------------------------------------------------------------
 
 
@@ -269,6 +284,9 @@ def test_regret_consistency_with_trajectories():
     expected = float(trial.ledger.objective.sum() - comp.sum())
     assert report.total == pytest.approx(expected, rel=1e-8)
     assert report.series.shape == (trial.ledger.rounds,)
+    # The solve keeps the comparator's round losses it summed, and the regret reuses them.
+    assert report.hindsight.losses.tobytes() == comp.tobytes()
+    assert report.hindsight.losses.sum() == report.hindsight.value
 
 
 def test_trial_averaging_is_arithmetic_mean():

@@ -1,6 +1,7 @@
 """Fleet model tests: TCL thermal behavior, EV batteries, noise sampling."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from loadtrack.loads import (
     EvParams,
     InfeasibleLoadError,
     NoiseSpec,
+    STEADY_DUTY_WINDOW,
     SignalRangeError,
     TclFleet,
     TclRanges,
     WeightedChargeObjective,
     ev_decision_box,
     sample_truncated_gaussian,
+    steady_duty,
     tcl_fleet_init,
     tcl_steady_control,
     weighted_signal,
@@ -395,6 +398,42 @@ def test_fleet_init_rejects_impossible_ranges():
     bad = TclRanges(power_lo=1000.0, power_hi=1001.0)  # m_bar ~ 0.003, always rejected
     with pytest.raises(InfeasibleLoadError):
         tcl_fleet_init(5, np.random.default_rng(9), bad)
+
+
+def _five_call_fleet_params(n_loads, rng, ranges, ambient):
+    """Reference sampler: one uniform call per parameter and pass. Returns the (5, n) parameters and the passes."""
+    params, pending, passes = np.empty((5, n_loads)), np.arange(n_loads), 0
+    bounds = dataclasses.astuple(ranges)
+    while pending.size:
+        passes += 1
+        r, c, p, q, d = (rng.uniform(lo, hi, size=pending.size) for lo, hi in zip(bounds[::2], bounds[1::2]))
+        duty = (ambient - d) / (p * r)
+        ok = (duty > STEADY_DUTY_WINDOW[0]) & (duty < STEADY_DUTY_WINDOW[1])
+        for row, draw in zip(params, (r, c, p, q, d)):
+            row[pending[ok]] = draw[ok]
+        pending = pending[~ok]
+    return params, passes
+
+
+@pytest.mark.parametrize("n_loads", [1, 7, 1000])
+def test_fleet_init_draws_the_five_call_stream_bitwise(n_loads):
+    # Setpoints down to -20 C put most duties above the window, so every fleet takes several passes.
+    ranges, seed = TclRanges(setpoint_lo=-20.0, setpoint_hi=29.0), 1
+    expected, passes = _five_call_fleet_params(n_loads, np.random.default_rng(seed), ranges, 30.0)
+    assert passes >= 3
+    fleet = tcl_fleet_init(n_loads, np.random.default_rng(seed), ranges, 30.0)
+    got = (fleet.resistance, fleet.capacitance, fleet.rated_power, fleet.cop, fleet.desired_temp)
+    for want, have in zip(expected, got):
+        assert have.tobytes() == want.tobytes()
+
+
+def test_steady_duty_at_the_range_corners_spans_what_ambient_10_reports():
+    tr = TclRanges()
+    corners = [steady_duty(r, p, d, 10.0) for r, p, d in itertools.product(
+        (tr.resistance_lo, tr.resistance_hi), (tr.power_lo, tr.power_hi), (tr.setpoint_lo, tr.setpoint_hi))]
+    assert len(corners) == 8
+    assert (min(corners), max(corners)) == (-1.0, -10.0 / 45.0)
+    assert f"[{min(corners):.4g}, {max(corners):.4g}]" == "[-1, -0.2222]"
 
 
 def test_fleet_zero_signal_holds_temperature():

@@ -74,3 +74,33 @@ def test_no_module_imports_a_test_only_package():
     assert {"numpy", "argparse"} <= set().union(*map(_imported_packages, modules))
     found = {m.__name__: sorted(_imported_packages(m) & TEST_ONLY_PACKAGES) for m in modules}
     assert not {name: packages for name, packages in found.items() if packages}
+
+
+LAYERS = ("core", "algorithms", "loads", "harness", "cli")  # lowest first
+
+
+def _package_modules_imported(module) -> set:
+    """The loadtrack modules that ``module`` imports, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("loadtrack."))
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base.split(".")[0] != "loadtrack":
+                    continue
+                base = base.partition(".")[2]
+            if base:
+                found.add(base.split(".")[0])
+            else:  # from the package root: a module by name, or a name such as __version__
+                found.update(alias.name for alias in node.names if alias.name in LAYERS)
+    return found
+
+
+def test_each_module_imports_package_modules_only_from_lower_layers():
+    assert {info.name for info in pkgutil.iter_modules(loadtrack.__path__)} == set(LAYERS)
+    assert _package_modules_imported(importlib.import_module("loadtrack.harness")) == {"core", "algorithms", "loads"}
+    for rank, name in enumerate(LAYERS):
+        upward = _package_modules_imported(importlib.import_module(f"loadtrack.{name}")) - set(LAYERS[:rank])
+        assert not upward, (name, sorted(upward))
