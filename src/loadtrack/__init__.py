@@ -57,5 +57,4 @@ from .loads import (
     TclRanges,
     sample_truncated_gaussian,
     tcl_fleet_init,
-    tcl_steady_control,
 )

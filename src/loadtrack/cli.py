@@ -229,7 +229,7 @@ def resolve_settings(args: argparse.Namespace) -> RunSettings:
     for fb in feedbacks:
         replace(base, feedback=fb).resolved()  # validates before anything is written
 
-    out = args.out or os.environ.get(ENV_OUT) or values.get(("run", "out"), "results")
+    out = args.out or os.environ.get(ENV_OUT) or values.get(("run", "out")) or "results"  # blank means unset
     return RunSettings(base, feedbacks, Path(out), args.quiet)
 
 

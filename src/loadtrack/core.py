@@ -20,6 +20,7 @@ __all__ = [
     "Box",
     "ConfigError",
     "EnvBounds",
+    "FEEDBACK_REGIMES",
     "StepSchedule",
     "UnsupportedBoxError",
     "bandit_probability",
@@ -31,7 +32,7 @@ __all__ = [
     "step_schedule",
 ]
 
-SCHEDULE_KINDS = ("full", "bandit", "partial", "bernoulli")
+FEEDBACK_REGIMES = ("full", "bandit", "partial", "bernoulli")  # a config's feedback and a schedule's kind
 
 # Numerical tolerances.
 UNIT_NORM_TOL = 1e-9  # how far a sphere direction's norm may stray from 1 in gradient_estimate
@@ -249,7 +250,7 @@ class StepSchedule:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
+        if self.kind not in FEEDBACK_REGIMES:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not self.eta > 0.0:
             raise ValueError("eta must be positive")
@@ -290,7 +291,7 @@ def step_schedule(
     kind); ``bandit_rounds`` is the realized count of aggregate-feedback
     rounds (bernoulli kind). ``chi_full``/``chi_bandit`` default to ``chi``.
     """
-    if kind not in SCHEDULE_KINDS:
+    if kind not in FEEDBACK_REGIMES:
         raise ConfigError(f"unknown schedule kind {kind!r}")
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")

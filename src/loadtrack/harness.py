@@ -27,6 +27,7 @@ from .algorithms import (
     QuadraticTrackingObjective,
 )
 from .core import (
+    FEEDBACK_REGIMES,
     Box,
     ConfigError,
     EnvBounds,
@@ -74,8 +75,6 @@ __all__ = [
     "run_trial",
     "simultaneity_pct",
 ]
-
-FEEDBACK_REGIMES = ("full", "bandit", "partial", "bernoulli")
 
 SIMULTANEITY_TOL = 1e-2
 KKT_TOL = 1e-9  # the largest relative KKT violation a hindsight solve may end with
@@ -321,12 +320,10 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
 
     if is_tcl:
         fleet = tcl_fleet_init(cfg.n_loads, fleet_rng, cfg.tcl_ranges, cfg.ambient, cfg.step_hours)
-        baseline_power = fleet.baseline_power()
-        response_max = float(fleet.response_base.max()) + cfg.noise.hi
     else:
         fleet = EvFleet(cfg.ev_params, cfg.n_loads, cfg.step_hours)
-        baseline_power = 0.0
-        response_max = max(cfg.ev_params.charge_rate_kw, cfg.ev_params.discharge_rate_kw) + cfg.noise.hi
+    baseline_power = fleet.baseline_power()
+    response_max = float(fleet.response_base.max()) + cfg.noise.hi
 
     box = fleet.box
     dim = box.dim
@@ -337,10 +334,10 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
 
     if is_tcl:
         responses = fleet.response_base + cfg.noise.sample(response_rng, size=(total_rounds, dim))
-    else:
+    else:  # one draw per half, charge then discharge
         responses = np.empty((total_rounds, dim))
-        responses[:, :n] = cfg.ev_params.charge_rate_kw + cfg.noise.sample(response_rng, size=(total_rounds, n))
-        responses[:, n:] = cfg.ev_params.discharge_rate_kw + cfg.noise.sample(response_rng, size=(total_rounds, n))
+        for half in (slice(None, n), slice(n, None)):
+            responses[:, half] = fleet.response_base[half] + cfg.noise.sample(response_rng, size=(total_rounds, n))
 
     rho_eff = cfg.effective_rho()
     setpoint_max = float(np.max(np.abs(setpoints_eff)))

@@ -32,7 +32,6 @@ __all__ = [
     "signal_block",
     "steady_duty",
     "tcl_fleet_init",
-    "tcl_steady_control",
     "weighted_signal",
 ]
 
@@ -168,24 +167,6 @@ def steady_duty(resistance, rated_power, desired_temp, ambient):
     return (ambient - desired_temp) / (rated_power * resistance)
 
 
-def tcl_steady_control(resistance, rated_power, cop, desired_temp, ambient):
-    """Steady-state duty, response coefficient and unit power of a TCL.
-
-    m_bar is ``steady_duty``; c0 = (P_R / COP) * min(m_bar, 1 - m_bar) is
-    the power swing available per unit adjustment signal.
-    """
-    resistance = np.asarray(resistance, dtype=float)
-    rated_power = np.asarray(rated_power, dtype=float)
-    cop = np.asarray(cop, dtype=float)
-    desired_temp = np.asarray(desired_temp, dtype=float)
-    m_bar = steady_duty(resistance, rated_power, desired_temp, ambient)
-    if not ((m_bar > 0.0) & (m_bar < 1.0)).all():  # written so that a NaN fails it too
-        raise InfeasibleLoadError("steady duty must lie strictly inside (0, 1)")
-    unit_power = rated_power / cop
-    response_base = unit_power * np.minimum(m_bar, 1.0 - m_bar)
-    return m_bar, response_base, unit_power
-
-
 @dataclass
 class TclFleet:
     """A fleet of thermostatically controlled loads and their temperatures.
@@ -193,6 +174,12 @@ class TclFleet:
     ``step`` is the fleet's thermal model. The per-load constants of every
     step (steady duty, swing, decay b and 1 - b) are computed once, when
     the fleet is built. ``box`` is the decision box, [-1, 1] per load.
+
+    The response model: the steady duty m_bar is ``steady_duty`` and must
+    lie strictly inside (0, 1), the swing is the distance from m_bar to the
+    nearer of 0 and 1, a load's mean response per unit signal is
+    ``response_base`` = (P_R / COP) * swing, and ``baseline_power`` is the
+    consumption the setpoint is offset by.
     """
 
     resistance: np.ndarray
@@ -216,11 +203,13 @@ class TclFleet:
             raise ValueError("hours must be positive")
         n = len(self.resistance)
         self.box = Box(np.full(n, -1.0), np.full(n, 1.0))  # not Box.symmetric: a head may hold no load
-        self.m_bar, self.response_base, self.unit_power = tcl_steady_control(
-            self.resistance, self.rated_power, self.cop, self.desired_temp, self.ambient
-        )
-        self.theta = self.desired_temp.astype(float).copy()
+        self.m_bar = steady_duty(self.resistance, self.rated_power, self.desired_temp, self.ambient)
+        if not ((self.m_bar > 0.0) & (self.m_bar < 1.0)).all():  # written so that a NaN fails it too
+            raise InfeasibleLoadError("steady duty must lie strictly inside (0, 1)")
+        self.unit_power = self.rated_power / self.cop
         self.swing = np.minimum(self.m_bar, 1.0 - self.m_bar)
+        self.response_base = self.unit_power * self.swing
+        self.theta = self.desired_temp.astype(float).copy()
         self.decay = np.exp(-self.step_hours / (self.resistance * self.capacitance))
         self.decay_rest = 1.0 - self.decay
 
@@ -363,7 +352,12 @@ def running_mean_weights(params: EvParams, responses) -> np.ndarray:
 
 @dataclass
 class EvFleet:
-    """A fleet of identical EV storage units: state of charge, saturation count and decision ``box``."""
+    """A fleet of identical EV storage units: state of charge, saturation count and decision ``box``.
+
+    The response model: ``response_base`` stacks each vehicle's charge rate,
+    then its discharge rate, as the mean response per unit signal, and the
+    setpoint is tracked from zero, so ``baseline_power`` is 0.
+    """
 
     params: EvParams
     n_vehicles: int
@@ -375,8 +369,14 @@ class EvFleet:
         if not self.step_hours > 0:
             raise ValueError("hours must be positive")
         self.box = ev_decision_box(self.n_vehicles)
+        self.response_base = np.repeat([self.params.charge_rate_kw, self.params.discharge_rate_kw],
+                                       self.n_vehicles)
         self.soc = np.full(self.n_vehicles, EV_INITIAL_SOC)
         self.saturation_events = 0
+
+    def baseline_power(self) -> float:
+        """Aggregate consumption the setpoint is offset by: none, since a vehicle idles at 0."""
+        return 0.0
 
     def step(self, signals, responses) -> np.ndarray:
         """Advance every vehicle through a block of rounds, clamp the SoC to [0, 1] and count saturations.

@@ -2,7 +2,10 @@
 
 import configparser
 import dataclasses
+import hashlib
+import json
 import math
+import string
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from loadtrack.loads import EvParams, NoiseSpec, TclRanges
 
 DATA_DIR = Path(__file__).parent / "data"
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
+BENCH_DIR = Path(__file__).parent.parent / "perfbench"
 
 TINY_CFG = """\
 [run]
@@ -459,6 +463,40 @@ def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("LOADTRACK_OUT", str(env_out))
     assert main(["--config", str(path), "--quiet"]) == EXIT_OK
     assert (env_out / "rounds.csv").exists()
+
+
+def test_a_blank_out_key_writes_under_the_default_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LOADTRACK_OUT", raising=False)
+    path = write_cfg(tmp_path, TINY_CFG.replace("[fleet]", "out =\n\n[fleet]"))
+    assert main(["--config", str(path), "--quiet"]) == EXIT_OK
+    results = tmp_path / "results"
+    assert sorted(p.name for p in results.iterdir()) == [
+        "manifest.txt", "rounds.csv", "summary.csv", "trajectories.csv"]
+    assert "\nout = results\n" in (results / "manifest.txt").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "run.cfg"]
+
+
+def test_manifests_match_the_benchmark_reference(tmp_path):
+    """Every benchmark workload config resolves to the manifest settings its reference digest records.
+
+    The configs are made and the digests taken as ``perfbench/run.py`` and
+    ``perfbench/check.py`` make and take them, so a dropped or reordered key
+    fails here before any benchmark run.
+    """
+    reference = json.loads((BENCH_DIR / "reference.json").read_text())
+    assert reference
+    for workload, seeds in reference.items():
+        template = string.Template((BENCH_DIR / "workloads" / f"{workload}.cfg").read_text())
+        for seed, recorded in seeds.items():
+            path = tmp_path / f"{workload}-{seed}.cfg"
+            path.write_text(template.substitute(seed=int(seed)))
+            settings = cli.resolve_settings(cli.parse_args(["--config", str(path), "--out", "out", "--quiet"]))
+            digest = hashlib.sha256()
+            for line in cli._manifest_text(settings, None, []).encode().splitlines(keepends=True):
+                if not line.startswith(b"#"):
+                    digest.update(line)
+            assert digest.hexdigest() == recorded["manifest"], (workload, seed)
 
 
 def test_flags_override_file_values(tmp_path):

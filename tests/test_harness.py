@@ -726,6 +726,50 @@ def test_reduction_pct_rejects_mismatched_lengths():
         per_round_reduction_pct(np.ones(5), np.ones(6))
 
 
+# --- regime limits -----------------------------------------------------------------
+# Partial and Bernoulli feedback lie between full and bandit feedback, so each must
+# reach the full-information run at its limit and move monotonically toward it.
+# TCL n = 100, T = 600, seed 0, trials 0-2.
+
+LIMIT_BASE = ScenarioConfig(n_loads=100, rounds=600, seed=0)
+LIMIT_TRIALS = range(3)
+
+
+def _mean_improvement(**overrides) -> float:
+    cfg = dataclasses.replace(LIMIT_BASE, trials=len(LIMIT_TRIALS), **overrides)
+    return run_experiment(cfg).mean_summary()["improvement_pct"]
+
+
+@pytest.mark.parametrize("trial_index", LIMIT_TRIALS)
+def test_bernoulli_with_no_aggregate_round_tracks_full_feedback(trial_index):
+    # a = 0 plays no aggregate round; without the warm-up and at full's chi only the
+    # schedule's horizon term sqrt(T - T_B + 1) against sqrt(T) tells it from full.
+    full = run_trial(dataclasses.replace(LIMIT_BASE, feedback="full"), trial_index).ledger
+    bern = run_trial(dataclasses.replace(LIMIT_BASE, feedback="bernoulli", bernoulli_a=0.0,
+                                         bernoulli_warmup=False, chi_full=60.0), trial_index).ledger
+    assert np.array_equal(bern.responses, full.responses)
+    assert np.abs(bern.played - full.played).max() <= 1e-3
+    assert improvement_pct(bern) == pytest.approx(improvement_pct(full), abs=0.05)
+
+
+@pytest.mark.parametrize("trial_index", LIMIT_TRIALS)
+def test_partial_feedback_observing_all_but_one_load_tracks_full_feedback(trial_index):
+    full = run_trial(dataclasses.replace(LIMIT_BASE, feedback="full"), trial_index).ledger
+    part = run_trial(dataclasses.replace(LIMIT_BASE, feedback="partial", observed=99, chi_full=60.0),
+                     trial_index).ledger
+    assert improvement_pct(part) == pytest.approx(improvement_pct(full), abs=0.5)
+
+
+def test_partial_feedback_improves_with_every_observed_load_added():
+    means = [_mean_improvement(feedback="partial", observed=k) for k in (1, 10, 50, 90, 99)]
+    assert all(a < b for a, b in zip(means, means[1:])), means
+
+
+def test_bernoulli_feedback_worsens_as_aggregate_rounds_grow():
+    means = [_mean_improvement(feedback="bernoulli", bernoulli_a=a) for a in (0.0, 1.0, 7.6)]
+    assert all(a > b for a, b in zip(means, means[1:])), means
+
+
 def test_run_trial_attaches_round_index_to_errors(monkeypatch):
     from loadtrack.algorithms import FullInformationTracker
 

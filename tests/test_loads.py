@@ -21,7 +21,6 @@ from loadtrack.loads import (
     sample_truncated_gaussian,
     steady_duty,
     tcl_fleet_init,
-    tcl_steady_control,
     weighted_signal,
 )
 
@@ -29,22 +28,22 @@ from loadtrack.loads import (
 # --- TCL steady state ---------------------------------------------------------
 
 
+def _one_tcl(desired_temp, step_hours=1.0 / 12.0, ambient=30.0):
+    """One load with R=2, C=10, P_R=10, COP=2.5 at 30 C ambient: m_bar = (30 - desired) / 20."""
+    return TclFleet(np.array([2.0]), np.array([10.0]), np.array([10.0]), np.array([2.5]),
+                    np.array([desired_temp]), ambient, step_hours)
+
+
 def test_steady_control_hand_values():
-    m_bar, c0, p = tcl_steady_control(2.0, 10.0, 2.5, 25.0, 30.0)
-    assert m_bar == pytest.approx(0.25)
-    assert p == pytest.approx(4.0)
-    assert c0 == pytest.approx(1.0)
+    fleet = _one_tcl(25.0)
+    assert fleet.m_bar[0] == pytest.approx(0.25)
+    assert fleet.unit_power[0] == pytest.approx(4.0)
+    assert fleet.response_base[0] == pytest.approx(1.0)
 
 
 def test_steady_control_infeasible_at_boundary():
     with pytest.raises(InfeasibleLoadError):
-        tcl_steady_control(2.0, 10.0, 2.5, 30.0, 30.0)  # theta_d == theta_a
-
-
-def _one_tcl(desired_temp, step_hours=1.0 / 12.0):
-    """One load with R=2, C=10, P_R=10, COP=2.5 at 30 C ambient: m_bar = (30 - desired) / 20."""
-    return TclFleet(np.array([2.0]), np.array([10.0]), np.array([10.0]), np.array([2.5]),
-                    np.array([desired_temp]), 30.0, step_hours)
+        _one_tcl(30.0)  # theta_d == theta_a
 
 
 def test_temp_step_decay_constant():
@@ -229,7 +228,7 @@ def test_tcl_ranges_reject_a_reversed_or_nonpositive_range(given):
 
 def test_steady_control_rejects_a_nan_duty():
     with pytest.raises(InfeasibleLoadError):
-        tcl_steady_control(2.0, 10.0, 2.5, 25.0, NAN)
+        _one_tcl(25.0, ambient=NAN)
 
 
 def test_apply_signal_image_in_unit_interval():
@@ -455,6 +454,12 @@ def test_ev_response_rates_and_support():
     responses = run_trial(exact).ledger.responses
     np.testing.assert_array_equal(responses[:, :5], 3.0)
     np.testing.assert_array_equal(responses[:, 5:], 1.5)
+
+
+def test_ev_fleet_states_its_response_model():
+    fleet = EvFleet(EvParams(charge_rate_kw=4.0, discharge_rate_kw=2.5), 3)
+    np.testing.assert_array_equal(fleet.response_base, [4.0, 4.0, 4.0, 2.5, 2.5, 2.5])
+    assert fleet.baseline_power() == 0.0
 
 
 def _ev_round(objective, fleet, responses, signal):
