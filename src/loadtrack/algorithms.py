@@ -158,7 +158,8 @@ class _Tracker:
     (``_explore``, then ``_one_point_step``).
     """
 
-    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float, rng: np.random.Generator | None):
+    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float,
+                 rng: np.random.Generator | None = None):
         if schedule.kind != self.kind:
             raise ConfigError(f"expected a {self.kind} schedule, got {schedule.kind!r}")
         if not lam >= 0:
@@ -228,9 +229,6 @@ class FullInformationTracker(_Tracker):
     """Composite prox-gradient tracking with exact per-round gradients."""
 
     kind = feedback = "full"
-
-    def __init__(self, schedule: StepSchedule, box: Box, objective, lam: float):
-        super().__init__(schedule, box, objective, lam, None)
 
     def begin_round(self) -> np.ndarray:
         # update replaces self.signal and never writes into it, so _mark_played's copy is the only one.

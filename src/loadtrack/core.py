@@ -220,7 +220,7 @@ class EnvBounds:
 def conservative_bounds(box: Box, setpoint_max: float, response_max: float, rho: float = 0.0) -> EnvBounds:
     """Worst-case loss and gradient bounds derived from the configuration.
 
-    Uses |s| <= setpoint_max, per-coordinate responses <= response_max and
+    Uses |s| <= setpoint_max, per-coordinate |responses| <= response_max and
     signals confined to the box; nothing here is estimated online.
     """
     if setpoint_max < 0 or response_max <= 0:

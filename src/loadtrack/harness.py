@@ -24,7 +24,6 @@ from .algorithms import (
     FullInformationTracker,
     PartialBanditTracker,
     PartialFeedback,
-    QuadraticTrackingObjective,
 )
 from .core import (
     FEEDBACK_REGIMES,
@@ -42,10 +41,9 @@ from .loads import (
     EvParams,
     NoiseSpec,
     SignalRangeError,
+    TclFleet,
     TclRanges,
-    WeightedChargeObjective,
     running_mean_weights,
-    signal_block,
     steady_duty,
     tcl_fleet_init,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "ScenarioConfig",
     "SetpointSpec",
     "TrialResult",
-    "TrialSummary",
     "comparator_round_losses",
     "compute_metrics",
     "empirical_regret",
@@ -76,7 +73,6 @@ __all__ = [
     "simultaneity_pct",
 ]
 
-SIMULTANEITY_TOL = 1e-2
 KKT_TOL = 1e-9  # the largest relative KKT violation a hindsight solve may end with
 LEDGER_SUMS = ("setpoint_eff", "aggregate", "tracking", "mean_norm", "l1")  # averaged by run_experiment
 REDUCTION_FLOOR = 1e-12  # a reference loss (sum or mean) at or below this reads as no reduction
@@ -274,12 +270,9 @@ def feedback_channel(kind: str, responses, setpoint_eff: float, played, observed
     raise ConfigError(f"unknown feedback channel kind {kind!r}")
 
 
-def _build_tracker(cfg: ScenarioConfig, box: Box, bounds: EnvBounds, rho_eff: float, rng: np.random.Generator):
-    dim = box.dim
-    if cfg.scenario == "ev":
-        objective = WeightedChargeObjective(cfg.n_loads, rho_eff, cfg.ev_params)
-    else:
-        objective = QuadraticTrackingObjective(dim, rho_eff)
+def _build_tracker(cfg: ScenarioConfig, fleet: TclFleet | EvFleet, bounds: EnvBounds, rho_eff: float,
+                   rng: np.random.Generator):
+    box, objective = fleet.box, fleet.objective(rho_eff)
     if cfg.feedback == "bernoulli":
         return BernoulliFeedbackTracker(
             cfg.rounds, box, objective, cfg.lam, bounds, rng,
@@ -287,7 +280,7 @@ def _build_tracker(cfg: ScenarioConfig, box: Box, bounds: EnvBounds, rho_eff: fl
             warmup=cfg.bernoulli_warmup,
         )
     schedule = step_schedule(
-        cfg.feedback, cfg.rounds, dim, bounds,
+        cfg.feedback, cfg.rounds, box.dim, bounds,
         observed=cfg.observed, chi=cfg.chi, chi_full=cfg.chi_full, chi_bandit=cfg.chi_bandit,
     )
     if cfg.feedback == "full":
@@ -315,39 +308,31 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     cfg = config.resolved()
     seed_seq = np.random.SeedSequence([int(cfg.seed), int(trial_index)])
     fleet_rng, response_rng, algo_rng = (np.random.default_rng(s) for s in seed_seq.spawn(3))
-    n = cfg.n_loads
-    is_tcl = cfg.scenario == "tcl"
 
-    if is_tcl:
+    if cfg.scenario == "tcl":
         fleet = tcl_fleet_init(cfg.n_loads, fleet_rng, cfg.tcl_ranges, cfg.ambient, cfg.step_hours)
     else:
         fleet = EvFleet(cfg.ev_params, cfg.n_loads, cfg.step_hours)
     baseline_power = fleet.baseline_power()
-    response_max = float(fleet.response_base.max()) + cfg.noise.hi
+    # The largest |response| over both noise tails: a long lower tail can outweigh the upper one.
+    response_max = float(np.abs(fleet.response_base[:, None] + (cfg.noise.lo, cfg.noise.hi)).max())
 
     box = fleet.box
-    dim = box.dim
     warmup = len(BERNOULLI_WARMUP) if (cfg.feedback == "bernoulli" and cfg.bernoulli_warmup) else 0
     total_rounds = cfg.rounds + warmup
     t_values = np.arange(1 - warmup, cfg.rounds + 1)
     setpoints_eff = make_setpoint(cfg.setpoint, t_values) - baseline_power
-
-    if is_tcl:
-        responses = fleet.response_base + cfg.noise.sample(response_rng, size=(total_rounds, dim))
-    else:  # one draw per half, charge then discharge
-        responses = np.empty((total_rounds, dim))
-        for half in (slice(None, n), slice(n, None)):
-            responses[:, half] = fleet.response_base[half] + cfg.noise.sample(response_rng, size=(total_rounds, n))
+    responses = fleet.draw_responses(cfg.noise, response_rng, total_rounds)
 
     rho_eff = cfg.effective_rho()
     setpoint_max = float(np.max(np.abs(setpoints_eff)))
     bounds = conservative_bounds(box, setpoint_max, response_max, rho_eff)
-    tracker = _build_tracker(cfg, box, bounds, rho_eff, algo_rng)
+    tracker = _build_tracker(cfg, fleet, bounds, rho_eff, algo_rng)
 
     T = cfg.rounds
     mean_norm = np.empty(T)
     # Warm-up rows included: the fleet steps through every played row.
-    played_all = np.empty((total_rounds, dim))
+    played_all = np.empty((total_rounds, box.dim))
     infos = []
     tracker_objective = tracker.objective
     next_feedback, begin_round, update = tracker.next_feedback, tracker.begin_round, tracker.update
@@ -366,18 +351,11 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
             infos.append(info)
             mean_norm[i - warmup] = tracker_objective.mean_norm()
 
-    track = min(cfg.track_loads, n)
     try:
-        if is_tcl:
-            # Every played row is range-checked, but only the tracked loads are stepped.
-            states = fleet.head(track).step(signal_block(played_all, box)[:, :track])
-        else:
-            states = fleet.step(played_all, responses)
+        trajectories = fleet.trajectories(played_all, responses, cfg.track_loads)[warmup:].copy()
     except SignalRangeError as exc:
         _name_round(exc, exc.row - warmup + 1)
         raise
-    trajectories = states[warmup:, :track].copy()
-    del states  # the (rounds, n) block is not needed for scoring
 
     played_hist = played_all[warmup:]
     scored = responses[warmup:]
@@ -391,12 +369,6 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         np.abs(played_hist[start:stop]).sum(axis=1, out=l1[start:stop])
     objective = tracking + rho_eff * mean_norm ** 2 + cfg.lam * l1
 
-    if is_tcl:
-        simultaneous = np.zeros(T, dtype=bool)
-    else:
-        simultaneous = (
-            np.minimum(np.abs(played_hist[:, :n]), np.abs(played_hist[:, n:])) > SIMULTANEITY_TOL
-        ).any(axis=1)
     ledger = MetricsLedger(
         setpoint_eff=setpoints_eff[warmup:].copy(),
         aggregate=aggregate,
@@ -404,18 +376,18 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         objective=objective,
         mean_norm=mean_norm,
         l1=l1,
-        simultaneous=simultaneous,
+        simultaneous=fleet.simultaneous(played_hist),
         baseline_tracking=setpoints_eff[warmup:] ** 2,
         responses=scored,
         played=played_hist,
         rho_eff=rho_eff,
         lam=cfg.lam,
-        ev_params=None if is_tcl else cfg.ev_params,
+        ev_params=None if cfg.scenario == "tcl" else cfg.ev_params,
     )
     return TrialResult(
         ledger=ledger,
         trajectories=trajectories,
-        saturation_events=0 if is_tcl else fleet.saturation_events,
+        saturation_events=fleet.saturation_events,
         schedule=tracker.schedule,
         bounds=bounds,
         box=box,
@@ -626,26 +598,20 @@ def simultaneity_pct(ledger: MetricsLedger) -> float:
 
 
 @dataclass
-class TrialSummary:
-    improvement_pct: float
-    simultaneity_pct: float
-
-
-@dataclass
 class ExperimentResult:
     """A case's trial summaries, averaged round series and first-trial trajectories."""
 
     config: ScenarioConfig
-    summaries: list
+    summaries: list  # per trial, {"improvement_pct": ..., "simultaneity_pct": ...}
     rounds: dict
     trajectories: np.ndarray
 
     def mean_summary(self) -> dict:
         keys = ("improvement_pct", "simultaneity_pct")
-        return {k: float(np.mean([getattr(s, k) for s in self.summaries])) for k in keys}
+        return {k: float(np.mean([s[k] for s in self.summaries])) for k in keys}
 
 
-def _add_trial(cfg: ScenarioConfig, trial_index: int, sums: dict) -> tuple[TrialSummary, np.ndarray]:
+def _add_trial(cfg: ScenarioConfig, trial_index: int, sums: dict) -> tuple[dict, np.ndarray]:
     """Run one trial, add its series into ``sums``; return its summary and trajectories.
 
     The trial's result goes out of scope on return, so its blocks are freed
@@ -657,7 +623,8 @@ def _add_trial(cfg: ScenarioConfig, trial_index: int, sums: dict) -> tuple[Trial
         sums["regret"] += empirical_regret(ledger, trial.box, max_iters=cfg.hindsight_iters).series
     for name in LEDGER_SUMS:
         sums[name] += getattr(ledger, name)
-    return TrialSummary(improvement_pct(ledger), simultaneity_pct(ledger)), trial.trajectories
+    summary = {"improvement_pct": improvement_pct(ledger), "simultaneity_pct": simultaneity_pct(ledger)}
+    return summary, trial.trajectories
 
 
 def run_experiment(config: ScenarioConfig) -> ExperimentResult:

@@ -39,6 +39,7 @@ MAX_REJECTIONS = 1_000_000
 FLEET_INIT_MAX_REDRAWS = 1_000
 STEADY_DUTY_WINDOW = (0.05, 0.95)  # the open interval every sampled TCL's steady duty lands in
 EV_INITIAL_SOC = 0.75  # every vehicle's state of charge before the first round
+SIMULTANEITY_TOL = 1e-2  # a vehicle charges and discharges at once when both its signals exceed this
 
 
 class InfeasibleLoadError(ValueError):
@@ -85,6 +86,8 @@ def _check_truncation(mean, sd, lo, hi) -> None:
         raise ValueError("noise requires lo < hi")
     if not sd >= 0:
         raise ValueError("noise sd must be nonnegative")
+    if sd == 0 and not lo <= mean <= hi:
+        raise ValueError("degenerate sd=0 with mean outside [lo, hi]")
 
 
 def sample_truncated_gaussian(mean, sd, lo, hi, rng: np.random.Generator, size=None):
@@ -98,8 +101,6 @@ def sample_truncated_gaussian(mean, sd, lo, hi, rng: np.random.Generator, size=N
     scalar = size is None
     n = 1 if scalar else int(np.prod(size))
     if sd == 0:
-        if not lo <= mean <= hi:
-            raise ValueError("degenerate sd=0 with mean outside [lo, hi]")
         out = np.full(n, float(mean))
         return float(out[0]) if scalar else out.reshape(size)
     # The first pass draws every cell in place; later passes redraw, in
@@ -197,12 +198,13 @@ class TclFleet:
     decay: np.ndarray = field(init=False)
     decay_rest: np.ndarray = field(init=False)
     box: Box = field(init=False)
+    saturation_events = 0  # the duty is clipped to [0, 1] by design, so no step counts as a saturation
 
     def __post_init__(self):
         if not self.step_hours > 0:
             raise ValueError("hours must be positive")
         n = len(self.resistance)
-        self.box = Box(np.full(n, -1.0), np.full(n, 1.0))  # not Box.symmetric: a head may hold no load
+        self.box = Box(np.full(n, -1.0), np.full(n, 1.0))  # not Box.symmetric: a tracked fleet may hold no load
         self.m_bar = steady_duty(self.resistance, self.rated_power, self.desired_temp, self.ambient)
         if not ((self.m_bar > 0.0) & (self.m_bar < 1.0)).all():  # written so that a NaN fails it too
             raise InfeasibleLoadError("steady duty must lie strictly inside (0, 1)")
@@ -212,15 +214,6 @@ class TclFleet:
         self.theta = self.desired_temp.astype(float).copy()
         self.decay = np.exp(-self.step_hours / (self.resistance * self.capacitance))
         self.decay_rest = 1.0 - self.decay
-
-    def head(self, k: int) -> "TclFleet":
-        """A fleet of this fleet's first ``k`` loads, at their desired temperatures.
-
-        Every per-load quantity is elementwise, so its loads step exactly as
-        they would in the whole fleet.
-        """
-        return TclFleet(self.resistance[:k], self.capacitance[:k], self.rated_power[:k], self.cop[:k],
-                        self.desired_temp[:k], self.ambient, self.step_hours)
 
     def baseline_power(self) -> float:
         """Aggregate consumption when every load holds its steady duty."""
@@ -254,6 +247,25 @@ class TclFleet:
             theta = row
         self.theta = theta.copy()
         return forcing
+
+    def draw_responses(self, noise: NoiseSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """A (rows, n) response block: each load's ``response_base`` plus one noise draw per cell."""
+        return self.response_base + noise.sample(rng, size=(rows, self.box.dim))
+
+    def trajectories(self, played, responses, track: int) -> np.ndarray:
+        """Check every played row, then step just the first ``track`` loads, exactly as in the whole fleet."""
+        block = signal_block(played, self.box)[:, :track]
+        tracked = TclFleet(self.resistance[:track], self.capacitance[:track], self.rated_power[:track],
+                           self.cop[:track], self.desired_temp[:track], self.ambient, self.step_hours)
+        return tracked.step(block)
+
+    def simultaneous(self, played) -> np.ndarray:
+        """Per played row, whether some load charged and discharged at once: never, with one signal per load."""
+        return np.zeros(len(played), dtype=bool)
+
+    def objective(self, rho: float) -> QuadraticTrackingObjective:
+        """The tracking objective with the plain mean penalty rho."""
+        return QuadraticTrackingObjective(self.box.dim, rho)
 
 
 def tcl_fleet_init(
@@ -403,6 +415,27 @@ class EvFleet:
         self.soc = soc.copy()
         self.saturation_events += int(np.count_nonzero(raw != socs))
         return socs
+
+    def draw_responses(self, noise: NoiseSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """A (rows, 2n) response block: ``response_base`` plus noise, drawn for the charge half first."""
+        n = self.n_vehicles
+        responses = np.empty((rows, 2 * n))
+        for half in (slice(None, n), slice(n, None)):
+            responses[:, half] = self.response_base[half] + noise.sample(rng, size=(rows, n))
+        return responses
+
+    def trajectories(self, played, responses, track: int) -> np.ndarray:
+        """The first ``track`` vehicles' states of charge; all of them step, so every saturation counts."""
+        return self.step(played, responses)[:, :track]
+
+    def simultaneous(self, played) -> np.ndarray:
+        """Per played row, whether some vehicle charges and discharges beyond ``SIMULTANEITY_TOL`` at once."""
+        n = self.n_vehicles
+        return (np.minimum(np.abs(played[:, :n]), np.abs(played[:, n:])) > SIMULTANEITY_TOL).any(axis=1)
+
+    def objective(self, rho: float) -> WeightedChargeObjective:
+        """The tracking objective with the battery-impact-weighted mean penalty rho."""
+        return WeightedChargeObjective(self.n_vehicles, rho, self.params)
 
 
 class WeightedChargeObjective(QuadraticTrackingObjective):

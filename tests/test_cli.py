@@ -352,6 +352,8 @@ def test_non_finite_flag_is_rejected(tmp_path, capsys, flag, value):
     pytest.param("[run]\nscenario = ev\nfeedback = full,bandit\n", "full feedback only", id="ev-bandit"),
     pytest.param("[run]\nscenario = tcl\nfeedback = full\n\n[noise]\nlo = 2\n", "lo < hi",
                  id="noise-bounds"),
+    pytest.param("[run]\nscenario = tcl\nfeedback = full\n\n[noise]\nmean = 5\nsd = 0\n", "degenerate sd=0",
+                 id="noise-sd0-outside"),
     pytest.param("[run]\nscenario = ev\nfeedback = full\n\n[fleet]\ninj_eff = 1.5\n", "efficiencies",
                  id="ev-efficiency"),
 ])
@@ -445,6 +447,15 @@ def test_a_zero_setpoint_reads_zero_improvement(tmp_path, algorithm):
     summary = (out / "summary.csv").read_text().splitlines()
     header, rows = summary[0].split(","), [row.split(",") for row in summary[1:]]
     assert rows and all(row[header.index("improvement_pct")] == "0" for row in rows)
+    assert "pending" not in (out / "manifest.txt").read_text()
+
+
+def test_noise_below_zero_throughout_runs(tmp_path):
+    # Every response is negative, so only a bound on |response| stays positive.
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, "[run]\nscenario = tcl\nfeedback = full\nrounds = 20\n\n[fleet]\nn_loads = 5\n\n"
+                               "[noise]\nmean = -6\nsd = 0.5\nlo = -7\nhi = -5\n")
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
     assert "pending" not in (out / "manifest.txt").read_text()
 
 

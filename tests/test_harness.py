@@ -11,7 +11,7 @@ import pytest
 
 from loadtrack import harness, loads
 from loadtrack.algorithms import AggregateFeedback, FullFeedback, PartialFeedback
-from loadtrack.core import Box, ConfigError, UnsupportedBoxError
+from loadtrack.core import Box, ConfigError, UnsupportedBoxError, conservative_bounds
 from loadtrack.harness import (
     ScenarioConfig,
     SetpointSpec,
@@ -292,7 +292,7 @@ def test_regret_consistency_with_trajectories():
 def test_trial_averaging_is_arithmetic_mean():
     res = run_experiment(small_cfg(trials=4))
     mean = res.mean_summary()
-    manual = np.mean([s.improvement_pct for s in res.summaries])
+    manual = np.mean([s["improvement_pct"] for s in res.summaries])
     assert mean["improvement_pct"] == pytest.approx(manual, abs=1e-12)
 
 
@@ -429,6 +429,17 @@ def test_ev_fleet_steps_by_the_per_round_weighted_signals_bitwise(rho):
         saturations += int(np.count_nonzero(raw != soc))
         assert trial.trajectories[j].tobytes() == soc.tobytes()
     assert trial.saturation_events == saturations > 0
+
+
+def test_response_bound_covers_the_longer_lower_noise_tail():
+    # Here the largest |response| is a load's base plus lo, not its base plus hi.
+    cfg = ScenarioConfig(n_loads=20, rounds=100, seed=0, noise=NoiseSpec(sd=1.5, lo=-4.0, hi=0.5))
+    trial = run_trial(cfg, 0)
+    ledger = trial.ledger
+    realized = conservative_bounds(trial.box, float(np.abs(ledger.setpoint_eff).max()),
+                                   float(np.abs(ledger.responses).max()), ledger.rho_eff)
+    assert trial.bounds.loss_bound >= realized.loss_bound
+    assert trial.bounds.gradient_bound >= realized.gradient_bound
 
 
 # --- hindsight oracle -------------------------------------------------------------

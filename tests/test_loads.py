@@ -1,6 +1,7 @@
 """Fleet model tests: TCL thermal behavior, EV batteries, noise sampling."""
 
 import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -125,13 +126,18 @@ def test_fleet_block_step_matches_row_by_row_steps_bitwise():
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
-def test_fleet_head_steps_its_loads_as_the_whole_fleet_does(k):
+def test_fleet_trajectories_step_the_tracked_loads_as_the_whole_fleet_does(k):
     fleet, signals = _clip_active_fleet_and_signals()
-    head = fleet.head(k)
-    assert (head.box.lo.tolist(), head.box.hi.tolist()) == ([-1.0] * k, [1.0] * k)
+    tracked = fleet.trajectories(signals, None, k)  # the responses do not enter the thermal model
     whole = fleet.step(signals)
-    assert head.step(signals[:, :k]).tobytes() == np.ascontiguousarray(whole[:, :k]).tobytes()
-    assert head.theta.tobytes() == fleet.theta[:k].tobytes()
+    assert tracked.tobytes() == np.ascontiguousarray(whole[:, :k]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["draw_responses", "trajectories", "simultaneous", "objective"])
+def test_both_fleets_give_a_trial_the_same_operation(name):
+    # run_trial calls each of these on either fleet without asking which it holds.
+    tcl, ev = (inspect.signature(getattr(cls, name)).parameters for cls in (TclFleet, EvFleet))
+    assert list(tcl.items()) == list(ev.items())
 
 
 def test_fleet_block_step_names_the_first_bad_row():

@@ -2,10 +2,16 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
 
 import loadtrack
+from loadtrack import algorithms, cli, harness, loads
+from test_tracing_contract import WRAPPED
+
+TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"  # the benchmark's span tracer
 
 
 def _modules_with_all():
@@ -104,3 +110,34 @@ def test_each_module_imports_package_modules_only_from_lower_layers():
     for rank, name in enumerate(LAYERS):
         upward = _package_modules_imported(importlib.import_module(f"loadtrack.{name}")) - set(LAYERS[:rank])
         assert not upward, (name, sorted(upward))
+
+
+
+def _wrapped_by(tracer, install, *args) -> set:
+    """The (owner, attribute) pairs that ``install(tracer, *args)`` replaces, each put back before returning."""
+    modules = (cli, harness, algorithms, loads)
+    owners = [*modules, *(value for m in modules for value in vars(m).values()
+                          if inspect.isclass(value) and value.__module__ == m.__name__)]
+
+    def attributes():
+        return {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
+
+    before = attributes()
+    try:
+        install(tracer, *args)
+        after = attributes()
+    finally:
+        assert tracer.restore()
+    assert attributes() == before
+    return {key for key, value in after.items() if before.get(key) is not value}
+
+
+def test_tracing_contract_pins_exactly_what_the_benchmark_tracer_wraps():
+    # Loaded by path: the tracer is a script beside the package, not part of it.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    layers = _wrapped_by(tracing.Tracer(), tracing.install_layers, cli, harness, algorithms, loads)
+    assert layers == {(owner, attr) for owner, attrs in WRAPPED for attr in attrs}
+    clock = _wrapped_by(tracing.Tracer(), tracing.install_trial_clock, harness)
+    assert clock == {(harness, "run_trial"), (harness, "empirical_regret")}
