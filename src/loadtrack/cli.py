@@ -116,7 +116,8 @@ def read_config(path: str) -> dict:
     """Parse and type-check a config file into {(section, key): value}."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: a % in a value, such as an output path, is read as written.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         # Opened here: ConfigParser.read skips a file it cannot open without a word.
         with open(path, encoding="utf-8") as handle:
@@ -237,14 +238,21 @@ def resolve_settings(args: argparse.Namespace) -> RunSettings:
 class Block:
     """Consecutive CSV rows that share their leading cells.
 
-    ``prefix`` holds those cells once; ``columns`` holds one sequence per
-    remaining cell, all of the block's length.
+    ``prefix`` holds those cells once, each a str or int; ``columns`` holds
+    one 1-D integer or float numpy array per remaining cell, all of the
+    block's length.
     """
 
     prefix: tuple
     columns: tuple
 
     def __post_init__(self):
+        for i, cell in enumerate(self.prefix):
+            if not isinstance(cell, (str, int)):
+                raise TypeError(f"prefix cell {i} is a {type(cell).__name__}, not a str or int")
+        for i, column in enumerate(self.columns):
+            if not (isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "iuf"):
+                raise TypeError(f"column {i} is not a 1-D integer or float numpy array")
         if not self.columns or len({len(c) for c in self.columns}) != 1:
             raise ValueError("a block needs one or more columns of equal length")
 
@@ -262,50 +270,19 @@ class Rows:
         return sum(map(len, self.blocks))
 
 
-def _row_blocks(name: str, header, rows) -> list:
-    """A list of row tuples as one block of columns."""
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise RuntimeError(f"{name}: row {i} has {len(row)} cells, expected {len(header)}")
-    return [Block((), tuple(zip(*rows)))] if rows else []
-
-
-def _column(name: str, values):
-    """The %-format, the values as a list and the first non-finite index of a column.
-
-    Floats are written as %.10g and every other value as str; a column
-    that mixes floats with other values has no one format.
-    """
-    if not isinstance(values, np.ndarray):
-        floats = sum(isinstance(v, float) for v in values)
-        if not floats:
-            return "%s", list(values), None
-        if floats != len(values):
-            raise TypeError(f"column '{name}' mixes floats with other values")
-        values = np.asarray(values, dtype=float)
-    if values.dtype.kind != "f":
-        return "%s", values.tolist(), None
-    finite = np.isfinite(values)
-    return "%.10g", values.tolist(), None if finite.all() else int(finite.argmin())
-
-
 def _block_text(name: str, header, block: Block, first_row: int) -> str:
-    """The CSV text of one block, formatted with one template for all its rows."""
+    """The CSV text of one block: labels by str, integer columns as %s, finite floats as %.10g."""
     width = len(block.prefix) + len(block.columns)
     if width != len(header):
         raise RuntimeError(f"{name}: row {first_row} has {width} cells, expected {len(header)}")
-    lead, specs, columns, bad = [], [], [], []
-    for i, value in enumerate(block.prefix):
-        spec, (value,), bad_at = _column(header[i], (value,))
-        lead.append((spec % value).replace("%", "%%"))
-        if bad_at is not None:
-            bad.append((0, i))
+    lead = [str(cell).replace("%", "%%") for cell in block.prefix]
+    specs, columns, bad = [], [], []
     for i, values in enumerate(block.columns, start=len(block.prefix)):
-        spec, values, bad_at = _column(header[i], values)
-        specs.append(spec)
-        columns.append(values)
-        if bad_at is not None:
-            bad.append((bad_at, i))
+        is_float = values.dtype.kind == "f"
+        specs.append("%.10g" if is_float else "%s")
+        columns.append(values.tolist())
+        if is_float and not (finite := np.isfinite(values)).all():
+            bad.append((int(finite.argmin()), i))
     if bad:  # the first bad cell in file order: earliest row, then leftmost column
         row, i = min(bad)
         if "t" in header:
@@ -321,19 +298,16 @@ def _block_text(name: str, header, block: Block, first_row: int) -> str:
     return ((",".join(lead + specs) + "\n") * n) % tuple(cells)
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Write one CSV with LF endings, rejecting any non-finite numeric cell.
+def write_csv(path: Path, header, rows: Rows) -> None:
+    """Write one CSV with LF endings, rejecting any non-finite float cell.
 
-    ``rows`` is either ``Rows`` of column blocks or a list of row tuples,
-    which is written as one block; ``len(rows)`` is the number of data
-    rows either way. A non-finite cell raises a RuntimeError naming the
-    first one in file order.
+    ``len(rows)`` is the number of data rows. A non-finite cell raises a
+    RuntimeError naming the first one in file order.
     """
-    blocks = rows.blocks if isinstance(rows, Rows) else _row_blocks(path.name, header, rows)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         first_row = 0
-        for block in blocks:
+        for block in rows.blocks:
             fh.write(_block_text(path.name, header, block, first_row))
             first_row += len(block)
 
@@ -378,8 +352,8 @@ def _manifest_text(settings: RunSettings, duration: float | None, outputs: list,
 def emit_outputs(case_results: list, settings: RunSettings) -> list:
     """Write rounds.csv, summary.csv and trajectories.csv; return each case's metrics.
 
-    The rounds and trajectories are written column by column: one block per
-    case of ``rounds.csv`` and one per case and tracked load of
+    Every file is written column by column: one block per case of
+    ``rounds.csv`` and ``summary.csv``, and one per case and tracked load of
     ``trajectories.csv``.
     """
     rounds, summary, trajectories, case_metrics = [], [], [], []
@@ -390,17 +364,15 @@ def emit_outputs(case_results: list, settings: RunSettings) -> list:
         rounds.append(Block(lead, (t, *(result.rounds[name] for name in ROUND_SERIES))))
         metrics = compute_metrics(result, twin)
         case_metrics.append(metrics)
-        summary.append((
-            *lead, float(cfg.rho), float(cfg.lam), cfg.trials,
-            *(float(metrics[name]) for name in SUMMARY_HEADER[5:]),
-        ))
+        floats = np.array([cfg.rho, cfg.lam, *(metrics[name] for name in SUMMARY_HEADER[5:])], dtype=float)[:, None]
+        summary.append(Block(lead, (*floats[:2], np.array([cfg.trials]), *floats[2:])))
         traj = result.trajectories
         t = np.arange(1, traj.shape[0] + 1)
         trajectories += [Block((*lead, load), (t, traj[:, load])) for load in range(traj.shape[1])]
 
     out = settings.out_dir
     write_csv(out / "rounds.csv", ROUNDS_HEADER, Rows(rounds))
-    write_csv(out / "summary.csv", SUMMARY_HEADER, summary)
+    write_csv(out / "summary.csv", SUMMARY_HEADER, Rows(summary))
     write_csv(out / "trajectories.csv", TRAJECTORIES_HEADER, Rows(trajectories))
     return case_metrics
 
@@ -426,7 +398,7 @@ def execute(settings: RunSettings) -> int:
         cfg = replace(settings.base, feedback=fb)
         result = run_experiment(cfg)
         twin = None
-        if cfg.rho > 0 or cfg.lam > 0:
+        if cfg.effective_rho() > 0 or cfg.lam > 0:
             # Only the twin's mean-norm and l1 series are read; its regret never is.
             twin = run_experiment(replace(cfg, rho=0.0, lam=0.0, compute_regret=False))
         case_results.append((result, twin))

@@ -214,6 +214,38 @@ def test_unregularized_twin_skips_hindsight(tmp_path, monkeypatch):
     assert len(calls) == 2 * 2
 
 
+TWINLESS_CFG = """\
+[run]
+scenario = tcl
+feedback = bernoulli,full
+trials = 3
+rounds = 600
+seed = 4
+
+[algorithm]
+rho = 2.5
+"""
+
+
+def test_no_twin_runs_for_a_case_with_nothing_to_regularize(tmp_path, monkeypatch):
+    # Bernoulli feedback without its mean penalty optimizes rho = 0, so at lambda = 0 a twin would
+    # repeat the case; the full case's rho is in effect and it keeps its twin.
+    calls = []
+    original = cli.run_experiment
+
+    def counting(config):
+        calls.append(config.feedback)
+        return original(config)
+
+    monkeypatch.setattr(cli, "run_experiment", counting)
+    path = write_cfg(tmp_path, TWINLESS_CFG)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert calls == ["bernoulli", "full", "full"]
+    bernoulli = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    assert bernoulli[:3] == ["tcl", "bernoulli", "2.5"] and bernoulli[6:8] == ["0", "0"]
+
+
 SPEC_SECTIONS_CFG = """\
 [run]
 scenario = tcl
@@ -259,6 +291,25 @@ def test_manifest_reproduces_run(tmp_path, name):
     assert main(["--config", str(manifest), "--out", str(out_b), "--quiet"]) == EXIT_OK
     assert read_outputs(out_a) == read_outputs(out_b)
     assert _settings_lines(manifest) == _settings_lines(out_b / "manifest.txt")
+
+
+def test_a_percent_sign_in_a_config_value_is_read_as_written(tmp_path):
+    out = tmp_path / "x%y"
+    path = write_cfg(tmp_path, TINY_CFG.replace("[fleet]", f"out = {out}\n\n[fleet]"))
+    assert main(["--config", str(path), "--quiet"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.txt", "rounds.csv", "summary.csv", "trajectories.csv"]
+
+
+def test_the_manifest_of_an_output_path_with_a_percent_sign_reruns(tmp_path):
+    path = write_cfg(tmp_path)
+    out_a = tmp_path / "r_50%"
+    assert main(["--config", str(path), "--out", str(out_a), "--quiet"]) == EXIT_OK
+    manifest = out_a / "manifest.txt"
+    assert f"\nout = {out_a}\n" in manifest.read_text()
+    out_b = tmp_path / "b"
+    assert main(["--config", str(manifest), "--out", str(out_b), "--quiet"]) == EXIT_OK
+    assert read_outputs(out_a) == read_outputs(out_b)
 
 
 def test_final_manifest_reports_peak_memory_and_emission_time(tmp_path):
@@ -530,11 +581,11 @@ def test_summary_has_one_row_per_case(tmp_path):
 
 def test_writer_rejects_non_finite_cells(tmp_path):
     header = ("scenario", "feedback", "t", "value")
-    rows = [("tcl", "full", 1, 1.0), ("tcl", "full", 2, float("nan"))]
+    rows = Rows([Block(("tcl", "full"), (np.array([1, 2]), np.array([1.0, np.nan])))])
     with pytest.raises(RuntimeError, match="value.*t=2"):
         write_csv(tmp_path / "bad.csv", header, rows)
     with pytest.raises(RuntimeError, match="non-finite.*'x'"):
-        write_csv(tmp_path / "bad2.csv", ("x",), [(float("inf"),)])
+        write_csv(tmp_path / "bad2.csv", ("x",), Rows([Block((), (np.array([np.inf]),))]))
 
 
 def _row_writer(name, header, rows) -> str:
@@ -554,16 +605,13 @@ def _blocks_as_rows(blocks) -> list:
     return [(*b.prefix, *(c[j] for c in b.columns)) for b in blocks for j in range(len(b))]
 
 
-def _write_both_ways(tmp_path, header, blocks):
-    """Write ``blocks`` as Rows and as row tuples; return (block result, row result)."""
-    results = []
-    for name, rows in (("blocks.csv", Rows(blocks)), ("rows.csv", _blocks_as_rows(blocks))):
-        try:
-            write_csv(tmp_path / name, header, rows)
-            results.append((tmp_path / name).read_text())
-        except RuntimeError as exc:
-            results.append(str(exc).replace(name, "x.csv"))
-    return results
+def _write_blocks(tmp_path, header, blocks) -> str:
+    """Write ``blocks`` as x.csv: the file text, or the error it raised."""
+    try:
+        write_csv(tmp_path / "x.csv", header, Rows(blocks))
+    except RuntimeError as exc:
+        return str(exc)
+    return (tmp_path / "x.csv").read_text()
 
 
 SPECIAL = [0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789012.5, 0.1, 1 / 3, -2.5e-7]
@@ -574,8 +622,8 @@ def test_block_writer_matches_the_row_writer_bytes(tmp_path):
     values = np.concatenate([SPECIAL, np.random.default_rng(3).normal(0, 1e3, 40)])
     t = np.arange(1, values.size + 1)
     blocks = [Block(("tcl", "50%", load), (t, values * (load - 1), -values)) for load in range(3)]
-    by_blocks, by_rows = _write_both_ways(tmp_path, header, blocks)
-    assert by_blocks == by_rows == _row_writer("x.csv", header, _blocks_as_rows(blocks))
+    by_blocks = _write_blocks(tmp_path, header, blocks)
+    assert by_blocks == _row_writer("x.csv", header, _blocks_as_rows(blocks))
     assert "\ntcl,50%,0,1,-0,-0\n" in by_blocks
     assert len(Rows(blocks)) == 3 * values.size == len(by_blocks.splitlines()) - 1
 
@@ -596,20 +644,48 @@ def test_block_writer_names_the_cell_the_row_writer_named(tmp_path, bad_cells, e
     blocks = [Block(("tcl", "full", load), (t, np.full(12, 0.5), np.ones(12))) for load in range(3)]
     for block, row, column, value in bad_cells:  # column 1 is 'value', 2 is 'other'
         blocks[block].columns[column][row] = float(value)
-    by_blocks, by_rows = _write_both_ways(tmp_path, header, blocks)
-    assert by_blocks == by_rows == _row_writer("x.csv", header, _blocks_as_rows(blocks))
+    by_blocks = _write_blocks(tmp_path, header, blocks)
+    assert by_blocks == _row_writer("x.csv", header, _blocks_as_rows(blocks))
     assert by_blocks == f"x.csv: non-finite value in {expected}"
 
 
 def test_block_writer_names_the_row_without_a_t_column(tmp_path):
     blocks = [Block((), (np.ones(4),)), Block((), (np.array([1.0, 2.0, np.inf]),))]
-    by_blocks, by_rows = _write_both_ways(tmp_path, ("x",), blocks)
-    assert by_blocks == by_rows == "x.csv: non-finite value in column 'x' at row 6"
+    by_blocks = _write_blocks(tmp_path, ("x",), blocks)
+    assert by_blocks == _row_writer("x.csv", ("x",), _blocks_as_rows(blocks))
+    assert by_blocks == "x.csv: non-finite value in column 'x' at row 6"
 
 
-def test_writer_rejects_a_column_mixing_floats_with_other_values(tmp_path):
-    with pytest.raises(TypeError, match="'x'"):
-        write_csv(tmp_path / "mixed.csv", ("x",), [(1,), (2.5,)])
+@pytest.mark.parametrize("bad_case", [None, 1], ids=["finite", "non-finite"])
+def test_block_writer_matches_the_row_writer_on_summary_rows(tmp_path, bad_case):
+    # Summary-shaped: one length-1 block per case, an integer column between float columns.
+    header = ("scenario", "feedback", "rho", "trials", "improvement_pct", "simultaneity_pct")
+    cases = [("full", 0.0, 100, 42.5), ("bandit", 2.5, 7, -1 / 3), ("50%", 1e-300, 1, 123456789012.5)]
+    blocks = [Block(("tcl", fb), (np.array([rho]), np.array([trials]), np.array([pct]), np.array([-pct])))
+              for fb, rho, trials, pct in cases]
+    if bad_case is not None:
+        blocks[bad_case].columns[2][0] = np.nan
+    by_blocks = _write_blocks(tmp_path, header, blocks)
+    assert by_blocks == _row_writer("x.csv", header, _blocks_as_rows(blocks))
+    if bad_case is None:
+        assert by_blocks.splitlines()[1:3] == [
+            "tcl,full,0,100,42.5,-42.5", "tcl,bandit,2.5,7,-0.3333333333,0.3333333333"]
+    else:
+        assert by_blocks == "x.csv: non-finite value in column 'improvement_pct' at row 1"
+
+
+@pytest.mark.parametrize(
+    "prefix,column,needle",
+    [
+        (("tcl",), [1.0, 2.0], "column 1 is not"),
+        (("tcl",), np.array(["1", "2"]), "column 1 is not"),
+        (("tcl", 2.5), np.ones(2), "prefix cell 1 is a float"),
+    ],
+    ids=["list-column", "string-array-column", "float-prefix"],
+)
+def test_a_block_takes_only_numeric_array_columns_and_label_prefixes(prefix, column, needle):
+    with pytest.raises(TypeError, match=needle):
+        Block(prefix, (np.arange(2), column))
 
 
 NAN_CFG = """\
@@ -633,6 +709,7 @@ n_loads = 4
         ("bandit", "l1", 0, "rounds.csv: non-finite value in column 'l1_norm' at t=1"),
         ("bandit", "trajectory", (7, 2), "trajectories.csv: non-finite value in column 'value' at t=8"),
         ("full", "trajectory", (19, 0), "trajectories.csv: non-finite value in column 'value' at t=20"),
+        ("bandit", "summary", 1, "summary.csv: non-finite value in column 'improvement_pct' at row 1"),
     ],
 )
 def test_emission_names_the_non_finite_series_and_round(tmp_path, monkeypatch, capsys,
@@ -644,6 +721,8 @@ def test_emission_names_the_non_finite_series_and_round(tmp_path, monkeypatch, c
         if config.feedback == feedback:
             if target == "trajectory":
                 result.trajectories[index] = np.nan
+            elif target == "summary":  # one trial's improvement makes the case mean non-finite
+                result.summaries[index]["improvement_pct"] = np.nan
             else:
                 result.rounds[target][index] = np.nan
         return result
