@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import math
 import os
 import sys
@@ -112,12 +113,30 @@ SECTIONS = {
 OPTIONAL_SECTIONS = ("setpoint", "noise")
 
 
+def _config_parser() -> configparser.ConfigParser:
+    # No interpolation: a % in a value, such as an output path, is read as written.
+    return configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+
+
+def _reads_back(section: str, key: str, value: str) -> bool:
+    """Whether ``key = value`` under ``[section]`` reads back as ``value``, as ``read_config`` reads a file.
+
+    Values are stripped, an inline comment starts at whitespace then ``#``
+    or ``;``, and a file's lines end at any universal newline.
+    """
+    parser = _config_parser()
+    try:
+        parser.read_file(io.StringIO(f"[{section}]\n{key} = {value}\n", newline=None))
+        return parser.get(section, key).strip() == value
+    except configparser.Error:
+        return False
+
+
 def read_config(path: str) -> dict:
     """Parse and type-check a config file into {(section, key): value}."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    # No interpolation: a % in a value, such as an output path, is read as written.
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    parser = _config_parser()
     try:
         # Opened here: ConfigParser.read skips a file it cannot open without a word.
         with open(path, encoding="utf-8") as handle:
@@ -230,8 +249,13 @@ def resolve_settings(args: argparse.Namespace) -> RunSettings:
     for fb in feedbacks:
         replace(base, feedback=fb).resolved()  # validates before anything is written
 
-    out = args.out or os.environ.get(ENV_OUT) or values.get(("run", "out")) or "results"  # blank means unset
-    return RunSettings(base, feedbacks, Path(out), args.quiet)
+    out = Path(args.out or os.environ.get(ENV_OUT) or values.get(("run", "out")) or "results")  # blank means unset
+    if not _reads_back("run", "out", str(out)):  # the manifest could not rerun this run
+        raise ConfigError(
+            f"output path {str(out)!r} would not read back from manifest.txt as written: "
+            "it has surrounding whitespace, a line break, or a '#' or ';' after whitespace"
+        )
+    return RunSettings(base, feedbacks, out, args.quiet)
 
 
 @dataclass(frozen=True)
@@ -313,7 +337,19 @@ def write_csv(path: Path, header, rows: Rows) -> None:
 
 
 def _peak_rss_mb() -> float | None:
-    """The process's peak resident memory in MiB, or None where ``resource`` is missing."""
+    """The process's own peak resident memory in MiB, or None where neither source exists.
+
+    Linux's ``VmHWM`` belongs to this address space. ``ru_maxrss`` is read
+    only where that is missing: on Linux it keeps the high-water mark of
+    the process that exec'd this one.
+    """
+    try:
+        with open("/proc/self/status", "rb") as status:  # bytes: the process name need not decode
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024.0  # kB
+    except OSError:
+        pass
     if resource is None:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
@@ -399,8 +435,8 @@ def execute(settings: RunSettings) -> int:
         result = run_experiment(cfg)
         twin = None
         if cfg.effective_rho() > 0 or cfg.lam > 0:
-            # Only the twin's mean-norm and l1 series are read; its regret never is.
-            twin = run_experiment(replace(cfg, rho=0.0, lam=0.0, compute_regret=False))
+            # Only the twin's mean-norm and l1 series are read; its regret and trajectories never are.
+            twin = run_experiment(replace(cfg, rho=0.0, lam=0.0, compute_regret=False, track_loads=0))
         case_results.append((result, twin))
 
     emit_start = time.monotonic()

@@ -630,14 +630,16 @@ def _add_trial(cfg: ScenarioConfig, trial_index: int, sums: dict) -> tuple[dict,
 def run_experiment(config: ScenarioConfig) -> ExperimentResult:
     """Run all trials of one scenario/feedback case and average the series.
 
-    Only the first trial's trajectories are kept; every trial is released
-    once it is scored.
+    Only the first trial's trajectories are kept, so every later trial runs
+    with ``track_loads`` = 0 and steps no tracked TCL load; every trial is
+    released once it is scored.
     """
     cfg = config.resolved()
     T = cfg.rounds
     sums = {name: np.zeros(T) for name in (*LEDGER_SUMS, "regret")}
     first, trajectories = _add_trial(cfg, 0, sums)
-    summaries = [first] + [_add_trial(cfg, k, sums)[0] for k in range(1, cfg.trials)]
+    untracked = dataclasses.replace(cfg, track_loads=0)
+    summaries = [first] + [_add_trial(untracked, k, sums)[0] for k in range(1, cfg.trials)]
     rounds = {name: series / cfg.trials for name, series in sums.items()}
     rounds["cum_tracking"] = np.cumsum(rounds["tracking"])
     return ExperimentResult(cfg, summaries, rounds, trajectories)

@@ -103,9 +103,12 @@ def sample_truncated_gaussian(mean, sd, lo, hi, rng: np.random.Generator, size=N
     if sd == 0:
         out = np.full(n, float(mean))
         return float(out[0]) if scalar else out.reshape(size)
-    # The first pass draws every cell in place; later passes redraw, in
-    # order, only the cells rejected so far.
-    out = mean + sd * rng.standard_normal(n)
+    # The first pass draws every cell in place, scaled and shifted in its own
+    # buffer (the bits of mean + sd * z); later passes redraw, in order, only
+    # the cells rejected so far.
+    out = rng.standard_normal(n)
+    out *= sd
+    out += mean
     pending = np.flatnonzero(~((out >= lo) & (out <= hi)))
     rejected = pending.size
     while True:
@@ -249,12 +252,23 @@ class TclFleet:
         return forcing
 
     def draw_responses(self, noise: NoiseSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
-        """A (rows, n) response block: each load's ``response_base`` plus one noise draw per cell."""
-        return self.response_base + noise.sample(rng, size=(rows, self.box.dim))
+        """A (rows, n) response block: each load's ``response_base`` plus one noise draw per cell.
+
+        The base is added into the sampled block, so the draw makes one block.
+        """
+        responses = noise.sample(rng, size=(rows, self.box.dim))
+        responses += self.response_base
+        return responses
 
     def trajectories(self, played, responses, track: int) -> np.ndarray:
-        """Check every played row, then step just the first ``track`` loads, exactly as in the whole fleet."""
+        """Check every played row, then step just the first ``track`` loads, exactly as in the whole fleet.
+
+        At ``track`` = 0 nothing is stepped: the check alone runs, and the
+        result is the block's empty slice.
+        """
         block = signal_block(played, self.box)[:, :track]
+        if not track:
+            return block
         tracked = TclFleet(self.resistance[:track], self.capacitance[:track], self.rated_power[:track],
                            self.cop[:track], self.desired_temp[:track], self.ambient, self.step_hours)
         return tracked.step(block)
@@ -421,7 +435,8 @@ class EvFleet:
         n = self.n_vehicles
         responses = np.empty((rows, 2 * n))
         for half in (slice(None, n), slice(n, None)):
-            responses[:, half] = self.response_base[half] + noise.sample(rng, size=(rows, n))
+            responses[:, half] = noise.sample(rng, size=(rows, n))
+            responses[:, half] += self.response_base[half]
         return responses
 
     def trajectories(self, played, responses, track: int) -> np.ndarray:

@@ -5,14 +5,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from loadtrack import cli, harness
-from loadtrack.cli import EXIT_CONFIG, EXIT_OK, Block, Rows, main, write_csv
+from loadtrack import cli, harness, loads
+from loadtrack.cli import ENV_OUT, EXIT_CONFIG, EXIT_OK, Block, Rows, main, write_csv
 from loadtrack.harness import ScenarioConfig, SetpointSpec
 from loadtrack.loads import EvParams, NoiseSpec, TclRanges
 
@@ -199,6 +202,21 @@ def test_golden_regimes_and_ev_runs(tmp_path, name):
         assert (out / csv).read_bytes() == golden, f"{name} {csv} drifted from the golden file"
 
 
+def test_only_each_cases_kept_trial_steps_tracked_loads(tmp_path, monkeypatch):
+    # Neither a later trial's nor the twin's trajectories are written, so neither steps a TCL load.
+    blocks = []
+    original = vars(loads.TclFleet)["step"]
+
+    def recording(self, block):
+        blocks.append(np.shape(block))
+        return original(self, block)
+
+    monkeypatch.setattr(loads.TclFleet, "step", recording)
+    path = write_cfg(tmp_path)  # two cases at lambda = 0.5, so each has a twin; two trials each
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    assert blocks == [(20, 2), (20, 2)]
+
+
 def test_unregularized_twin_skips_hindsight(tmp_path, monkeypatch):
     # The twin only supplies the mean-norm and l1 baselines; its regret is never written.
     calls = []
@@ -303,27 +321,66 @@ def test_a_percent_sign_in_a_config_value_is_read_as_written(tmp_path):
 
 def test_the_manifest_of_an_output_path_with_a_percent_sign_reruns(tmp_path):
     path = write_cfg(tmp_path)
-    out_a = tmp_path / "r_50%"
-    assert main(["--config", str(path), "--out", str(out_a), "--quiet"]) == EXIT_OK
-    manifest = out_a / "manifest.txt"
-    assert f"\nout = {out_a}\n" in manifest.read_text()
-    out_b = tmp_path / "b"
-    assert main(["--config", str(manifest), "--out", str(out_b), "--quiet"]) == EXIT_OK
-    assert read_outputs(out_a) == read_outputs(out_b)
+    for name in ("r_50%", "run#2"):  # a '#' starts a comment only after whitespace
+        out_a = tmp_path / name
+        assert main(["--config", str(path), "--out", str(out_a), "--quiet"]) == EXIT_OK
+        manifest = out_a / "manifest.txt"
+        assert f"\nout = {out_a}\n" in manifest.read_text()
+        out_b = tmp_path / f"{name}-rerun"
+        assert main(["--config", str(manifest), "--out", str(out_b), "--quiet"]) == EXIT_OK
+        assert read_outputs(out_a) == read_outputs(out_b)
+
+
+@pytest.mark.parametrize("name,via", [
+    ("run #2", "--out"), ("run ;2", "--out"), ("run\n#2", "--out"), ("run ", ENV_OUT), (" run", ENV_OUT),
+])
+def test_an_output_path_the_manifest_cannot_carry_is_rejected_before_output(tmp_path, monkeypatch, capsys,
+                                                                             name, via):
+    # read_config strips values and cuts a comment after whitespace, so the manifest would rerun elsewhere.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_OUT, raising=False)
+    path = write_cfg(tmp_path)
+    argv = ["--config", str(path), "--quiet"]
+    if via == ENV_OUT:
+        monkeypatch.setenv(ENV_OUT, name)
+    else:
+        argv += [via, name]
+    assert main(argv) == EXIT_CONFIG
+    assert f"output path {name!r} would not read back" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def _manifest_comments(manifest: Path) -> dict:
+    return dict(ln[2:].split(": ", 1) for ln in manifest.read_text().splitlines()
+                if ln.startswith("# ") and ": " in ln)
 
 
 def test_final_manifest_reports_peak_memory_and_emission_time(tmp_path):
     path = write_cfg(tmp_path)
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
-    comments = dict(ln[2:].split(": ", 1) for ln in (out / "manifest.txt").read_text().splitlines()
-                    if ln.startswith("# ") and ": " in ln)
+    comments = _manifest_comments(out / "manifest.txt")
     assert float(comments["peak_rss_mb"]) > 0.0
     assert float(comments["emit_seconds"]) >= 0.0
     settings = cli.resolve_settings(cli.parse_args(["--config", str(path), "--out", str(out)]))
     pending = tmp_path / "pending.txt"
     pending.write_text(cli._manifest_text(settings, None, []))
     assert _settings_lines(out / "manifest.txt") == _settings_lines(pending)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the Linux high-water mark")
+def test_manifest_peak_memory_is_the_runs_own_not_its_launchers(tmp_path):
+    # On Linux a process started by exec keeps its launcher's ru_maxrss, so a run launched from a
+    # process holding this buffer would report at least the buffer's size.
+    ballast = np.ones(128 * 2**20 // 8)  # 128 MiB, every page touched
+    path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    package_root = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "loadtrack.cli", "--config", str(path), "--out", str(out), "--quiet"]
+    subprocess.run(argv, env=env, check=True, timeout=120)
+    peak = float(_manifest_comments(out / "manifest.txt")["peak_rss_mb"])
+    assert 0.0 < peak < ballast.nbytes / 2**20
 
 
 def _manifest_for(path) -> str:

@@ -933,6 +933,47 @@ def test_run_trial_steps_the_fleet_once_over_the_played_block(monkeypatch, cfg, 
         assert blocks[0].tobytes() == trial.ledger.played.tobytes()
 
 
+@pytest.mark.parametrize("cfg,stepped", [
+    pytest.param(small_cfg(trials=3), ["TclFleet"], id="tcl"),
+    pytest.param(ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, trials=3),
+                 ["EvFleet"] * 3, id="ev"),
+])
+def test_run_experiment_steps_tracked_loads_only_in_the_kept_trial(monkeypatch, cfg, stepped):
+    # Only trial 0's trajectories are kept, so later TCL trials step nothing; every EV trial steps
+    # its whole fleet, since the saturation count covers every vehicle.
+    calls = []
+    for fleet_cls in (loads.TclFleet, loads.EvFleet):
+        def recording(self, *blocks, _original=vars(fleet_cls)["step"], _name=fleet_cls.__name__):
+            calls.append(_name)
+            return _original(self, *blocks)
+        monkeypatch.setattr(fleet_cls, "step", recording)
+    result = run_experiment(cfg)
+    assert calls == stepped
+    assert result.config.track_loads == cfg.track_loads
+    assert result.trajectories.shape == (cfg.rounds, min(cfg.track_loads, cfg.n_loads))
+
+
+def test_run_experiment_names_the_round_of_a_bad_signal_in_a_later_trial(monkeypatch):
+    # A trial that steps no load still checks its whole played block once.
+    from loadtrack.algorithms import FullInformationTracker
+
+    cfg = small_cfg(trials=2)
+    original = FullInformationTracker.begin_round
+    calls = {"n": 0}
+
+    def overreaching_begin_round(self):
+        calls["n"] += 1
+        played = original(self)
+        if calls["n"] == cfg.rounds + 3:  # round 3 of trial 1
+            played[0] = 1.5
+        return played
+
+    monkeypatch.setattr(FullInformationTracker, "begin_round", overreaching_begin_round)
+    with pytest.raises(ValueError, match=r"^round 3: adjustment signals must lie in \[-1, 1\]$"):
+        run_experiment(cfg)
+    assert calls["n"] == 2 * cfg.rounds
+
+
 def test_compute_metrics_layout():
     res = run_experiment(small_cfg(trials=1, rho=1.0, lam=0.5))
     unreg = run_experiment(small_cfg(trials=1))

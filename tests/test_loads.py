@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,52 @@ def test_both_fleets_give_a_trial_the_same_operation(name):
     # run_trial calls each of these on either fleet without asking which it holds.
     tcl, ev = (inspect.signature(getattr(cls, name)).parameters for cls in (TclFleet, EvFleet))
     assert list(tcl.items()) == list(ev.items())
+
+
+def _fleet(kind, n):
+    return tcl_fleet_init(n, np.random.default_rng(3)) if kind == "tcl" else EvFleet(EvParams(), n)
+
+
+@pytest.mark.parametrize("kind", ["tcl", "ev"])
+@pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(mean=0.1, sd=1.0, lo=-0.3, hi=0.6)],
+                         ids=["default", "redraws"])
+def test_each_fleet_draws_its_base_plus_noise_bitwise(kind, noise):
+    # The base is added into the sampled block in place; the bits are those of base + sample.
+    n, rows = 7, 11
+    fleet, rng = _fleet(kind, n), np.random.default_rng(4)
+    got = fleet.draw_responses(noise, np.random.default_rng(4), rows)
+    if kind == "tcl":
+        want = fleet.response_base + noise.sample(rng, size=(rows, n))
+    else:  # the charge half is drawn first
+        charge = fleet.response_base[:n] + noise.sample(rng, size=(rows, n))
+        want = np.hstack([charge, fleet.response_base[n:] + noise.sample(rng, size=(rows, n))])
+    assert got.shape == want.shape == (rows, fleet.box.dim)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,n,bound", [("tcl", 1000, 1.35), ("ev", 500, 1.75)])
+def test_the_response_draw_makes_one_block(kind, n, bound):
+    # A second response-sized block for adding the base would read 2 blocks or more.
+    fleet, noise = _fleet(kind, n), NoiseSpec()
+    fleet.draw_responses(noise, np.random.default_rng(0), 600)  # one-off allocations happen outside the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        block = fleet.draw_responses(noise, np.random.default_rng(0), 600)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * block.nbytes, f"peak {peak / block.nbytes:.2f} blocks"
+
+
+def test_untracked_trajectories_check_every_row_and_step_nothing(monkeypatch):
+    fleet, signals = _clip_active_fleet_and_signals()
+    monkeypatch.setattr(TclFleet, "step", lambda self, block: pytest.fail("a load was stepped"))
+    assert fleet.trajectories(signals, None, 0).shape == (len(signals), 0)
+    signals[2, -1] = 1.5
+    with pytest.raises(SignalRangeError) as err:
+        fleet.trajectories(signals, None, 0)
+    assert err.value.row == 2
 
 
 def test_fleet_block_step_names_the_first_bad_row():
