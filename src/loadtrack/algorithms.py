@@ -9,7 +9,6 @@ type its regime permits; anything else raises ``FeedbackMismatchError``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .core import (
     gradient_estimate,
     project_shrunk_box,
     prox_step,
+    row_norms,
     sample_unit_sphere,
     step_schedule,
 )
@@ -39,7 +39,9 @@ __all__ = [
     "PartialBanditTracker",
     "PartialFeedback",
     "QuadraticTrackingObjective",
+    "extend_running_mean",
     "full_gradient",
+    "running_mean",
 ]
 
 
@@ -88,6 +90,31 @@ def full_gradient(responses: np.ndarray, err: float, rho: float, cand, t: int) -
     return grad
 
 
+def running_mean(mean: np.ndarray, t: int, x, out: np.ndarray | None = None) -> np.ndarray:
+    """(t*mean + x) / (t + 1): ``mean``, the mean of t rows, with the row ``x`` appended."""
+    out = np.multiply(mean, t, out=out)
+    out += x
+    out /= t + 1
+    return out
+
+
+def extend_running_mean(mean: np.ndarray, t: int, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Append ``rows`` one at a time to ``mean``, the mean of t rows; return the mean after the last.
+
+    ``norms`` receives the norm of the mean after each row. The rows pass
+    through ``running_mean`` in order, so each mean has the bits of the
+    objective's own after as many ``advance`` calls. A trial fills its
+    ``mean_norm`` column this way after the round loop, in slabs of at
+    most ``core.SLAB_ROWS`` rows.
+    """
+    means = np.empty(rows.shape)
+    for x, m in zip(rows, means):
+        mean = running_mean(mean, t, x, out=m)
+        t += 1
+    row_norms(means, out=norms)
+    return mean.copy()  # a copy, so the slab is freed now: one held until the next slab raised peak RSS
+
+
 class QuadraticTrackingObjective:
     """Squared tracking error plus the running-mean penalty, and that running mean.
 
@@ -95,9 +122,10 @@ class QuadraticTrackingObjective:
     from every response (``value_and_gradient``) or from the aggregate
     alone (``value_from_total``); ``advance`` appends the played signal
     to ``mean``, the average of the ``rounds`` signals appended so far.
-    When rho != 0 the candidate mean the loss was scored with is kept,
-    keyed on its signal object, and ``advance`` of that same signal
-    reuses it.
+    Only a loss with rho != 0 reads that mean, so trackers advance only
+    such an objective. When rho != 0 the candidate mean the loss was
+    scored with is kept, keyed on its signal object, and ``advance`` of
+    that same signal reuses it.
     """
 
     def __init__(self, dim: int, rho: float = 0.0):
@@ -108,17 +136,11 @@ class QuadraticTrackingObjective:
         self.rounds = 0
         self._scored = (None, None)  # (signal, candidate mean) of the last scored round
 
-    def mean_norm(self) -> float:
-        return math.sqrt(self.mean @ self.mean)
-
     def _candidate(self, signal) -> np.ndarray:
-        """The running mean after appending ``signal``: (t*mean + signal) / (t + 1)."""
+        """The running mean after appending ``signal``."""
         signal = _vector(signal, "signal")
         _same_length(self.mean, signal, "running mean")
-        cand = np.multiply(self.mean, self.rounds)
-        cand += signal
-        cand /= self.rounds + 1
-        return cand
+        return running_mean(self.mean, self.rounds, signal)
 
     def _loss(self, err: float, signal):
         """The smooth loss and the candidate mean after appending ``signal`` (None if rho = 0)."""
@@ -210,6 +232,11 @@ class _Tracker:
         u = self._direction
         return gradient_estimate(value, u, u.shape[0], self.schedule.delta)
 
+    def _advance(self, played: np.ndarray) -> None:
+        """Append ``played`` to the objective's running mean, which only a loss with rho != 0 reads."""
+        if self.objective.rho != 0.0:
+            self.objective.advance(played)
+
     def _exact_step(self, obs, played: np.ndarray, eta: float, box: Box) -> float:
         """Prox step from ``played`` along the exact gradient onto ``box``; returns the loss."""
         self._require(obs, FullFeedback)
@@ -237,7 +264,7 @@ class FullInformationTracker(_Tracker):
     def update(self, obs) -> dict:
         played = self._take_played()
         value = self._exact_step(obs, played, self.schedule.eta, self.box)
-        self.objective.advance(played)
+        self._advance(played)
         return {"loss": float(value)}
 
 
@@ -256,7 +283,7 @@ class BanditTracker(_Tracker):
     def update(self, obs) -> dict:
         played = self._take_played()
         value = self._one_point_step(obs, played, self.schedule.eta, self.box.shrunk(self.schedule.delta))
-        self.objective.advance(played)
+        self._advance(played)
         return {"loss": float(value)}
 
 
@@ -316,7 +343,6 @@ class PartialBanditTracker(_Tracker):
             prox_step(blind_signal, grad_blind, self.schedule.eta, self.lam, self.blind_inner),
             prox_step(observed_signal, grad_observed, self.schedule.eta2, self.lam, self.observed_box),
         ])
-        self.objective.advance(played)
         return {
             "loss": float(value),
             "loss_observed_view": float(observed_view),
@@ -399,6 +425,6 @@ class BernoulliFeedbackTracker(_Tracker):
         else:
             value = self._exact_step(obs, played, self.schedule.eta, self.box)
         if self._cursor >= self.warmup_rounds:
-            self.objective.advance(played)  # the mean covers the scored rounds only
+            self._advance(played)  # the mean covers the scored rounds only
         self._cursor += 1
         return {"loss": float(value), "bandit_round": bandit}

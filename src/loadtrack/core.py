@@ -28,7 +28,9 @@ __all__ = [
     "gradient_estimate",
     "project_shrunk_box",
     "prox_step",
+    "row_norms",
     "sample_unit_sphere",
+    "slabs",
     "step_schedule",
 ]
 
@@ -39,6 +41,8 @@ UNIT_NORM_TOL = 1e-9  # how far a sphere direction's norm may stray from 1 in gr
 BOX_MEMBERSHIP_TOL = 1e-12  # Box.contains's default slack, bound when this module is imported
 SIGNAL_TOL = 1e-9  # how far a played signal may stray past its decision box before it is rejected
 DEGENERATE_NORM_FLOOR = 1e-12  # a Gaussian draw with a norm this small is redrawn, not normalized
+
+SLAB_ROWS = 64  # rows of a trial's blocks that a pass after the round loop holds at once
 
 
 class ConfigError(ValueError):
@@ -139,6 +143,20 @@ def gradient_estimate(loss_value: float, v, dim: int, delta: float) -> np.ndarra
     if abs(nrm - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"direction must be unit norm, got {nrm!r}")
     return (dim / delta) * float(loss_value) * v
+
+
+def row_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row's Euclidean norm, with the bits of ``math.sqrt(row @ row)``.
+
+    The per-row matmul is that same dot product; ``np.einsum`` and
+    ``(rows * rows).sum(1)`` round differently.
+    """
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows)), out=out)
+
+
+def slabs(rows: int):
+    """Slices of at most ``SLAB_ROWS`` consecutive rows that cover ``rows`` rows in order."""
+    return (slice(start, start + SLAB_ROWS) for start in range(0, rows, SLAB_ROWS))
 
 
 def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ from .core import (
     UnsupportedBoxError,
     bandit_probability,
     conservative_bounds,
+    slabs,
     step_schedule,
 )
 from .loads import (
@@ -76,7 +78,6 @@ __all__ = [
 KKT_TOL = 1e-9  # the largest relative KKT violation a hindsight solve may end with
 LEDGER_SUMS = ("setpoint_eff", "aggregate", "tracking", "mean_norm", "l1")  # averaged by run_experiment
 REDUCTION_FLOOR = 1e-12  # a reference loss (sum or mean) at or below this reads as no reduction
-L1_SLAB_ROWS = 64  # played rows whose |x| is held at once while a trial's l1 is scored
 
 @dataclass(frozen=True)
 class SetpointSpec:
@@ -301,9 +302,11 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
 
     The noise stream is independent of the played signals, so a paired
     no-control baseline is simply the squared effective setpoint. The
-    fleet's state (temperatures, states of charge) is output only, so the
-    round loop holds just the tracker protocol; the fleet steps once through
-    the played block and the ledger is scored over it after the loop.
+    fleet's state (temperatures, states of charge) and the running mean of
+    a loss without mean penalty are output only, so the round loop holds
+    just the tracker protocol; after the loop the fleet steps once through
+    the played block, filling the ``mean_norm`` column on the way, and the
+    ledger is scored over it, in slabs of ``core.SLAB_ROWS`` rows.
     """
     cfg = config.resolved()
     seed_seq = np.random.SeedSequence([int(cfg.seed), int(trial_index)])
@@ -334,7 +337,6 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     # Warm-up rows included: the fleet steps through every played row.
     played_all = np.empty((total_rounds, box.dim))
     infos = []
-    tracker_objective = tracker.objective
     next_feedback, begin_round, update = tracker.next_feedback, tracker.begin_round, tracker.update
     setpoint_list = setpoints_eff.tolist()
     for i in range(total_rounds):
@@ -349,10 +351,9 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
         played_all[i] = played
         if i >= warmup:
             infos.append(info)
-            mean_norm[i - warmup] = tracker_objective.mean_norm()
 
     try:
-        trajectories = fleet.trajectories(played_all, responses, cfg.track_loads)[warmup:].copy()
+        trajectories = fleet.trajectories(played_all, responses, cfg.track_loads, mean_norm)[warmup:].copy()
     except SignalRangeError as exc:
         _name_round(exc, exc.row - warmup + 1)
         raise
@@ -364,9 +365,8 @@ def run_trial(config: ScenarioConfig, trial_index: int = 0) -> TrialResult:
     err = setpoints_eff[warmup:] - aggregate
     tracking = err * err
     l1 = np.empty(T)
-    for start in range(0, T, L1_SLAB_ROWS):  # slabs, so no third (rounds, dim) block is made
-        stop = start + L1_SLAB_ROWS
-        np.abs(played_hist[start:stop]).sum(axis=1, out=l1[start:stop])
+    for rows in slabs(T):  # slabs, so no third (rounds, dim) block is made
+        np.abs(played_hist[rows]).sum(axis=1, out=l1[rows])
     objective = tracking + rho_eff * mean_norm ** 2 + cfg.lam * l1
 
     ledger = MetricsLedger(
@@ -408,6 +408,13 @@ class HindsightResult:
     losses: np.ndarray  # the signal's per-round composite losses, from comparator_round_losses
 
 
+def _weight_rows(mean_weights, T: int, dim: int) -> np.ndarray:
+    W = np.asarray(mean_weights, dtype=float)
+    if W.shape != (T, dim) or dim % 2:
+        raise ValueError("mean_weights must be (rounds, dim) with an even dim")
+    return W
+
+
 def _penalized_gram(R: np.ndarray, rho: float, W: np.ndarray | None) -> np.ndarray:
     """A = R^T R + rho * sum_t of m_t's Gram matrix, the quadratic form of the summed objective."""
     T, dim = R.shape
@@ -432,7 +439,13 @@ def hindsight_optimum(
     + T * lam * ||mu||_1 over the box, where m_t is the identity for the
     plain mean penalty or, given the EV ``mean_weights`` rows w_t of
     ``running_mean_weights``, m_t(mu) = w_t[:n]*mu[:n] + w_t[n:]*mu[n:]
-    for the stacked (charge, discharge) signal.
+    for the stacked (charge, discharge) signal. ``mean_weights`` may also
+    be a function of no arguments that returns those rows, as
+    ``empirical_regret`` passes it: it is called, and its rows checked,
+    only when the solve leaves the origin with rho != 0, because the
+    penalty of mu = 0 is 0 under any weights. The array form, checked up
+    front, stays for callers that already hold the rows; the tests'
+    references pass it.
 
     A primal active-set solve from the origin (BVLS, Stark & Parker 1995,
     with the l1 term): each coordinate is held at a bound or 0, or is free
@@ -444,13 +457,11 @@ def hindsight_optimum(
     R = np.asarray(responses, dtype=float)
     s = np.asarray(setpoints, dtype=float)
     T, dim = R.shape
-    W = None if mean_weights is None else np.asarray(mean_weights, dtype=float)
     if s.shape != (T,):
         raise ValueError("setpoints must match the response rows")
     if box.dim != dim:
         raise ValueError("box dimension must match the response columns")
-    if W is not None and (W.shape != (T, dim) or dim % 2):
-        raise ValueError("mean_weights must be (rounds, dim) with an even dim")
+    W = None if mean_weights is None or callable(mean_weights) else _weight_rows(mean_weights, T, dim)
     if not (0.0 <= rho < math.inf and 0.0 <= lam < math.inf and max_iters >= 1):
         raise ValueError(f"need finite rho, lam >= 0 and max_iters >= 1, got {rho!r}, {lam!r}, {max_iters!r}")
     if not box.contains_zero:
@@ -471,7 +482,10 @@ def hindsight_optimum(
             break
         if iterations == max_iters:
             raise RuntimeError(f"hindsight solve: KKT violation {worst / scale:.3e} after {max_iters} checks")
-        A = _penalized_gram(R, rho, W) if A is None else A
+        if A is None:  # the first failed check: only a solve that leaves the origin needs A and the weights
+            if rho and callable(mean_weights):
+                W = _weight_rows(mean_weights(), T, dim)
+            A = _penalized_gram(R, rho, W)
         j = int(np.argmax(np.where(free, 0.0, violation)))
         if not free[j] and violation[j] > tol:
             free[j], sign[j] = True, np.sign(mu[j]) if mu[j] else -np.sign(grad[j])
@@ -499,6 +513,7 @@ def hindsight_optimum(
             grad = 2.0 * (A @ mu - b)
             if not hit.any():
                 break
+    # Weights left unbuilt mean mu = 0 (or rho = 0), whose penalty is 0 under any weights; x + 0.0 keeps x's bits.
     losses = comparator_round_losses(R, s, mu, rho, lam, W)
     return HindsightResult(mu, float(losses.sum()), worst / scale, iterations, losses)
 
@@ -506,7 +521,11 @@ def hindsight_optimum(
 def comparator_round_losses(
     responses, setpoints, signal, rho: float, lam: float, mean_weights=None
 ) -> np.ndarray:
-    """Per-round composite loss of a fixed signal, with ``hindsight_optimum``'s running mean m_t."""
+    """Per-round composite loss of a fixed signal, with ``hindsight_optimum``'s running mean m_t.
+
+    The weighted means are formed in slabs of ``core.SLAB_ROWS`` rows, so no
+    block-sized temporary is made.
+    """
     R = np.asarray(responses, dtype=float)
     s = np.asarray(setpoints, dtype=float)
     errs = s - R @ signal
@@ -516,8 +535,13 @@ def comparator_round_losses(
             losses = losses + rho * float(signal @ signal)
         else:
             W, n = np.asarray(mean_weights, dtype=float), len(signal) // 2
-            mean = W[:, :n] * signal[:n] + W[:, n:] * signal[n:]
-            losses = losses + rho * (mean * mean).sum(axis=1)
+            penalty = np.empty(len(W))
+            for rows in slabs(len(W)):
+                mean = W[rows, :n] * signal[:n]
+                mean += W[rows, n:] * signal[n:]
+                mean *= mean
+                mean.sum(axis=1, out=penalty[rows])
+            losses = losses + rho * penalty
     return losses
 
 
@@ -543,7 +567,8 @@ def empirical_regret(
     if not 1 <= T <= ledger.rounds:
         raise ValueError("upto must lie in [1, rounds]")
     R, s = ledger.responses[:T], ledger.setpoint_eff[:T]
-    weights = None if ledger.ev_params is None else running_mean_weights(ledger.ev_params, R)
+    # The EV weight rows are a (T, dim) block, so they are built only if the solve leaves the origin.
+    weights = None if ledger.ev_params is None else functools.partial(running_mean_weights, ledger.ev_params, R)
     opt = hindsight_optimum(R, s, ledger.rho_eff, ledger.lam, box, weights, max_iters)
     series = np.cumsum(ledger.objective[:T]) - np.cumsum(opt.losses)
     return RegretReport(series=series, total=float(series[-1]), hindsight=opt)

@@ -13,8 +13,8 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .algorithms import QuadraticTrackingObjective
-from .core import SIGNAL_TOL, Box, _vector
+from .algorithms import QuadraticTrackingObjective, extend_running_mean
+from .core import SIGNAL_TOL, Box, _vector, slabs
 
 __all__ = [
     "EvFleet",
@@ -260,13 +260,20 @@ class TclFleet:
         responses += self.response_base
         return responses
 
-    def trajectories(self, played, responses, track: int) -> np.ndarray:
+    def trajectories(self, played, responses, track: int, mean_norm: np.ndarray) -> np.ndarray:
         """Check every played row, then step just the first ``track`` loads, exactly as in the whole fleet.
 
         At ``track`` = 0 nothing is stepped: the check alone runs, and the
-        result is the block's empty slice.
+        result is the block's empty slice. The plain mean penalty averages
+        the played rows themselves, so ``mean_norm`` receives the norm of
+        the running mean of the block's last ``len(mean_norm)`` rows (those
+        after a warm-up) after each of them.
         """
-        block = signal_block(played, self.box)[:, :track]
+        block = signal_block(played, self.box)
+        scored, mean = block[len(block) - len(mean_norm):], np.zeros(self.box.dim)
+        for rows in slabs(len(scored)):
+            mean = extend_running_mean(mean, rows.start, scored[rows], mean_norm[rows])
+        block = block[:, :track]
         if not track:
             return block
         tracked = TclFleet(self.resistance[:track], self.capacitance[:track], self.rated_power[:track],
@@ -404,30 +411,35 @@ class EvFleet:
         """Aggregate consumption the setpoint is offset by: none, since a vehicle idles at 0."""
         return 0.0
 
-    def step(self, signals, responses) -> np.ndarray:
+    def step(self, signals, responses, mean_norm: np.ndarray) -> np.ndarray:
         """Advance every vehicle through a block of rounds, clamp the SoC to [0, 1] and count saturations.
 
         ``signals`` and ``responses`` are the (rounds, 2n) stacked played
         and response blocks, or one row of each; the signals are checked
         against ``box`` first, and the two blocks must have the same shape.
         Returns the (rounds, n) states of charge after each row; ``soc``
-        holds the last.
+        holds the last. The rows are weighed in slabs of ``core.SLAB_ROWS``,
+        and ``mean_norm``, one cell per row, receives the norm of the running
+        weighted mean after each row, from the same weighing.
         """
         signals, responses = signal_block(signals, self.box), np.atleast_2d(responses)
         if responses.shape != signals.shape:
             raise ValueError(
                 f"response block has shape {responses.shape}, played block has shape {signals.shape}"
             )
-        raw = weighted_signal(self.params, *np.hsplit(responses, 2), *np.hsplit(signals, 2))
-        raw *= self.step_hours / self.params.capacity_kwh
-        socs = np.empty_like(raw)
-        soc = self.soc
-        for raw_row, soc_row in zip(raw, socs):
-            raw_row += soc
-            # np.clip's bits at a third of its per-call cost.
-            soc = np.minimum(np.maximum(raw_row, 0.0, out=soc_row), 1.0, out=soc_row)
+        socs = np.empty((len(signals), self.n_vehicles))
+        soc, mean, saturations = self.soc, np.zeros(self.n_vehicles), 0
+        for rows in slabs(len(signals)):
+            raw = weighted_signal(self.params, *np.hsplit(responses[rows], 2), *np.hsplit(signals[rows], 2))
+            mean = extend_running_mean(mean, rows.start, raw, mean_norm[rows])
+            raw *= self.step_hours / self.params.capacity_kwh
+            for raw_row, soc_row in zip(raw, socs[rows]):
+                raw_row += soc
+                # np.clip's bits at a third of its per-call cost.
+                soc = np.minimum(np.maximum(raw_row, 0.0, out=soc_row), 1.0, out=soc_row)
+            saturations += int(np.count_nonzero(raw != socs[rows]))
         self.soc = soc.copy()
-        self.saturation_events += int(np.count_nonzero(raw != socs))
+        self.saturation_events += saturations
         return socs
 
     def draw_responses(self, noise: NoiseSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -439,14 +451,25 @@ class EvFleet:
             responses[:, half] += self.response_base[half]
         return responses
 
-    def trajectories(self, played, responses, track: int) -> np.ndarray:
-        """The first ``track`` vehicles' states of charge; all of them step, so every saturation counts."""
-        return self.step(played, responses)[:, :track]
+    def trajectories(self, played, responses, track: int, mean_norm: np.ndarray) -> np.ndarray:
+        """The first ``track`` vehicles' states of charge; all of them step, so every saturation counts.
+
+        ``mean_norm`` receives the norm of the running weighted mean after
+        each row; an EV trial plays no warm-up, so it covers every row.
+        """
+        return self.step(played, responses, mean_norm)[:, :track]
 
     def simultaneous(self, played) -> np.ndarray:
-        """Per played row, whether some vehicle charges and discharges beyond ``SIMULTANEITY_TOL`` at once."""
-        n = self.n_vehicles
-        return (np.minimum(np.abs(played[:, :n]), np.abs(played[:, n:])) > SIMULTANEITY_TOL).any(axis=1)
+        """Per played row, whether some vehicle charges and discharges beyond ``SIMULTANEITY_TOL`` at once.
+
+        Reduced in slabs of ``core.SLAB_ROWS`` rows, so no block-sized temporary is made.
+        """
+        n, flags = self.n_vehicles, np.empty(len(played), dtype=bool)
+        for rows in slabs(len(played)):
+            slab = played[rows]
+            np.any(np.minimum(np.abs(slab[:, :n]), np.abs(slab[:, n:])) > SIMULTANEITY_TOL, axis=1,
+                   out=flags[rows])
+        return flags
 
     def objective(self, rho: float) -> WeightedChargeObjective:
         """The tracking objective with the battery-impact-weighted mean penalty rho."""

@@ -1,5 +1,7 @@
 """Kernel tests: losses, gradients, prox vs. grid oracle, sampling, schedules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from loadtrack.core import (
     project_shrunk_box,
     prox_step,
     _soft_threshold_in_place,
+    row_norms,
     sample_unit_sphere,
     step_schedule,
 )
@@ -576,13 +579,22 @@ def test_norms_match_numpy_linalg_bitwise():
     rng = np.random.default_rng(18)
     for n in (1, 2, 7, 100, 1000):
         v = rng.standard_normal(n) * 10.0
-        objective = QuadraticTrackingObjective(n)
-        objective.mean, objective.rounds = v, 3
-        assert objective.mean_norm() == float(np.linalg.norm(v))
+        assert row_norms(v[None, :])[0] == float(np.linalg.norm(v))
         if n > 1:
             g = np.random.default_rng(n).standard_normal(n)
             u = sample_unit_sphere(n, np.random.default_rng(n))
             assert _same_bits(u, g / float(np.linalg.norm(g)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 100, 1000])
+def test_slab_norms_match_the_per_row_dot_product_bitwise(n):
+    # The mean_norm column is scored by slab after the loop; each norm keeps the bits of the per-row one.
+    rows = np.random.default_rng(n).standard_normal((130, n)) * 10.0
+    want = [math.sqrt(r @ r) for r in rows]
+    assert row_norms(rows).tolist() == want
+    out = np.empty(64)
+    assert row_norms(rows[64:128], out=out) is out
+    assert out.tolist() == want[64:128]
 
 
 def test_box_shrunk_scales_asymmetric_boxes():

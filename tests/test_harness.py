@@ -11,7 +11,7 @@ import pytest
 
 from loadtrack import harness, loads
 from loadtrack.algorithms import AggregateFeedback, FullFeedback, PartialFeedback
-from loadtrack.core import Box, ConfigError, UnsupportedBoxError, conservative_bounds
+from loadtrack.core import SLAB_ROWS, Box, ConfigError, UnsupportedBoxError, conservative_bounds
 from loadtrack.harness import (
     ScenarioConfig,
     SetpointSpec,
@@ -252,7 +252,7 @@ def test_ledger_objective_recomputable_from_trajectories():
                            bernoulli_mean_penalty=True), id="tcl-bernoulli-warmup-penalty"),
     # Two warm-up rows, two whole l1 slabs and a partial third.
     pytest.param(small_cfg(feedback="bernoulli", rho=1.5, lam=0.3, bernoulli_a=2.0, bernoulli_mean_penalty=True,
-                           rounds=2 * harness.L1_SLAB_ROWS + 3), id="tcl-bernoulli-slabs"),
+                           rounds=2 * SLAB_ROWS + 3), id="tcl-bernoulli-slabs"),
     pytest.param(ScenarioConfig(scenario="ev", feedback="full", n_loads=5, rounds=30, rho=20.0,
                                 lam=3.0, seed=2), id="ev-full"),
 ])
@@ -271,6 +271,28 @@ def test_ledger_l1_and_objective_match_the_per_round_loop_bitwise(cfg):
     assert led.tracking.tobytes() == tracking.tobytes()
     assert led.l1.tobytes() == l1.tobytes()
     assert led.objective.tobytes() == objective.tobytes()
+
+
+SLAB_EDGE_ROUNDS = [63, 64, 65, 129]  # one row short of a slab, a whole slab, one row more, two and one
+
+
+@pytest.mark.parametrize("rounds", SLAB_EDGE_ROUNDS)
+@pytest.mark.parametrize("extra", [
+    pytest.param({"feedback": "full"}, id="full"),
+    pytest.param({"feedback": "full", "rho": 1.5}, id="full-penalty"),
+    pytest.param({"feedback": "bandit", "rho": 1.5}, id="bandit-penalty"),
+    pytest.param({"feedback": "partial", "observed": 2}, id="partial"),
+    *[pytest.param({"feedback": "bernoulli", "rho": 1.5, "bernoulli_a": 2.0, "bernoulli_warmup": warmup,
+                    "bernoulli_mean_penalty": penalty}, id=f"bernoulli-warmup-{warmup}-penalty-{penalty}")
+      for warmup in (True, False) for penalty in (True, False)],
+])
+def test_tcl_mean_norm_follows_the_per_row_recurrence_across_slab_edges(rounds, extra):
+    # The column is filled after the loop, slab by slab; each cell keeps the bits of the per-row mean.
+    ledger = run_trial(small_cfg(rounds=rounds, **extra), 0).ledger
+    mean = np.zeros(ledger.played.shape[1])
+    for j, played in enumerate(ledger.played):
+        mean = (j * mean + played) / (j + 1)
+        assert ledger.mean_norm[j] == math.sqrt(mean @ mean)
 
 
 def test_regret_consistency_with_trajectories():
@@ -367,6 +389,22 @@ def test_a_trial_peaks_at_its_ledger_blocks_and_little_more(feedback):
     assert peak - 2 * block < 0.5 * block, f"peak {(peak - 2 * block) / block:.2f} blocks above the ledger's two"
 
 
+def test_an_ev_trial_peaks_less_than_a_block_above_its_ledger():
+    # The states of charge, the weighted running mean and the simultaneity flags are made slab by slab.
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=500, rounds=600, rho=20.0, seed=5)
+    run_trial(cfg, 0)  # one-off allocations happen outside the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ledger = run_trial(cfg, 0).ledger
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block = ledger.played.base.nbytes
+    assert ledger.responses.nbytes == block == cfg.rounds * 2 * cfg.n_loads * 8
+    assert peak - 2 * block <= 0.9 * block, f"peak {(peak - 2 * block) / block:.2f} blocks above the ledger's two"
+
+
 def test_ev_trial_tracks_soc_and_simultaneity():
     cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=50, trials=1, seed=2)
     trial = run_trial(cfg, 0)
@@ -413,21 +451,27 @@ def test_ev_round_checks_and_weights_each_signal_once(monkeypatch, rho):
     assert calls == {"signal_block": 1, "_weigh": 31}
 
 
+@pytest.mark.parametrize("rounds", [*SLAB_EDGE_ROUNDS, 80])
 @pytest.mark.parametrize("rho", [0.0, 20.0])
-def test_ev_fleet_steps_by_the_per_round_weighted_signals_bitwise(rho):
-    # Long steps make vehicles saturate, so the clamp and its count are exercised.
-    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=6, rounds=80, rho=rho,
+def test_ev_fleet_steps_by_the_per_round_weighted_signals_bitwise(rho, rounds):
+    # Long steps make vehicles saturate, so the clamp and its count are exercised, across slab edges too.
+    # The running weighted mean and the simultaneity flags are scored in the same slabs.
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=6, rounds=rounds, rho=rho,
                          step_hours=0.5, seed=4, track_loads=6)
     trial = run_trial(cfg, 0)
-    ev, n = cfg.ev_params, cfg.n_loads
-    soc = np.full(n, 0.75)
+    ledger, ev, n = trial.ledger, cfg.ev_params, cfg.n_loads
+    mean, soc = np.zeros(n), np.full(n, 0.75)
     saturations = 0
-    for j, (resp, played) in enumerate(zip(trial.ledger.responses, trial.ledger.played)):
+    for j, (resp, played) in enumerate(zip(ledger.responses, ledger.played)):
         term = weighted_signal(ev, resp[:n], resp[n:], played[:n], played[n:])
+        mean = (j * mean + term) / (j + 1)
+        assert ledger.mean_norm[j] == math.sqrt(mean @ mean)
         raw = soc + (cfg.step_hours / ev.capacity_kwh) * term
         soc = np.clip(raw, 0.0, 1.0)
         saturations += int(np.count_nonzero(raw != soc))
         assert trial.trajectories[j].tobytes() == soc.tobytes()
+        both = np.minimum(np.abs(played[:n]), np.abs(played[n:])) > loads.SIMULTANEITY_TOL
+        assert ledger.simultaneous[j] == both.any()
     assert trial.saturation_events == saturations > 0
 
 
@@ -502,6 +546,58 @@ def test_hindsight_weighted_mean_value_consistent():
     mu = result.signal
     manual = comparator_round_losses(responses, setpoints, mu, 3.0, 0.1, mean_weights=weights).sum()
     assert result.value == pytest.approx(float(manual), rel=1e-9)
+
+
+def _count_weight_rows(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args, _original=harness.running_mean_weights):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(harness, "running_mean_weights", counting)
+    return calls
+
+
+def _same_hindsight(a, b) -> bool:
+    return (a.signal.tobytes(), a.value, a.residual, a.iterations, a.losses.tobytes()) == (
+        b.signal.tobytes(), b.value, b.residual, b.iterations, b.losses.tobytes())
+
+
+def test_an_ev_regret_at_the_origin_builds_no_weight_rows(monkeypatch):
+    # The ev_regularized.cfg shape: the comparator is the origin, whose penalty needs no weights.
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=100, rounds=600, rho=100.0, lam=46.0, seed=0)
+    trial = run_trial(cfg, 0)
+    ledger = trial.ledger
+    empirical_regret(ledger, trial.box)  # one-off allocations happen outside the count
+    calls = _count_weight_rows(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = empirical_regret(ledger, trial.box)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block = ledger.played.nbytes
+    assert peak <= 0.3 * block, f"peak {peak / block:.2f} blocks"
+    assert calls == [] and report.hindsight.iterations == 1 and not report.hindsight.signal.any()
+    weights = running_mean_weights(cfg.ev_params, ledger.responses)
+    array_path = hindsight_optimum(ledger.responses, ledger.setpoint_eff, ledger.rho_eff, ledger.lam,
+                                   trial.box, weights)
+    assert _same_hindsight(report.hindsight, array_path)
+
+
+def test_an_ev_regret_off_the_origin_builds_its_weight_rows_once(monkeypatch):
+    cfg = ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, rho=5.0, lam=0.3, seed=1)
+    trial = run_trial(cfg, 0)
+    ledger = trial.ledger
+    calls = _count_weight_rows(monkeypatch)
+    report = empirical_regret(ledger, trial.box)
+    assert len(calls) == 1 and report.hindsight.iterations > 1 and report.hindsight.signal.any()
+    weights = running_mean_weights(cfg.ev_params, ledger.responses)
+    array_path = hindsight_optimum(ledger.responses, ledger.setpoint_eff, ledger.rho_eff, ledger.lam,
+                                   trial.box, weights)
+    assert _same_hindsight(report.hindsight, array_path)
 
 
 def test_ev_comparator_scores_the_trackers_own_loss():

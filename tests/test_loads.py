@@ -129,7 +129,8 @@ def test_fleet_block_step_matches_row_by_row_steps_bitwise():
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_fleet_trajectories_step_the_tracked_loads_as_the_whole_fleet_does(k):
     fleet, signals = _clip_active_fleet_and_signals()
-    tracked = fleet.trajectories(signals, None, k)  # the responses do not enter the thermal model
+    # The responses do not enter the thermal model.
+    tracked = fleet.trajectories(signals, None, k, np.empty(len(signals)))
     whole = fleet.step(signals)
     assert tracked.tobytes() == np.ascontiguousarray(whole[:, :k]).tobytes()
 
@@ -180,10 +181,10 @@ def test_the_response_draw_makes_one_block(kind, n, bound):
 def test_untracked_trajectories_check_every_row_and_step_nothing(monkeypatch):
     fleet, signals = _clip_active_fleet_and_signals()
     monkeypatch.setattr(TclFleet, "step", lambda self, block: pytest.fail("a load was stepped"))
-    assert fleet.trajectories(signals, None, 0).shape == (len(signals), 0)
+    assert fleet.trajectories(signals, None, 0, np.empty(len(signals))).shape == (len(signals), 0)
     signals[2, -1] = 1.5
     with pytest.raises(SignalRangeError) as err:
-        fleet.trajectories(signals, None, 0)
+        fleet.trajectories(signals, None, 0, np.empty(len(signals)))
     assert err.value.row == 2
 
 
@@ -227,7 +228,7 @@ def _ev_step_rejects(fleet, signals, message, row):
     responses = np.hstack([np.full((len(signals), fleet.n_vehicles), 3.0),
                            np.full((len(signals), fleet.n_vehicles), 1.5)])
     with pytest.raises(SignalRangeError, match=message) as info:
-        fleet.step(signals, responses)
+        fleet.step(signals, responses, np.empty(len(signals)))
     assert info.value.row == row
     assert fleet.soc.tobytes() == soc.tobytes()
     assert fleet.saturation_events == 0
@@ -520,7 +521,7 @@ def _ev_round(objective, fleet, responses, signal):
     responses, signal = np.asarray(responses, dtype=float), np.asarray(signal, dtype=float)
     objective.value_and_gradient(0.0, responses, signal)
     objective.advance(signal)
-    fleet.step(signal, responses)
+    fleet.step(signal, responses, np.empty(1))
 
 
 def _ev_pair(n, params=EvParams(), step_hours=1.0 / 60.0):
@@ -566,8 +567,8 @@ def test_ev_block_step_matches_row_by_row_steps_bitwise():
     rng = np.random.default_rng(17)
     responses = np.hstack([3.0 + rng.uniform(-1, 1, (40, n)), 1.5 + rng.uniform(-1, 1, (40, n))])
     signals = np.hstack([rng.uniform(0, 1, (40, n)), -rng.uniform(0, 1, (40, n))])
-    rows = [by_row.step(mu, c)[0].copy() for mu, c in zip(signals, responses)]
-    block = fleet.step(signals, responses)
+    rows = [by_row.step(mu, c, np.empty(1))[0].copy() for mu, c in zip(signals, responses)]
+    block = fleet.step(signals, responses, np.empty(40))
     assert block.shape == (40, n)
     assert block.tobytes() == np.array(rows).tobytes()
     assert fleet.soc.tobytes() == by_row.soc.tobytes()
@@ -588,7 +589,7 @@ def test_ev_step_rejects_a_response_block_of_another_shape(shape):
     fleet = EvFleet(EvParams(), 3)
     signals = np.tile([0.5, 0.5, 0.5, -0.5, -0.5, -0.5], (4, 1))
     with pytest.raises(ValueError, match=r"response block has shape \(\d+, \d+\), played block has shape \(4, 6\)"):
-        fleet.step(signals, np.ones(shape))
+        fleet.step(signals, np.ones(shape), np.empty(4))
     assert fleet.soc.tolist() == [0.75] * 3 and fleet.saturation_events == 0
 
 
@@ -609,7 +610,7 @@ def test_ev_objective_weighted_mean_matches_batch(rho):
         responses, signal = np.concatenate([c_c, c_d]), np.concatenate([mu_c, mu_d])
         objective.value_and_gradient(0.0, responses, signal)
         objective.advance(signal)
-        fleet.step(signal, responses)
+        fleet.step(signal, responses, np.empty(1))
     np.testing.assert_allclose(objective.mean, np.mean(terms, axis=0), atol=1e-12)
     assert objective.rounds == 60
     assert np.all(fleet.soc >= 0.0) and np.all(fleet.soc <= 1.0)
@@ -702,7 +703,7 @@ def test_fleets_reject_a_block_of_the_wrong_width():
     with pytest.raises(ValueError, match="length 1, expected 3"):
         tcl.step(np.full((2, 1), 0.5))
     with pytest.raises(ValueError, match="length 2, expected 4"):
-        ev.step(np.full((2, 2), 0.5), np.full((2, 4), 3.0))
+        ev.step(np.full((2, 2), 0.5), np.full((2, 4), 3.0), np.empty(2))
     assert ev.soc.tolist() == [0.75, 0.75]
 
 
@@ -731,7 +732,7 @@ def test_ev_fleet_check_keeps_each_blocks_edges(index, edge, outward, message):
     responses = np.array([[3.0, 3.0, 1.5, 1.5]] * 2)
     signals = np.array([[0.5, 0.5, -0.5, -0.5]] * 2)
     signals[1, index] = edge
-    EvFleet(EvParams(), 2).step(signals, responses)
+    EvFleet(EvParams(), 2).step(signals, responses, np.empty(2))
     signals[1, index] = np.nextafter(edge, outward)
     _ev_step_rejects(EvFleet(EvParams(), 2), signals, message, row=1)
 
