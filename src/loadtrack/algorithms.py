@@ -103,9 +103,9 @@ def extend_running_mean(mean: np.ndarray, t: int, rows: np.ndarray, norms: np.nd
 
     ``norms`` receives the norm of the mean after each row. The rows pass
     through ``running_mean`` in order, so each mean has the bits of the
-    objective's own after as many ``advance`` calls. A trial fills its
-    ``mean_norm`` column this way after the round loop, in slabs of at
-    most ``core.SLAB_ROWS`` rows.
+    one an objective with rho != 0 commits after as many rounds. A trial
+    fills its ``mean_norm`` column this way after the round loop, in
+    slabs of at most ``core.SLAB_ROWS`` rows.
     """
     means = np.empty(rows.shape)
     for x, m in zip(rows, means):
@@ -120,12 +120,12 @@ class QuadraticTrackingObjective:
 
     The smooth loss is err^2 + rho*||mean incl. round t||^2. It is scored
     from every response (``value_and_gradient``) or from the aggregate
-    alone (``value_from_total``); ``advance`` appends the played signal
-    to ``mean``, the average of the ``rounds`` signals appended so far.
-    Only a loss with rho != 0 reads that mean, so trackers advance only
-    such an objective. When rho != 0 the candidate mean the loss was
-    scored with is kept, keyed on its signal object, and ``advance`` of
-    that same signal reuses it.
+    alone (``value_from_total``). ``mean`` is the average of the
+    ``rounds`` signals committed so far, and only a loss with rho != 0
+    reads it: scoring such a loss keeps the candidate mean it was scored
+    with (a later scoring replaces it), and ``advance`` commits that
+    candidate. A loss with rho = 0 keeps none, so trackers advance only
+    an objective with rho != 0.
     """
 
     def __init__(self, dim: int, rho: float = 0.0):
@@ -134,20 +134,15 @@ class QuadraticTrackingObjective:
         self.rho = float(rho)
         self.mean = np.zeros(dim)
         self.rounds = 0
-        self._scored = (None, None)  # (signal, candidate mean) of the last scored round
-
-    def _candidate(self, signal) -> np.ndarray:
-        """The running mean after appending ``signal``."""
-        signal = _vector(signal, "signal")
-        _same_length(self.mean, signal, "running mean")
-        return running_mean(self.mean, self.rounds, signal)
+        self._candidate = None  # the mean with the last scored signal appended, until advance commits it
 
     def _loss(self, err: float, signal):
-        """The smooth loss and the candidate mean after appending ``signal`` (None if rho = 0)."""
+        """The smooth loss and the candidate mean after appending ``signal``, kept for ``advance`` (None if rho = 0)."""
         if self.rho == 0.0:
             return err * err, None
-        cand = self._candidate(signal)
-        self._scored = (signal, cand)
+        signal = _vector(signal, "signal")
+        _same_length(self.mean, signal, "running mean")
+        self._candidate = cand = running_mean(self.mean, self.rounds, signal)
         return err * err + self.rho * float(cand @ cand), cand
 
     def value_and_gradient(self, setpoint, responses, signal):
@@ -162,10 +157,11 @@ class QuadraticTrackingObjective:
         """Reconstruct the smooth loss when only the aggregate is observed."""
         return self._loss(float(setpoint) - float(total), signal)[0]
 
-    def advance(self, played) -> None:
-        scored, cand = self._scored
-        self.mean = cand if played is scored else self._candidate(played)
-        self._scored = (None, None)
+    def advance(self) -> None:
+        """Commit the candidate mean of the last scored round; raises if no round is pending."""
+        if self._candidate is None:
+            raise RuntimeError("advance commits a round scored with rho != 0, and none is pending")
+        self.mean, self._candidate = self._candidate, None
         self.rounds += 1
 
 
@@ -232,10 +228,10 @@ class _Tracker:
         u = self._direction
         return gradient_estimate(value, u, u.shape[0], self.schedule.delta)
 
-    def _advance(self, played: np.ndarray) -> None:
-        """Append ``played`` to the objective's running mean, which only a loss with rho != 0 reads."""
+    def _advance(self) -> None:
+        """Commit the scored round to the objective's running mean, which only a loss with rho != 0 reads."""
         if self.objective.rho != 0.0:
-            self.objective.advance(played)
+            self.objective.advance()
 
     def _exact_step(self, obs, played: np.ndarray, eta: float, box: Box) -> float:
         """Prox step from ``played`` along the exact gradient onto ``box``; returns the loss."""
@@ -264,7 +260,7 @@ class FullInformationTracker(_Tracker):
     def update(self, obs) -> dict:
         played = self._take_played()
         value = self._exact_step(obs, played, self.schedule.eta, self.box)
-        self._advance(played)
+        self._advance()
         return {"loss": float(value)}
 
 
@@ -283,7 +279,7 @@ class BanditTracker(_Tracker):
     def update(self, obs) -> dict:
         played = self._take_played()
         value = self._one_point_step(obs, played, self.schedule.eta, self.box.shrunk(self.schedule.delta))
-        self._advance(played)
+        self._advance()
         return {"loss": float(value)}
 
 
@@ -425,6 +421,6 @@ class BernoulliFeedbackTracker(_Tracker):
         else:
             value = self._exact_step(obs, played, self.schedule.eta, self.box)
         if self._cursor >= self.warmup_rounds:
-            self._advance(played)  # the mean covers the scored rounds only
+            self._advance()  # the mean covers the scored rounds only
         self._cursor += 1
         return {"loss": float(value), "bandit_round": bandit}

@@ -409,7 +409,8 @@ class HindsightResult:
 
 
 def _weight_rows(mean_weights, T: int, dim: int) -> np.ndarray:
-    W = np.asarray(mean_weights, dtype=float)
+    """The rows ``mean_weights()`` returns, checked to be a (T, dim) block with an even dim."""
+    W = np.asarray(mean_weights(), dtype=float)
     if W.shape != (T, dim) or dim % 2:
         raise ValueError("mean_weights must be (rounds, dim) with an even dim")
     return W
@@ -439,13 +440,11 @@ def hindsight_optimum(
     + T * lam * ||mu||_1 over the box, where m_t is the identity for the
     plain mean penalty or, given the EV ``mean_weights`` rows w_t of
     ``running_mean_weights``, m_t(mu) = w_t[:n]*mu[:n] + w_t[n:]*mu[n:]
-    for the stacked (charge, discharge) signal. ``mean_weights`` may also
-    be a function of no arguments that returns those rows, as
-    ``empirical_regret`` passes it: it is called, and its rows checked,
-    only when the solve leaves the origin with rho != 0, because the
-    penalty of mu = 0 is 0 under any weights. The array form, checked up
-    front, stays for callers that already hold the rows; the tests'
-    references pass it.
+    for the stacked (charge, discharge) signal. ``mean_weights`` is None
+    for the plain penalty, or a function of no arguments that returns
+    those rows: it is called, and its rows checked, only when the solve
+    leaves the origin with rho != 0, because the penalty of mu = 0 is 0
+    under any weights.
 
     A primal active-set solve from the origin (BVLS, Stark & Parker 1995,
     with the l1 term): each coordinate is held at a bound or 0, or is free
@@ -461,7 +460,6 @@ def hindsight_optimum(
         raise ValueError("setpoints must match the response rows")
     if box.dim != dim:
         raise ValueError("box dimension must match the response columns")
-    W = None if mean_weights is None or callable(mean_weights) else _weight_rows(mean_weights, T, dim)
     if not (0.0 <= rho < math.inf and 0.0 <= lam < math.inf and max_iters >= 1):
         raise ValueError(f"need finite rho, lam >= 0 and max_iters >= 1, got {rho!r}, {lam!r}, {max_iters!r}")
     if not box.contains_zero:
@@ -470,7 +468,7 @@ def hindsight_optimum(
     l1_weight = T * lam
     scale = max(1.0, float(np.abs(2.0 * b).max(initial=0.0)), l1_weight)
     tol = KKT_TOL * scale
-    mu, grad, A = np.zeros(dim), -2.0 * b, None  # grad is 2 (A mu - b)
+    mu, grad, A, W = np.zeros(dim), -2.0 * b, None, None  # grad is 2 (A mu - b)
     free, sign = np.zeros(dim, dtype=bool), np.zeros(dim)
     for iterations in range(1, max_iters + 1):
         # The distance from -grad to the subdifferential of l1_weight * |mu_i| plus the box's normal cone.
@@ -483,8 +481,8 @@ def hindsight_optimum(
         if iterations == max_iters:
             raise RuntimeError(f"hindsight solve: KKT violation {worst / scale:.3e} after {max_iters} checks")
         if A is None:  # the first failed check: only a solve that leaves the origin needs A and the weights
-            if rho and callable(mean_weights):
-                W = _weight_rows(mean_weights(), T, dim)
+            if rho and mean_weights is not None:
+                W = _weight_rows(mean_weights, T, dim)
             A = _penalized_gram(R, rho, W)
         j = int(np.argmax(np.where(free, 0.0, violation)))
         if not free[j] and violation[j] > tol:

@@ -482,15 +482,16 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
     Drop-in objective for ``FullInformationTracker`` over the stacked
     (charge, discharge) signal; response vectors stack the same way.
     Like the TCL objective it scores any signal; the fleet checks the
-    played block. ``value_and_gradient`` weights the signal once;
-    ``advance`` folds that weighted signal into the running mean ``mean``.
+    played block. It states only its loss: with rho != 0,
+    ``value_and_gradient`` weighs the signal once and scores the base
+    class's candidate mean of that weighted signal, which the inherited
+    ``advance`` commits. With rho = 0 it weighs nothing.
     """
 
     def __init__(self, n_vehicles: int, rho: float, params: EvParams):
         super().__init__(n_vehicles, rho)
         self.n_vehicles = n_vehicles
         self.params = params
-        self._pending = None  # weighted signal of the round being scored
 
     def _stacked(self, x, name: str) -> np.ndarray:
         x = _vector(x, name)
@@ -510,27 +511,17 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
         signal = self._stacked(signal, "signal")
         c_charge, c_discharge = responses[:n], responses[n:]
         charge_sig, discharge_sig = signal[:n], signal[n:]
-        charge_weight = params.inj_eff * c_charge
-        self._pending = term = _weigh(charge_weight, c_discharge, charge_sig, discharge_sig, params.ext_eff)
         err = float(setpoint) - float(c_charge @ charge_sig) - float(c_discharge @ discharge_sig)
         # Scaling by -2 is exact, so this has the bits of -2.0 * c * err.
         grad = (-2.0 * err) * responses
-        loss, cand = self._loss(err, term)
-        if self.rho != 0.0:
-            weights = np.empty((2, n))
-            weights[0] = charge_weight
-            np.divide(c_discharge, params.ext_eff, out=weights[1])
-            weights *= 2.0 * self.rho / (self.rounds + 1)
-            weights *= cand
-            grad += weights.ravel()
+        if self.rho == 0.0:
+            return err * err, grad
+        charge_weight = params.inj_eff * c_charge
+        loss, cand = self._loss(err, _weigh(charge_weight, c_discharge, charge_sig, discharge_sig, params.ext_eff))
+        weights = np.empty((2, n))
+        weights[0] = charge_weight
+        np.divide(c_discharge, params.ext_eff, out=weights[1])
+        weights *= 2.0 * self.rho / (self.rounds + 1)
+        weights *= cand
+        grad += weights.ravel()
         return loss, grad
-
-    def advance(self, played) -> None:
-        """Fold the round that ``value_and_gradient`` just scored into the weighted mean.
-
-        ``played`` is that call's signal.
-        """
-        if self._pending is None:
-            raise ValueError("the EV objective advances only a round that value_and_gradient scored")
-        weighted, self._pending = self._pending, None
-        super().advance(weighted)

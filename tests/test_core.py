@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from loadtrack.algorithms import QuadraticTrackingObjective, full_gradient
+from loadtrack.algorithms import QuadraticTrackingObjective, extend_running_mean, full_gradient
 from loadtrack.core import (
     Box,
     ConfigError,
@@ -128,7 +128,7 @@ def test_full_gradient_penalty_follows_the_objective_round():
         assert objective.rounds == k
         _, g = objective.value_and_gradient(0.0, np.array([0.0]), np.array([1.0]))
         np.testing.assert_allclose(g, [4.0 / (k + 1)], atol=1e-12)
-        objective.advance(np.array([1.0]))
+        objective.advance()
     assert objective.rounds == 4
 
 
@@ -371,61 +371,92 @@ def test_validators_reject_nan(call):
         call()
 
 
-@pytest.mark.parametrize("rho", [0.0, 3.0])
-def test_objective_advance_reuses_the_candidate_of_the_scored_signal_only(rho):
-    objective = QuadraticTrackingObjective(3, rho)
+def test_objective_advance_commits_the_candidate_of_the_last_scored_round():
+    objective = QuadraticTrackingObjective(3, 3.0)
     objective.mean, objective.rounds = np.array([0.3, -0.2, 0.1]), 2
-    scored, other = np.array([0.5, 0.25, -1.0]), np.array([-0.5, 0.75, 0.0])
-    objective.value_and_gradient(1.0, np.ones(3), scored)
-    objective.advance(other)  # not the scored signal, so its own candidate is computed
-    np.testing.assert_array_equal(objective.mean, (2 * np.array([0.3, -0.2, 0.1]) + other) / 3)
-    want = (3 * objective.mean + scored) / 4
-    objective.value_and_gradient(1.0, np.ones(3), scored)
-    objective.advance(scored)
+    with pytest.raises(RuntimeError, match="none is pending"):
+        objective.advance()  # no round was scored yet
+    first, last = np.array([-0.5, 0.75, 0.0]), np.array([0.5, 0.25, -1.0])
+    objective.value_and_gradient(1.0, np.ones(3), first)
+    objective.value_from_total(1.0, 0.5, last)  # a later scoring replaces the candidate, as after a warm-up round
+    want = (2 * np.array([0.3, -0.2, 0.1]) + last) / 3
+    objective.advance()
     assert objective.mean.tobytes() == want.tobytes()
-    assert objective.rounds == 4
+    assert objective.rounds == 3
+    with pytest.raises(RuntimeError, match="none is pending"):
+        objective.advance()  # each scored round is committed once
+    assert objective.mean.tobytes() == want.tobytes() and objective.rounds == 3
+
+
+def test_a_loss_without_the_penalty_keeps_no_candidate():
+    objective = QuadraticTrackingObjective(2)
+    objective.value_and_gradient(1.0, np.ones(2), np.array([0.3, -0.4]))
+    objective.value_from_total(1.0, 0.5, np.array([0.3, -0.4]))
+    with pytest.raises(RuntimeError, match="none is pending"):
+        objective.advance()
+    assert not objective.mean.any() and objective.rounds == 0
+
+
+def _extend(rows, mean=None, t=0):
+    """The mean after appending ``rows`` to ``mean`` (the mean of t rows), and the norm after each row."""
+    rows = np.asarray(rows, dtype=float)
+    norms = np.empty(len(rows))
+    mean = np.zeros(rows.shape[1]) if mean is None else mean
+    return extend_running_mean(mean, t, rows, norms), norms
 
 
 def test_running_mean_first_round():
-    out = QuadraticTrackingObjective(2)
-    out.advance([0.3, -0.4])
-    np.testing.assert_allclose(out.mean, [0.3, -0.4])
-    assert out.rounds == 1
+    mean, norms = _extend([[0.3, -0.4]])
+    np.testing.assert_allclose(mean, [0.3, -0.4])
+    np.testing.assert_allclose(norms, [0.5])
 
 
 def test_running_mean_two_rounds():
-    m = QuadraticTrackingObjective(1)
-    m.advance([1.0])
-    m.advance([0.0])
-    np.testing.assert_allclose(m.mean, [0.5])
+    mean, norms = _extend([[1.0], [0.0]])
+    np.testing.assert_allclose(mean, [0.5])
+    np.testing.assert_allclose(norms, [1.0, 0.5])
 
 
 def test_running_mean_constant_sequence():
-    m = QuadraticTrackingObjective(3)
-    for _ in range(10):
-        m.advance([0.7, 0.7, 0.7])
-    np.testing.assert_allclose(m.mean, 0.7, atol=1e-12)
+    mean, norms = _extend(np.full((10, 3), 0.7))
+    np.testing.assert_allclose(mean, 0.7, atol=1e-12)
+    np.testing.assert_allclose(norms, 0.7 * math.sqrt(3), atol=1e-12)
 
 
 def test_running_mean_matches_batch_average():
     rng = np.random.default_rng(15)
     signals = rng.uniform(-1, 1, size=(200, 5))
-    m = QuadraticTrackingObjective(5)
-    for row in signals:
-        m.advance(row)
-    np.testing.assert_allclose(m.mean, signals.mean(axis=0), atol=1e-12)
-    assert m.rounds == 200
+    mean, norms = _extend(signals)
+    np.testing.assert_allclose(mean, signals.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(norms[-1], np.linalg.norm(signals.mean(axis=0)), atol=1e-12)
 
 
-def test_running_mean_rejects_wrong_length_and_keeps_state():
-    m = QuadraticTrackingObjective(3)
-    m.advance([0.1, 0.2, 0.3])
+def test_running_mean_continues_from_a_later_round_bitwise():
+    # A second slab continues from the mean of the first: the same bits as one row at a time.
+    rng = np.random.default_rng(16)
+    signals = rng.uniform(-1, 1, size=(70, 4))
+    head, head_norms = _extend(signals[:64])
+    mean, norms = _extend(signals[64:], head, 64)
+    m, want = np.zeros(4), []
+    for t, x in enumerate(signals):
+        m = (t * m + x) / (t + 1)
+        want.append(math.sqrt(m @ m))
+    assert mean.tobytes() == m.tobytes()
+    assert head_norms.tolist() + norms.tolist() == want
+
+
+def test_objective_rejects_a_wrong_length_signal_and_keeps_state():
+    m = QuadraticTrackingObjective(3, 2.0)
+    m.value_and_gradient(1.0, np.ones(3), np.array([0.1, 0.2, 0.3]))
+    m.advance()
     before = m.mean.copy()
     for bad in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]):
         with pytest.raises(ValueError):
-            m.advance(bad)
+            m.value_from_total(1.0, 0.5, bad)
         np.testing.assert_array_equal(m.mean, before)
         assert m.rounds == 1
+    with pytest.raises(RuntimeError, match="none is pending"):
+        m.advance()  # a rejected signal leaves no candidate to commit
 
 
 def test_objective_rejects_nan_rho():

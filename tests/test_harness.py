@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from loadtrack import harness, loads
-from loadtrack.algorithms import AggregateFeedback, FullFeedback, PartialFeedback
+from loadtrack.algorithms import AggregateFeedback, FullFeedback, PartialFeedback, QuadraticTrackingObjective
 from loadtrack.core import SLAB_ROWS, Box, ConfigError, UnsupportedBoxError, conservative_bounds
 from loadtrack.harness import (
     ScenarioConfig,
@@ -448,7 +448,36 @@ def test_ev_round_checks_and_weights_each_signal_once(monkeypatch, rho):
     count(loads, "signal_block")
     count(loads, "_weigh")
     run_trial(ScenarioConfig(scenario="ev", feedback="full", n_loads=4, rounds=30, rho=rho), 0)
-    assert calls == {"signal_block": 1, "_weigh": 31}
+    # At rho = 0 the objective weighs nothing, so only the fleet step's one slab is weighed.
+    assert calls == {"signal_block": 1, "_weigh": 31 if rho else 1}
+
+
+@pytest.mark.parametrize("scenario,feedback,rho,penalty,advances", [
+    ("tcl", "full", 0.0, False, 0),
+    ("tcl", "bandit", 0.0, False, 0),
+    ("tcl", "partial", 0.0, False, 0),
+    ("tcl", "bernoulli", 0.0, True, 0),
+    ("tcl", "bernoulli", 5.0, False, 0),  # the Bernoulli tracker drops the penalty unless told to keep it
+    ("ev", "full", 0.0, False, 0),
+    ("tcl", "full", 5.0, False, 20),
+    ("tcl", "bandit", 5.0, False, 20),
+    ("tcl", "bernoulli", 5.0, True, 20),  # the two warm-up rounds are scored but never committed
+    ("ev", "full", 5.0, False, 20),
+])
+def test_a_trial_advances_its_objective_once_per_round_only_under_a_mean_penalty(
+        monkeypatch, scenario, feedback, rho, penalty, advances):
+    calls = []
+
+    def counting(self, _original=QuadraticTrackingObjective.advance):
+        calls.append(type(self))
+        return _original(self)
+
+    monkeypatch.setattr(QuadraticTrackingObjective, "advance", counting)
+    cfg = ScenarioConfig(scenario=scenario, feedback=feedback, n_loads=6, observed=2, rounds=20, rho=rho,
+                         bernoulli_a=1.0, bernoulli_mean_penalty=penalty, bernoulli_warmup=True, seed=3)
+    run_trial(cfg, 0)
+    assert len(calls) == advances
+    assert "advance" not in vars(WeightedChargeObjective)  # the EV objective commits through the base class
 
 
 @pytest.mark.parametrize("rounds", [*SLAB_EDGE_ROUNDS, 80])
@@ -542,7 +571,7 @@ def test_hindsight_weighted_mean_value_consistent():
     setpoints = rng.normal(size=T)
     weights = rng.uniform(0.5, 1.5, size=(T, dim))
     box = Box(np.array([0.0, -1.0]), np.array([1.0, 0.0]))
-    result = hindsight_optimum(responses, setpoints, 3.0, 0.1, box, mean_weights=weights)
+    result = hindsight_optimum(responses, setpoints, 3.0, 0.1, box, mean_weights=lambda: weights)
     mu = result.signal
     manual = comparator_round_losses(responses, setpoints, mu, 3.0, 0.1, mean_weights=weights).sum()
     assert result.value == pytest.approx(float(manual), rel=1e-9)
@@ -582,9 +611,9 @@ def test_an_ev_regret_at_the_origin_builds_no_weight_rows(monkeypatch):
     assert peak <= 0.3 * block, f"peak {peak / block:.2f} blocks"
     assert calls == [] and report.hindsight.iterations == 1 and not report.hindsight.signal.any()
     weights = running_mean_weights(cfg.ev_params, ledger.responses)
-    array_path = hindsight_optimum(ledger.responses, ledger.setpoint_eff, ledger.rho_eff, ledger.lam,
-                                   trial.box, weights)
-    assert _same_hindsight(report.hindsight, array_path)
+    held = hindsight_optimum(ledger.responses, ledger.setpoint_eff, ledger.rho_eff, ledger.lam,
+                             trial.box, lambda: weights)
+    assert _same_hindsight(report.hindsight, held)
 
 
 def test_an_ev_regret_off_the_origin_builds_its_weight_rows_once(monkeypatch):
@@ -595,9 +624,9 @@ def test_an_ev_regret_off_the_origin_builds_its_weight_rows_once(monkeypatch):
     report = empirical_regret(ledger, trial.box)
     assert len(calls) == 1 and report.hindsight.iterations > 1 and report.hindsight.signal.any()
     weights = running_mean_weights(cfg.ev_params, ledger.responses)
-    array_path = hindsight_optimum(ledger.responses, ledger.setpoint_eff, ledger.rho_eff, ledger.lam,
-                                   trial.box, weights)
-    assert _same_hindsight(report.hindsight, array_path)
+    held = hindsight_optimum(ledger.responses, ledger.setpoint_eff, ledger.rho_eff, ledger.lam,
+                             trial.box, lambda: weights)
+    assert _same_hindsight(report.hindsight, held)
 
 
 def test_ev_comparator_scores_the_trackers_own_loss():
@@ -613,7 +642,7 @@ def test_ev_comparator_scores_the_trackers_own_loss():
         losses = []
         for setpoint, responses in zip(ledger.setpoint_eff, ledger.responses):
             losses.append(objective.value_and_gradient(setpoint, responses, mu)[0] + cfg.lam * np.abs(mu).sum())
-            objective.advance(mu)
+            objective.advance()
         return np.array(losses)
 
     rng = np.random.default_rng(1)
@@ -647,6 +676,11 @@ def _hindsight_case(rng, box_kind, origin, weighted):
     return responses, setpoints, rho, lam, box, weights
 
 
+def _rule(weights):
+    """``hindsight_optimum``'s ``mean_weights`` for a held block: None, or a function that returns it."""
+    return None if weights is None else lambda: weights
+
+
 def _augmented_least_squares(responses, setpoints, rho, weights):
     """[R; sqrt(rho) P] and [s; 0], whose squared residual is the objective without its l1 term.
 
@@ -671,7 +705,7 @@ def test_hindsight_matches_scipy_bvls_without_the_l1_term(box_kind, weighted):
         responses, setpoints, rho, _, box, weights = _hindsight_case(rng, box_kind, False, weighted)
         augmented, target = _augmented_least_squares(responses, setpoints, rho, weights)
         ref = lsq_linear(augmented, target, bounds=(box.lo, box.hi), method="bvls", tol=1e-14)
-        result = hindsight_optimum(responses, setpoints, rho, 0.0, box, weights)
+        result = hindsight_optimum(responses, setpoints, rho, 0.0, box, _rule(weights))
         ref_value = float(np.sum((augmented @ ref.x - target) ** 2))
         assert result.value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
         assert result.residual <= 1e-9
@@ -710,7 +744,7 @@ def test_hindsight_matches_scipy_bvls_orthant_by_orthant_with_the_l1_term(box_ki
     for _ in range(6):
         responses, setpoints, rho, lam, box, weights = _hindsight_case(rng, box_kind, origin, weighted)
         rho = rho or float(rng.uniform(0.1, 5))  # the reference needs M of full column rank
-        result = hindsight_optimum(responses, setpoints, rho, lam, box, weights)
+        result = hindsight_optimum(responses, setpoints, rho, lam, box, _rule(weights))
         want = _orthant_bvls_value(responses, setpoints, rho, lam, box, weights)
         assert result.value == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert result.residual <= 1e-9
@@ -725,8 +759,8 @@ def test_hindsight_mirrors_a_negated_problem(box_kind, weighted, origin):
     rng = np.random.default_rng([len(box_kind), weighted, origin, 3])
     for _ in range(8):
         responses, setpoints, rho, lam, box, weights = _hindsight_case(rng, box_kind, origin, weighted)
-        result = hindsight_optimum(responses, setpoints, rho, lam, box, weights)
-        mirrored = hindsight_optimum(responses, -setpoints, rho, lam, Box(-box.hi, -box.lo), weights)
+        result = hindsight_optimum(responses, setpoints, rho, lam, box, _rule(weights))
+        mirrored = hindsight_optimum(responses, -setpoints, rho, lam, Box(-box.hi, -box.lo), _rule(weights))
         assert np.array_equal(-mirrored.signal, result.signal)
         assert (mirrored.value, mirrored.residual, mirrored.iterations) == (
             result.value, result.residual, result.iterations)
@@ -754,12 +788,12 @@ def test_hindsight_origin_optimal_takes_one_check_and_forms_no_gram(monkeypatch,
     rng = np.random.default_rng([len(box_kind), weighted, 1])
     for _ in range(8):
         responses, setpoints, rho, lam, box, weights = _hindsight_case(rng, box_kind, True, weighted)
-        result = hindsight_optimum(responses, setpoints, rho, lam, box, weights, max_iters)
+        result = hindsight_optimum(responses, setpoints, rho, lam, box, _rule(weights), max_iters)
         assert not result.signal.any() and result.iterations == 1 and result.residual <= 1e-9
         assert result.value == pytest.approx(float(setpoints @ setpoints), rel=1e-12)
     assert not grams
     # Away from the origin (a one-sided box can keep it optimal even so), each solve forms A once.
-    moved = [hindsight_optimum(*case).iterations > 1
+    moved = [hindsight_optimum(*case[:5], _rule(case[5])).iterations > 1
              for case in (_hindsight_case(rng, box_kind, False, weighted) for _ in range(8))]
     assert any(moved) and len(grams) == sum(moved)
 
@@ -768,7 +802,7 @@ def test_hindsight_names_the_violation_when_it_reaches_the_cap():
     rng = np.random.default_rng(5)
     responses, setpoints, rho, lam, box, weights = _hindsight_case(rng, "symmetric", False, False)
     with pytest.raises(RuntimeError, match=r"KKT violation \d\.\d+e[+-]\d+ after 1 checks"):
-        hindsight_optimum(responses, setpoints, rho, lam, box, weights, max_iters=1)
+        hindsight_optimum(responses, setpoints, rho, lam, box, _rule(weights), max_iters=1)
 
 
 @pytest.mark.parametrize("rho,lam,max_iters", [
@@ -784,12 +818,31 @@ def test_hindsight_rejects_a_box_without_the_origin():
     rng = np.random.default_rng(6)
     responses, setpoints, rho, lam, box, weights = _hindsight_case(rng, "offset", False, False)
     with pytest.raises(UnsupportedBoxError, match="must contain 0"):
-        hindsight_optimum(responses, setpoints, rho, lam, box, weights)
+        hindsight_optimum(responses, setpoints, rho, lam, box, _rule(weights))
 
 
 def test_hindsight_rejects_a_box_of_another_dimension():
     with pytest.raises(ValueError, match="box dimension"):
         hindsight_optimum(np.ones((4, 3)), np.zeros(4), 0.0, 1.0, Box.symmetric(1))
+
+
+@pytest.mark.parametrize("dim,shape", [(4, (7, 4)), (4, (8, 2)), (3, (8, 3))], ids=["rows", "columns", "odd-dim"])
+def test_hindsight_rejects_a_bad_weight_block_once_it_leaves_the_origin(dim, shape):
+    rng = np.random.default_rng(8)
+    responses, setpoints, box = rng.normal(size=(8, dim)) + 2.0, rng.normal(size=8) * 3.0, Box.symmetric(dim)
+    calls = []
+
+    def rule():
+        calls.append(shape)
+        return np.ones(shape)
+
+    with pytest.raises(ValueError, match=r"mean_weights must be \(rounds, dim\) with an even dim"):
+        hindsight_optimum(responses, setpoints, 1.0, 0.0, box, rule)
+    assert len(calls) == 1
+    # At an origin exit (|2b| < T * lam) the rule is never called, whatever it would return.
+    lam = float(np.abs(2.0 * responses.T @ setpoints).max())
+    result = hindsight_optimum(responses, setpoints, 1.0, lam, box, rule)
+    assert result.iterations == 1 and not result.signal.any() and len(calls) == 1
 
 
 def test_full_info_regret_bound_positive_and_dominates():

@@ -516,46 +516,40 @@ def test_ev_fleet_states_its_response_model():
     assert fleet.baseline_power() == 0.0
 
 
-def _ev_round(objective, fleet, responses, signal):
-    """One round as ``run_trial`` plays it: score, advance, then step the fleet over the played row."""
-    responses, signal = np.asarray(responses, dtype=float), np.asarray(signal, dtype=float)
-    objective.value_and_gradient(0.0, responses, signal)
-    objective.advance(signal)
-    fleet.step(signal, responses, np.empty(1))
-
-
-def _ev_pair(n, params=EvParams(), step_hours=1.0 / 60.0):
-    return WeightedChargeObjective(n, 0.0, params), EvFleet(params, n, step_hours)
+def _ev_round(fleet, responses, signal) -> float:
+    """Step the fleet over one played row; return the norm of the weighted mean after it."""
+    norm = np.empty(1)
+    fleet.step(np.asarray(signal, dtype=float), np.asarray(responses, dtype=float), norm)
+    return float(norm[0])
 
 
 def test_ev_soc_step_charging_hand_value():
-    objective, fleet = _ev_pair(1)
-    _ev_round(objective, fleet, [3.0, 1.5], [1.0, 0.0])
+    fleet = EvFleet(EvParams(), 1)
+    mean_norm = _ev_round(fleet, [3.0, 1.5], [1.0, 0.0])
     assert fleet.soc[0] == pytest.approx(0.75425, abs=1e-9)
-    assert objective.mean[0] == pytest.approx(0.85 * 3.0)  # one round: the mean is its weighted signal
+    assert mean_norm == pytest.approx(0.85 * 3.0)  # one round: the mean is its weighted signal
     assert fleet.saturation_events == 0
 
 
 def test_ev_soc_step_discharging_hand_value():
-    objective, fleet = _ev_pair(1)
-    _ev_round(objective, fleet, [3.0, 1.5], [0.0, -1.0])
+    fleet = EvFleet(EvParams(), 1)
+    _ev_round(fleet, [3.0, 1.5], [0.0, -1.0])
     assert fleet.soc[0] == pytest.approx(0.75 - (1.5 / 0.85) / 600.0, abs=1e-9)
     assert fleet.soc[0] == pytest.approx(0.747059, abs=1e-6)
 
 
 def test_ev_soc_zero_signal_is_identity():
-    objective, fleet = _ev_pair(2)
+    fleet = EvFleet(EvParams(), 2)
     fleet.soc = np.array([0.4, 0.9])
-    _ev_round(objective, fleet, [3.0, 3.0, 1.5, 1.5], np.zeros(4))
+    assert _ev_round(fleet, [3.0, 3.0, 1.5, 1.5], np.zeros(4)) == 0.0
     np.testing.assert_array_equal(fleet.soc, [0.4, 0.9])
-    np.testing.assert_array_equal(objective.mean, 0.0)
     assert fleet.saturation_events == 0
 
 
 def test_ev_soc_clamps_and_counts_saturation():
-    objective, fleet = _ev_pair(1, EvParams(capacity_kwh=0.01), step_hours=1.0)
+    fleet = EvFleet(EvParams(capacity_kwh=0.01), 1, step_hours=1.0)
     fleet.soc = np.array([0.99])
-    _ev_round(objective, fleet, [3.0, 1.5], [1.0, 0.0])
+    _ev_round(fleet, [3.0, 1.5], [1.0, 0.0])
     assert fleet.soc[0] == 1.0
     assert fleet.saturation_events == 1
 
@@ -593,10 +587,9 @@ def test_ev_step_rejects_a_response_block_of_another_shape(shape):
     assert fleet.soc.tolist() == [0.75] * 3 and fleet.saturation_events == 0
 
 
-@pytest.mark.parametrize("rho", [0.0, 30.0])
-def test_ev_objective_weighted_mean_matches_batch(rho):
+def test_ev_objective_weighted_mean_matches_batch():
     params = EvParams()
-    objective = WeightedChargeObjective(4, rho, params)
+    objective = WeightedChargeObjective(4, 30.0, params)
     fleet = EvFleet(params, 4)
     rng = np.random.default_rng(13)
     noise = NoiseSpec(sd=0.1, lo=-1.5, hi=1.5)
@@ -609,7 +602,7 @@ def test_ev_objective_weighted_mean_matches_batch(rho):
         terms.append(params.inj_eff * c_c * mu_c + c_d * mu_d / params.ext_eff)
         responses, signal = np.concatenate([c_c, c_d]), np.concatenate([mu_c, mu_d])
         objective.value_and_gradient(0.0, responses, signal)
-        objective.advance(signal)
+        objective.advance()
         fleet.step(signal, responses, np.empty(1))
     np.testing.assert_allclose(objective.mean, np.mean(terms, axis=0), atol=1e-12)
     assert objective.rounds == 60
@@ -619,24 +612,21 @@ def test_ev_objective_weighted_mean_matches_batch(rho):
 # --- EV loss and gradient ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("rho", [0.0, 30.0])
-def test_ev_objective_reuses_its_weighted_signal(rho):
+def test_ev_objective_commits_its_weighted_signal():
     params = EvParams()
-    objective = WeightedChargeObjective(3, rho, params)
-    with pytest.raises(ValueError):
-        objective.advance(np.zeros(6))  # no round was scored yet
+    objective = WeightedChargeObjective(3, 30.0, params)
     rng = np.random.default_rng(21)
     mean = np.zeros(3)
     for k in range(20):
         responses = np.concatenate([3.0 + rng.uniform(-1, 1, 3), 1.5 + rng.uniform(-1, 1, 3)])
         signal = np.concatenate([rng.uniform(0, 1, 3), -rng.uniform(0, 1, 3)])
         objective.value_and_gradient(1.0, responses, signal)
-        objective.advance(signal)
+        objective.advance()
         weighted = weighted_signal(params, responses[:3], responses[3:], signal[:3], signal[3:])
         mean = (k * mean + weighted) / (k + 1)
         assert objective.mean.tobytes() == mean.tobytes()
-        with pytest.raises(ValueError):
-            objective.advance(signal)  # each scored round advances once
+        with pytest.raises(RuntimeError, match="none is pending"):
+            objective.advance()  # each scored round advances once
 
 
 def _reference_ev_round(params, rho, mean, rounds, setpoint, responses, signal):
@@ -669,13 +659,14 @@ def test_ev_objective_matches_the_per_block_formulas_bitwise(rho):
         signal = np.concatenate([rng.uniform(0, 1, n), -rng.uniform(0, 1, n)])
         setpoint = rng.uniform(-40, 40)
         loss, grad = objective.value_and_gradient(setpoint, responses, signal)
-        objective.advance(signal)
-        want_loss, want_grad, mean = _reference_ev_round(params, rho, mean, rounds, setpoint, responses, signal)
-        rounds += 1
+        want_loss, want_grad, cand = _reference_ev_round(params, rho, mean, rounds, setpoint, responses, signal)
         assert loss == want_loss
         assert grad.tobytes() == want_grad.tobytes()
-        assert objective.mean.tobytes() == mean.tobytes()
-        assert objective.rounds == rounds
+        if rho:  # a tracker advances only an objective whose loss reads the mean
+            objective.advance()
+            mean, rounds = cand, rounds + 1
+            assert objective.mean.tobytes() == mean.tobytes()
+            assert objective.rounds == rounds
 
 
 def _ev_loss_and_gradient(s, c_c, c_d, mu_c, mu_d, rho, wm, params):
