@@ -349,24 +349,13 @@ def ev_decision_box(n_vehicles: int) -> Box:
     return Box(np.concatenate([zeros, -ones]), np.concatenate([ones, zeros]))
 
 
-def _weigh(charge_weight, c_discharge, charge_sig, discharge_sig, ext_eff: float) -> np.ndarray:
-    """(inj_eff*c_c)*mu_c + (c_d*mu_d)/ext_eff, from the charging weight inj_eff*c_c."""
-    term = charge_weight * charge_sig
-    discharge = c_discharge * discharge_sig
-    discharge /= ext_eff
+def weighted_signal(params: EvParams, c_charge, c_discharge, charge_sig, discharge_sig) -> np.ndarray:
+    """Battery-impact-weighted signal entering the state of charge: (inj_eff*c_c)*mu_c + (c_d*mu_d)/ext_eff."""
+    term = params.inj_eff * np.asarray(c_charge, dtype=float) * charge_sig
+    discharge = np.asarray(c_discharge, dtype=float) * discharge_sig
+    discharge /= params.ext_eff
     term += discharge
     return term
-
-
-def weighted_signal(params: EvParams, c_charge, c_discharge, charge_sig, discharge_sig):
-    """Battery-impact-weighted signal entering the state of charge."""
-    return _weigh(
-        params.inj_eff * np.asarray(c_charge, dtype=float),
-        np.asarray(c_discharge, dtype=float),
-        charge_sig,
-        discharge_sig,
-        params.ext_eff,
-    )
 
 
 def running_mean_weights(params: EvParams, responses) -> np.ndarray:
@@ -411,33 +400,38 @@ class EvFleet:
         """Aggregate consumption the setpoint is offset by: none, since a vehicle idles at 0."""
         return 0.0
 
-    def step(self, signals, responses, mean_norm: np.ndarray) -> np.ndarray:
+    def step(self, signals, responses, mean_norm: np.ndarray, track: int | None = None) -> np.ndarray:
         """Advance every vehicle through a block of rounds, clamp the SoC to [0, 1] and count saturations.
 
         ``signals`` and ``responses`` are the (rounds, 2n) stacked played
         and response blocks, or one row of each; the signals are checked
         against ``box`` first, and the two blocks must have the same shape.
-        Returns the (rounds, n) states of charge after each row; ``soc``
-        holds the last. The rows are weighed in slabs of ``core.SLAB_ROWS``,
-        and ``mean_norm``, one cell per row, receives the norm of the running
-        weighted mean after each row, from the same weighing.
+        Returns the states of charge of the first ``track`` vehicles after
+        each row (all of them by default, and a larger ``track`` keeps all,
+        as a slice does); ``soc`` holds every vehicle's last. The rows are
+        weighed and clamped in slabs of ``core.SLAB_ROWS``, so no (rounds, n)
+        block is made for fewer columns, and ``mean_norm``, one cell per
+        row, receives the norm of the running weighted mean after each row,
+        from the same weighing.
         """
         signals, responses = signal_block(signals, self.box), np.atleast_2d(responses)
         if responses.shape != signals.shape:
             raise ValueError(
                 f"response block has shape {responses.shape}, played block has shape {signals.shape}"
             )
-        socs = np.empty((len(signals), self.n_vehicles))
+        socs = np.empty((len(signals), len(self.soc[:track])))
         soc, mean, saturations = self.soc, np.zeros(self.n_vehicles), 0
         for rows in slabs(len(signals)):
             raw = weighted_signal(self.params, *np.hsplit(responses[rows], 2), *np.hsplit(signals[rows], 2))
             mean = extend_running_mean(mean, rows.start, raw, mean_norm[rows])
             raw *= self.step_hours / self.params.capacity_kwh
-            for raw_row, soc_row in zip(raw, socs[rows]):
+            clamped = np.empty_like(raw)
+            for raw_row, soc_row in zip(raw, clamped):
                 raw_row += soc
                 # np.clip's bits at a third of its per-call cost.
                 soc = np.minimum(np.maximum(raw_row, 0.0, out=soc_row), 1.0, out=soc_row)
-            saturations += int(np.count_nonzero(raw != socs[rows]))
+            saturations += int(np.count_nonzero(raw != clamped))
+            socs[rows] = clamped[:, :track]
         self.soc = soc.copy()
         self.saturation_events += saturations
         return socs
@@ -457,7 +451,7 @@ class EvFleet:
         ``mean_norm`` receives the norm of the running weighted mean after
         each row; an EV trial plays no warm-up, so it covers every row.
         """
-        return self.step(played, responses, mean_norm)[:, :track]
+        return self.step(played, responses, mean_norm, track)
 
     def simultaneous(self, played) -> np.ndarray:
         """Per played row, whether some vehicle charges and discharges beyond ``SIMULTANEITY_TOL`` at once.
@@ -516,10 +510,9 @@ class WeightedChargeObjective(QuadraticTrackingObjective):
         grad = (-2.0 * err) * responses
         if self.rho == 0.0:
             return err * err, grad
-        charge_weight = params.inj_eff * c_charge
-        loss, cand = self._loss(err, _weigh(charge_weight, c_discharge, charge_sig, discharge_sig, params.ext_eff))
+        loss, cand = self._loss(err, weighted_signal(params, c_charge, c_discharge, charge_sig, discharge_sig))
         weights = np.empty((2, n))
-        weights[0] = charge_weight
+        np.multiply(params.inj_eff, c_charge, out=weights[0])
         np.divide(c_discharge, params.ext_eff, out=weights[1])
         weights *= 2.0 * self.rho / (self.rounds + 1)
         weights *= cand

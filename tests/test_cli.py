@@ -368,6 +368,15 @@ def test_final_manifest_reports_peak_memory_and_emission_time(tmp_path):
     assert _settings_lines(out / "manifest.txt") == _settings_lines(pending)
 
 
+def _run_cli_in_a_child(path, out, **env_vars):
+    """Run the CLI on ``path`` in a child process; ``env_vars`` are set in the child's environment only."""
+    package_root = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, **env_vars,
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "loadtrack.cli", "--config", str(path), "--out", str(out), "--quiet"]
+    subprocess.run(argv, env=env, check=True, timeout=120)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the Linux high-water mark")
 def test_manifest_peak_memory_is_the_runs_own_not_its_launchers(tmp_path):
     # On Linux a process started by exec keeps its launcher's ru_maxrss, so a run launched from a
@@ -375,12 +384,22 @@ def test_manifest_peak_memory_is_the_runs_own_not_its_launchers(tmp_path):
     ballast = np.ones(128 * 2**20 // 8)  # 128 MiB, every page touched
     path = write_cfg(tmp_path)
     out = tmp_path / "out"
-    package_root = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-m", "loadtrack.cli", "--config", str(path), "--out", str(out), "--quiet"]
-    subprocess.run(argv, env=env, check=True, timeout=120)
+    _run_cli_in_a_child(path, out)
     peak = float(_manifest_comments(out / "manifest.txt")["peak_rss_mb"])
     assert 0.0 < peak < ballast.nbytes / 2**20
+
+
+@pytest.mark.parametrize("name", ["ev", "regimes"])
+def test_golden_runs_are_byte_identical_at_one_and_two_blas_threads(tmp_path, name):
+    # The outputs must not depend on how the BLAS splits its work, so that batching trials keeps the bytes.
+    path = write_cfg(tmp_path, GOLDEN_RUNS[name])
+    outputs = []
+    for threads in ("1", "2"):
+        _run_cli_in_a_child(path, tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
+        outputs.append(read_outputs(tmp_path / threads))
+    golden = {csv: (DATA_DIR / f"golden_{name}_{csv}").read_bytes()
+              for csv in ("rounds.csv", "summary.csv", "trajectories.csv")}
+    assert outputs[0] == outputs[1] == golden
 
 
 def _manifest_for(path) -> str:

@@ -578,6 +578,27 @@ def test_ev_block_step_matches_row_by_row_steps_bitwise():
     assert fleet.saturation_events == saturations
 
 
+@pytest.mark.parametrize("rows", [0, 70])
+@pytest.mark.parametrize("track", [0, 1, 6, 8])
+def test_ev_step_keeps_the_first_track_columns_of_the_whole_fleet_step_bitwise(track, rows):
+    # Every vehicle still steps, clamps and counts its saturations, across a slab edge too;
+    # only the stored columns change, and a track past the fleet keeps every vehicle.
+    params, n = EvParams(capacity_kwh=2.0), 6
+    rng = np.random.default_rng(19)
+    responses = np.hstack([3.0 + rng.uniform(-1, 1, (rows, n)), 1.5 + rng.uniform(-1, 1, (rows, n))])
+    signals = np.hstack([rng.uniform(0, 1, (rows, n)), -rng.uniform(0, 1, (rows, n))])
+    whole, kept = EvFleet(params, n, step_hours=0.5), EvFleet(params, n, step_hours=0.5)
+    whole_norm, kept_norm = np.full(rows, np.nan), np.full(rows, np.nan)
+    every = whole.step(signals, responses, whole_norm)
+    socs = kept.step(signals, responses, kept_norm, track)
+    assert every.shape == (rows, n) and socs.shape == (rows, min(track, n))
+    assert socs.tobytes() == every[:, :track].tobytes()
+    assert kept_norm.tobytes() == whole_norm.tobytes() and not np.isnan(kept_norm).any()
+    assert kept.soc.tobytes() == whole.soc.tobytes()
+    assert kept.saturation_events == whole.saturation_events
+    assert (whole.saturation_events > 0) == (rows > 0)
+
+
 @pytest.mark.parametrize("shape", [(6,), (4, 2)])
 def test_ev_step_rejects_a_response_block_of_another_shape(shape):
     fleet = EvFleet(EvParams(), 3)
