@@ -35,7 +35,8 @@ __all__ = [
     "weighted_signal",
 ]
 
-MAX_REJECTIONS = 1_000_000
+MAX_REJECTIONS = 1_000_000  # the rejected draws any block may make
+REJECTIONS_PER_CELL = 100  # or this many per cell, if more: past it, a block's acceptance is below 1%
 FLEET_INIT_MAX_REDRAWS = 1_000
 STEADY_DUTY_WINDOW = (0.05, 0.95)  # the open interval every sampled TCL's steady duty lands in
 EV_INITIAL_SOC = 0.75  # every vehicle's state of charge before the first round
@@ -94,8 +95,9 @@ def sample_truncated_gaussian(mean, sd, lo, hi, rng: np.random.Generator, size=N
     """Gaussian draw conditioned on [lo, hi], by rejection.
 
     The supports used here are at least two standard deviations wide, so
-    acceptance stays high; a budget of one million rejected draws guards
-    against degenerate configurations.
+    acceptance stays high. The budget of rejected draws guards against
+    degenerate acceptance, not against size: ``MAX_REJECTIONS`` for any
+    block, and ``REJECTIONS_PER_CELL`` per cell for a larger one.
     """
     _check_truncation(mean, sd, lo, hi)
     scalar = size is None
@@ -110,10 +112,10 @@ def sample_truncated_gaussian(mean, sd, lo, hi, rng: np.random.Generator, size=N
     out *= sd
     out += mean
     pending = np.flatnonzero(~((out >= lo) & (out <= hi)))
-    rejected = pending.size
+    rejected, budget = pending.size, max(MAX_REJECTIONS, REJECTIONS_PER_CELL * n)
     while True:
-        if rejected > MAX_REJECTIONS:
-            raise SamplingError(f"more than {MAX_REJECTIONS} rejected draws for [{lo}, {hi}]")
+        if rejected > budget:
+            raise SamplingError(f"more than {budget} rejected draws for [{lo}, {hi}]")
         if not pending.size:
             return float(out[0]) if scalar else out.reshape(size)
         draws = mean + sd * rng.standard_normal(pending.size)

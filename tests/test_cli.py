@@ -202,6 +202,31 @@ def test_golden_regimes_and_ev_runs(tmp_path, name):
         assert (out / csv).read_bytes() == golden, f"{name} {csv} drifted from the golden file"
 
 
+@pytest.mark.parametrize("name", ["tiny", *sorted(GOLDEN_RUNS)])
+def test_golden_runs_drawn_ahead_keep_their_bytes(tmp_path, monkeypatch, name):
+    # Every trial after the first draws its first-pass response fill on the worker thread.
+    monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", 0)
+    path = write_cfg(tmp_path, TINY_CFG if name == "tiny" else GOLDEN_RUNS[name])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    prefix = "golden_" if name == "tiny" else f"golden_{name}_"
+    for csv in ("rounds.csv", "summary.csv", "trajectories.csv"):
+        golden = (DATA_DIR / f"{prefix}{csv}").read_bytes()
+        assert (out / csv).read_bytes() == golden, f"{name} {csv} drifted from the golden file"
+
+
+@pytest.mark.parametrize("scenario", ["tcl", "ev"])
+def test_noiseless_runs_drawn_ahead_match_the_serial_run(tmp_path, monkeypatch, scenario):
+    # At sd = 0 the sampler draws nothing, so nothing is drawn ahead either.
+    text = f"[run]\nscenario = {scenario}\nfeedback = full\ntrials = 3\nrounds = 30\nseed = 4\n\n" \
+           "[fleet]\nn_loads = 5\n\n[noise]\nmean = 0.5\nsd = 0\n"
+    path = write_cfg(tmp_path, text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "serial"), "--quiet"]) == EXIT_OK
+    monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", 0)
+    assert main(["--config", str(path), "--out", str(tmp_path / "ahead"), "--quiet"]) == EXIT_OK
+    assert read_outputs(tmp_path / "ahead") == read_outputs(tmp_path / "serial")
+
+
 def test_only_each_cases_kept_trial_steps_tracked_loads(tmp_path, monkeypatch):
     # Neither a later trial's nor the twin's trajectories are written, so neither steps a TCL load.
     blocks = []

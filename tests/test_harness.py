@@ -1,8 +1,10 @@
 """Closed-loop harness tests: channels, determinism, regret, metrics."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -325,13 +327,17 @@ def test_experiment_round_series_average_trials():
     np.testing.assert_allclose(res.rounds["tracking"], stack.mean(axis=0), atol=1e-12)
 
 
-def test_run_experiment_releases_each_trial_before_the_next(monkeypatch):
+@pytest.mark.parametrize("draw_ahead_cells", [0, None], ids=["draw-ahead", "serial"])
+def test_run_experiment_releases_each_trial_before_the_next(monkeypatch, draw_ahead_cells):
+    # 240 cells per fill: above a threshold of 0, below the default one.
+    if draw_ahead_cells is not None:
+        monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", draw_ahead_cells)
     original = harness.run_trial
     ledgers, alive_at_start = [], []
 
-    def spy(cfg, trial_index):
+    def spy(cfg, trial_index, ahead=None):
         alive_at_start.append(sum(ref() is not None for ref in ledgers))
-        trial = original(cfg, trial_index)
+        trial = original(cfg, trial_index, ahead)
         ledgers.append(weakref.ref(trial.ledger))
         return trial
 
@@ -355,21 +361,38 @@ def test_experiment_keeps_the_first_trials_trajectories(cfg):
     assert kept.tobytes() == first.tobytes()
 
 
-@pytest.mark.parametrize("feedback", ["full", "bandit"])
-def test_run_experiment_holds_a_few_trial_blocks_at_most(feedback):
-    # One block is a (rounds + 2, n) float64 array, the size of one trial's played signals.
-    cfg = ScenarioConfig(feedback=feedback, n_loads=400, rounds=100, trials=3, seed=5)
-    block = (cfg.rounds + 2) * cfg.n_loads * 8
-    run_experiment(dataclasses.replace(cfg, trials=1))  # one-off allocations happen outside the count
+def _experiment_peak(cfg: ScenarioConfig) -> tuple:
+    """The tracemalloc (held, peak) bytes of one ``run_experiment(cfg)`` after a warm-up run, and its result.
+
+    The warm-up runs two trials, so the one-off allocations of a first draw ahead happen outside the count too.
+    """
+    run_experiment(dataclasses.replace(cfg, trials=2))
     tracemalloc.start()
     try:
         result = run_experiment(cfg)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return held, peak, result
+
+
+@pytest.mark.parametrize("feedback", ["full", "bandit"])
+def test_run_experiment_holds_a_few_trial_blocks_at_most(monkeypatch, feedback):
+    # One block is a (rounds + 2, n) float64 array, the size of one trial's played signals.
+    cfg = ScenarioConfig(feedback=feedback, n_loads=400, rounds=100, trials=3, seed=5)
+    block = (cfg.rounds + 2) * cfg.n_loads * 8
+    assert cfg.rounds * cfg.n_loads < harness.DRAW_AHEAD_CELLS
+    held, peak, result = _experiment_peak(cfg)
     assert peak <= 5 * block, f"peak {peak / block:.2f} blocks"
     assert held <= 0.5 * block, f"held {held / block:.2f} blocks after return"
     assert result.trajectories.shape == (cfg.rounds, cfg.track_loads)
+    # Drawn ahead, the next trial's fill (rounds x n cells) and the worker are alive while a trial runs:
+    # one block more at most.
+    monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", 0)
+    ahead_held, ahead_peak, ahead = _experiment_peak(cfg)
+    assert ahead_peak <= peak + block, f"peak {(ahead_peak - peak) / block:.2f} blocks above the serial run"
+    assert ahead_held <= 0.5 * block, f"held {ahead_held / block:.2f} blocks after return"
+    assert ahead.rounds["tracking"].tobytes() == result.rounds["tracking"].tobytes()
 
 
 @pytest.mark.parametrize("feedback", ["full", "bernoulli"])
@@ -1122,6 +1145,40 @@ def test_run_experiment_names_the_round_of_a_bad_signal_in_a_later_trial(monkeyp
     with pytest.raises(ValueError, match=r"^round 3: adjustment signals must lie in \[-1, 1\]$"):
         run_experiment(cfg)
     assert calls["n"] == 2 * cfg.rounds
+
+
+@pytest.mark.parametrize("scenario", ["tcl", "ev"])
+def test_a_trial_drawn_ahead_fails_as_it_does_inline(monkeypatch, scenario):
+    # Trial 1 draws its responses ahead; its error still names the round, keeps its type,
+    # and the worker is shut down before run_experiment raises.
+    from loadtrack.algorithms import FullInformationTracker
+
+    monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", 0)
+    cfg = small_cfg(scenario=scenario, trials=3)
+    original = FullInformationTracker.update
+    calls = {"n": 0}
+
+    def failing_update(self, obs):
+        calls["n"] += 1
+        if calls["n"] == cfg.rounds + 3:  # round 3 of trial 1
+            raise FloatingPointError("synthetic failure")
+        return original(self, obs)
+
+    monkeypatch.setattr(FullInformationTracker, "update", failing_update)
+    before = set(threading.enumerate())
+    with pytest.raises(FloatingPointError, match="^round 3: synthetic failure$"):
+        run_experiment(cfg)
+    assert calls["n"] == cfg.rounds + 3
+    assert set(threading.enumerate()) == before
+
+
+def test_a_fill_drawn_ahead_must_be_the_first_draw_of_its_size():
+    cfg = small_cfg().resolved()
+    response_rng = np.random.default_rng(harness._trial_seeds(cfg, 1)[1])
+    with concurrent.futures.ThreadPoolExecutor(1) as worker:
+        ahead = harness._Prefilled(response_rng, worker, 7)
+        with pytest.raises(RuntimeError, match="240 cells, 7 were drawn ahead"):
+            run_trial(cfg, 1, ahead)
 
 
 def test_compute_metrics_layout():

@@ -370,6 +370,18 @@ def test_truncated_gaussian_draw_budget(monkeypatch):
         sample_truncated_gaussian(0.0, 0.01, 0.4, 0.4001, rng)
 
 
+def test_a_large_healthy_block_draws_past_the_absolute_budget(monkeypatch):
+    # A 1600 x 2000 block at 68% acceptance rejects about 1.5 million draws, more than
+    # MAX_REJECTIONS; the same ratio at a thousandth of the size, with a thousandth of the budget.
+    import loadtrack.loads as loads_module
+
+    monkeypatch.setattr(loads_module, "MAX_REJECTIONS", 1000)
+    block = sample_truncated_gaussian(0.0, 1.0, -1.0, 1.0, np.random.default_rng(0), size=(40, 80))
+    expected, passes = _reference_truncated_gaussian(0.0, 1.0, -1.0, 1.0, np.random.default_rng(0), size=(40, 80))
+    assert passes > 1
+    assert block.tobytes() == expected.tobytes()
+
+
 def _reference_truncated_gaussian(mean, sd, lo, hi, rng, size=None):
     """The earlier rejection loop (every pass over a pending index list), and its pass count."""
     scalar = size is None

@@ -7,6 +7,9 @@ namespace) and must be what the code calls at run time, or its spans and
 counts silently read zero.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from loadtrack import algorithms, cli, harness, loads
@@ -146,15 +149,61 @@ def test_write_csv_rows_count_the_data_lines_it_writes(tmp_path, monkeypatch):
         assert rows == len(path.read_text().splitlines()) - 1 > 0, path
 
 
-def test_run_experiment_runs_one_trial_span_per_trial(monkeypatch):
+@pytest.mark.parametrize("draw_ahead_cells", [0, None], ids=["draw-ahead", "serial"])
+def test_run_experiment_runs_one_trial_span_per_trial(monkeypatch, draw_ahead_cells):
+    # 32 cells per fill: above a threshold of 0, below the default one.
+    if draw_ahead_cells is not None:
+        monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", draw_ahead_cells)
     calls = []
     original = harness.run_trial
 
-    def counting(config, trial_index=0):
+    def counting(config, trial_index=0, ahead=None):
         calls.append(trial_index)
-        return original(config, trial_index)
+        return original(config, trial_index, ahead)
 
     monkeypatch.setattr(harness, "run_trial", counting)
     result = run_experiment(ScenarioConfig(n_loads=4, rounds=8, trials=3, seed=1))
     assert calls == [0, 1, 2]
     assert len(result.summaries) == 3
+
+
+def test_every_wrapped_name_runs_on_the_callers_thread_when_trials_draw_ahead(tmp_path, monkeypatch):
+    # The tracer keeps one span stack, so a wrapped name called on the draw-ahead worker would
+    # corrupt it. The worker runs only the first-pass response fills.
+    monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", 0)
+    caller = threading.get_ident()
+    threads = {}
+    worker_calls = []
+
+    def recording(label, original):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(label, set()).add(threading.get_ident())
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, attrs in WRAPPED:
+        for attr in attrs:
+            label = _label(owner, attr)
+            monkeypatch.setattr(owner, attr, recording(label, vars(owner)[attr]))
+
+    submit = ThreadPoolExecutor.submit
+
+    def recording_submit(self, fn, *args, **kwargs):
+        def run():
+            worker_calls.append((threading.get_ident(), fn.__name__, args, kwargs))
+            return fn(*args, **kwargs)
+        return submit(self, run)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
+    for name, text in (("tcl", TCL_CFG), ("ev", EV_CFG.replace("trials = 1", "trials = 3"))):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        assert main(["--config", str(path), "--out", str(tmp_path / name), "--quiet"]) == EXIT_OK
+    assert len(threads) == sum(len(attrs) for _, attrs in WRAPPED)
+    assert {label: ids for label, ids in threads.items() if ids != {caller}} == {}
+    # One fill per trial after the first, twins included: TCL 4 cases x 2 x 1, EV 2 x 2.
+    assert len(worker_calls) == 4 * 2 + 2 * 2
+    assert all(ident != caller for ident, _, _, _ in worker_calls)
+    assert {(fn, kwargs == {}) for _, fn, _, kwargs in worker_calls} == {("standard_normal", True)}
+    # A fill is one block of rows x n_loads cells: 20 rounds, plus 2 warm-up rows under Bernoulli.
+    assert sorted({args for _, _, args, _ in worker_calls}) == [(20 * 4,), (20 * 6,), (22 * 6,)]
