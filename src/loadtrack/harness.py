@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,6 +331,36 @@ class _Prefilled:
         if size != self._cells:
             raise RuntimeError(f"the first response draw asked for {size!r} cells, {self._cells} were drawn ahead")
         return fill.result()
+
+
+def _split_cpus(stack: contextlib.ExitStack) -> set | None:
+    """Keep the calling thread off one of its CPUs until ``stack`` closes; return that CPU as a set.
+
+    Unpinned, the scheduler tends to wake the draw-ahead worker on the caller's
+    own CPU even when another is idle (seen on 2-vCPU guests), so the fill
+    time-slices the trial instead of running beside it, and trials swing
+    between the two cases from run to run. None, and no pinning, where the
+    platform sets no affinity or the caller may run on one CPU only.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        return None
+    spare = {max(cpus)}
+    try:
+        os.sched_setaffinity(0, cpus - spare)
+    except OSError:
+        return None
+    stack.callback(os.sched_setaffinity, 0, cpus)
+    return spare
+
+
+def _pin_worker(cpus: set | None) -> None:
+    """Run the calling (worker) thread on ``cpus`` only; leave it where it is if None or refused."""
+    if cpus is not None:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
 
 
 def run_trial(config: ScenarioConfig, trial_index: int = 0, ahead: _Prefilled | None = None) -> TrialResult:
@@ -703,8 +734,10 @@ def run_experiment(config: ScenarioConfig) -> ExperimentResult:
     before trial k runs, the main thread makes trial k + 1's response
     generator and one worker thread starts its first-pass ``standard_normal``
     fill, which numpy makes without the interpreter lock; trial k + 1 waits
-    for it. Trial 0 draws inline, and the worker is shut down before this
-    returns or raises.
+    for it. Where the caller may run on two CPUs or more, the worker is
+    pinned to one of them and the caller to the rest (see ``_split_cpus``).
+    Trial 0 draws inline; the worker is shut down and the caller's CPU
+    affinity restored before this returns or raises.
     """
     cfg = config.resolved()
     T = cfg.rounds
@@ -716,7 +749,8 @@ def run_experiment(config: ScenarioConfig) -> ExperimentResult:
         if cfg.trials > 1 and cfg.noise.sd and cells >= DRAW_AHEAD_CELLS:  # at sd = 0 the sampler draws nothing
             from concurrent.futures import ThreadPoolExecutor
 
-            worker = stack.enter_context(ThreadPoolExecutor(1))
+            spare = _split_cpus(stack)
+            worker = stack.enter_context(ThreadPoolExecutor(1, initializer=_pin_worker, initargs=(spare,)))
         for k in range(cfg.trials):
             current, ahead = ahead, None
             if worker is not None and k + 1 < cfg.trials:

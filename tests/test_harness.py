@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
+import os
 import threading
 import tracemalloc
 import weakref
@@ -1170,6 +1171,55 @@ def test_a_trial_drawn_ahead_fails_as_it_does_inline(monkeypatch, scenario):
         run_experiment(cfg)
     assert calls["n"] == cfg.rounds + 3
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a caller that may run on two CPUs",
+)
+def test_the_draw_ahead_worker_and_its_caller_run_on_disjoint_cpus(monkeypatch):
+    # The worker gets one of the caller's CPUs and the caller the rest, for the run only:
+    # the caller's affinity is restored on return and on error.
+    from loadtrack.algorithms import FullInformationTracker
+
+    monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", 0)
+    allowed = os.sched_getaffinity(0)
+    seen = {"caller": set(), "worker": []}
+    pin_worker, original_trial = harness._pin_worker, harness.run_trial
+
+    def recording_pin(cpus):
+        pin_worker(cpus)
+        seen["worker"].append(os.sched_getaffinity(0))
+
+    def recording_trial(config, trial_index=0, ahead=None):
+        seen["caller"].add(frozenset(os.sched_getaffinity(0)))
+        return original_trial(config, trial_index, ahead)
+
+    monkeypatch.setattr(harness, "_pin_worker", recording_pin)
+    monkeypatch.setattr(harness, "run_trial", recording_trial)
+    run_experiment(small_cfg(trials=3))
+    assert seen["worker"] == [{max(allowed)}]
+    assert seen["caller"] == {frozenset(allowed - {max(allowed)})}
+    assert os.sched_getaffinity(0) == allowed
+
+    def failing_update(self, obs):
+        raise FloatingPointError("synthetic failure")
+
+    monkeypatch.setattr(FullInformationTracker, "update", failing_update)
+    with pytest.raises(FloatingPointError):
+        run_experiment(small_cfg(trials=3))
+    assert os.sched_getaffinity(0) == allowed
+
+
+def test_a_caller_on_one_cpu_draws_ahead_unpinned(monkeypatch):
+    monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    pinned = []
+    monkeypatch.setattr(harness, "_pin_worker", pinned.append)
+    serial = run_experiment(small_cfg(trials=3))
+    assert pinned == [None]
+    monkeypatch.setattr(harness, "DRAW_AHEAD_CELLS", 1 << 40)
+    assert run_experiment(small_cfg(trials=3)).summaries == serial.summaries
 
 
 def test_a_fill_drawn_ahead_must_be_the_first_draw_of_its_size():
