@@ -33,6 +33,7 @@ from .core import (
     step_schedule,
 )
 from .harness import (
+    Comparator,
     ExperimentResult,
     MetricsLedger,
     ScenarioConfig,

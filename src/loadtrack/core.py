@@ -38,7 +38,6 @@ FEEDBACK_REGIMES = ("full", "bandit", "partial", "bernoulli")  # a config's feed
 
 # Numerical tolerances.
 UNIT_NORM_TOL = 1e-9  # how far a sphere direction's norm may stray from 1 in gradient_estimate
-BOX_MEMBERSHIP_TOL = 1e-12  # Box.contains's default slack, bound when this module is imported
 SIGNAL_TOL = 1e-9  # how far a played signal may stray past its decision box before it is rejected
 DEGENERATE_NORM_FLOOR = 1e-12  # a Gaussian draw with a norm this small is redrawn, not normalized
 
@@ -114,10 +113,6 @@ class Box:
 
     def clip(self, x) -> np.ndarray:
         return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lo), self.hi)
-
-    def contains(self, x, tol: float = BOX_MEMBERSHIP_TOL) -> bool:
-        arr = np.asarray(x, dtype=float)
-        return bool((arr >= self.lo - tol).all() and (arr <= self.hi + tol).all())
 
     def shrunk(self, delta: float) -> "Box":
         """The set scaled by (1 - delta), so a delta-ball perturbation stays inside."""

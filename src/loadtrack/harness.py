@@ -55,6 +55,7 @@ __all__ = [
     "FEEDBACK_REGIMES",
     "SCENARIOS",
     "SCENARIO_DEFAULTS",
+    "Comparator",
     "ExperimentResult",
     "HindsightResult",
     "MetricsLedger",
@@ -62,7 +63,6 @@ __all__ = [
     "ScenarioConfig",
     "SetpointSpec",
     "TrialResult",
-    "comparator_round_losses",
     "compute_metrics",
     "empirical_regret",
     "feedback_channel",
@@ -77,9 +77,10 @@ __all__ = [
 ]
 
 # The fewest response cells whose first-pass fill run_experiment draws on a worker thread while the
-# trial before runs. Swept over fills of 2^12 to 2^20 cells (TCL full feedback, 600 rounds, 8 trials,
-# serial and draw-ahead runs alternating, 2 cores): up to 2^14 cells the handoff made a trial slower,
-# at 2^15 it broke even, and from 2^16 the trial was 3-8% faster.
+# trial before runs. A sweep over 2^12 to 2^20 cells (TCL full feedback, 600 rounds, 8 trials, 2 cores,
+# worker unpinned) found the handoff slower up to 2^14, even at 2^15 and 3-8% faster from 2^16. Pinned,
+# all four TCL n = 100 regimes (60k cells, 25 trials each) took a median 1.196 s drawing ahead against
+# 1.222 s serial, faster in 6 of 10 alternating pairs: flat, so the threshold stays.
 DRAW_AHEAD_CELLS = 1 << 16
 KKT_TOL = 1e-9  # the largest relative KKT violation a hindsight solve may end with
 LEDGER_SUMS = ("setpoint_eff", "aggregate", "tracking", "mean_norm", "l1")  # averaged by run_experiment
@@ -476,24 +477,74 @@ class HindsightResult:
     value: float  # the sum of ``losses``
     residual: float  # the final KKT violation relative to max(1, ||2b||_inf, T*lam)
     iterations: int  # KKT checks, 1 when the origin is optimal
-    losses: np.ndarray  # the signal's per-round composite losses, from comparator_round_losses
+    losses: np.ndarray  # the signal's per-round composite losses, from Comparator.round_losses
 
 
-def _weight_rows(mean_weights, T: int, dim: int) -> np.ndarray:
-    """The rows ``mean_weights()`` returns, checked to be a (T, dim) block with an even dim."""
-    W = np.asarray(mean_weights(), dtype=float)
-    if W.shape != (T, dim) or dim % 2:
-        raise ValueError("mean_weights must be (rounds, dim) with an even dim")
-    return W
+@dataclass(frozen=True)
+class Comparator:
+    """The summed composite objective that scores a fixed signal mu over T rounds.
 
+    f(mu) = sum_t (s_t - r_t.mu)^2 + rho * sum_t ||m_t(mu)||^2 + T * lam * ||mu||_1
+    over the box, where m_t is the identity for the plain mean penalty or, on an
+    EV ledger, m_t(mu) = w_t[:n]*mu[:n] + w_t[n:]*mu[n:] for the stacked
+    (charge, discharge) signal, with ``weights`` the rows w_t of
+    ``running_mean_weights(ev_params, responses)``. The inputs are checked when
+    it is made; ``weights``, a (T, dim) block, and ``gram`` are formed on first read.
+    """
 
-def _penalized_gram(R: np.ndarray, rho: float, W: np.ndarray | None) -> np.ndarray:
-    """A = R^T R + rho * sum_t of m_t's Gram matrix, the quadratic form of the summed objective."""
-    T, dim = R.shape
-    if W is None or not rho:  # rho = 0 leaves R^T R either way
-        return R.T @ R + rho * T * np.eye(dim)
-    twins = np.eye(dim) + np.eye(dim, k=dim // 2) + np.eye(dim, k=-dim // 2)  # each coordinate meets its twin
-    return R.T @ R + rho * (W.T @ W) * twins
+    responses: np.ndarray
+    setpoints: np.ndarray
+    rho: float
+    lam: float
+    box: Box
+    ev_params: EvParams | None = None
+
+    def __post_init__(self):
+        R, s = np.asarray(self.responses, dtype=float), np.asarray(self.setpoints, dtype=float)
+        T, dim = R.shape
+        if s.shape != (T,):
+            raise ValueError("setpoints must match the response rows")
+        if self.box.dim != dim:
+            raise ValueError("box dimension must match the response columns")
+        if self.ev_params is not None and dim % 2:
+            raise ValueError("an EV comparator needs an even number of response columns")
+        if not (0.0 <= self.rho < math.inf and 0.0 <= self.lam < math.inf):
+            raise ValueError(f"need finite rho, lam >= 0, got {self.rho!r}, {self.lam!r}")
+        if not self.box.contains_zero:
+            raise UnsupportedBoxError("the hindsight solve starts at 0, so its box must contain 0")
+        object.__setattr__(self, "responses", R)
+        object.__setattr__(self, "setpoints", s)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return running_mean_weights(self.ev_params, self.responses)
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """A = R^T R + rho * sum_t of m_t's Gram matrix, the quadratic form of f."""
+        R, rho = self.responses, self.rho
+        T, dim = R.shape
+        if self.ev_params is None or not rho:  # rho = 0 leaves R^T R either way
+            return R.T @ R + rho * T * np.eye(dim)
+        twins = np.eye(dim) + np.eye(dim, k=dim // 2) + np.eye(dim, k=-dim // 2)  # each coordinate meets its twin
+        return R.T @ R + rho * (self.weights.T @ self.weights) * twins
+
+    def round_losses(self, signal: np.ndarray) -> np.ndarray:
+        """f's terms per round at ``signal``, the weighted means formed in slabs of ``core.SLAB_ROWS`` rows."""
+        errs = self.setpoints - self.responses @ signal
+        losses = errs ** 2 + self.lam * float(np.abs(signal).sum())
+        if self.rho and signal.any():  # at mu = 0 the penalty is 0 under any weights; adding it keeps every bit
+            if self.ev_params is None:
+                return losses + self.rho * float(signal @ signal)
+            W, n = self.weights, len(signal) // 2
+            penalty = np.empty(len(W))
+            for rows in slabs(len(W)):
+                mean = W[rows, :n] * signal[:n]
+                mean += W[rows, n:] * signal[n:]
+                mean *= mean
+                mean.sum(axis=1, out=penalty[rows])
+            return losses + self.rho * penalty
+        return losses
 
 
 def hindsight_optimum(
@@ -502,20 +553,10 @@ def hindsight_optimum(
     rho: float,
     lam: float,
     box: Box,
-    mean_weights=None,
+    ev_params: EvParams | None = None,
     max_iters: int = 10_000,
 ) -> HindsightResult:
-    """Best fixed signal in hindsight for the summed composite objective.
-
-    Minimizes sum_t (s_t - r_t.mu)^2 + rho * sum_t ||m_t(mu)||^2
-    + T * lam * ||mu||_1 over the box, where m_t is the identity for the
-    plain mean penalty or, given the EV ``mean_weights`` rows w_t of
-    ``running_mean_weights``, m_t(mu) = w_t[:n]*mu[:n] + w_t[n:]*mu[n:]
-    for the stacked (charge, discharge) signal. ``mean_weights`` is None
-    for the plain penalty, or a function of no arguments that returns
-    those rows: it is called, and its rows checked, only when the solve
-    leaves the origin with rho != 0, because the penalty of mu = 0 is 0
-    under any weights.
+    """Best fixed signal in hindsight: the minimizer of the ``Comparator`` of these inputs.
 
     A primal active-set solve from the origin (BVLS, Stark & Parker 1995,
     with the l1 term): each coordinate is held at a bound or 0, or is free
@@ -524,22 +565,15 @@ def hindsight_optimum(
     that violates them most, and steps toward the free-set minimizer, holding
     each coordinate that meets a bound or 0. ``max_iters`` failed checks raise.
     """
-    R = np.asarray(responses, dtype=float)
-    s = np.asarray(setpoints, dtype=float)
-    T, dim = R.shape
-    if s.shape != (T,):
-        raise ValueError("setpoints must match the response rows")
-    if box.dim != dim:
-        raise ValueError("box dimension must match the response columns")
-    if not (0.0 <= rho < math.inf and 0.0 <= lam < math.inf and max_iters >= 1):
-        raise ValueError(f"need finite rho, lam >= 0 and max_iters >= 1, got {rho!r}, {lam!r}, {max_iters!r}")
-    if not box.contains_zero:
-        raise UnsupportedBoxError("the hindsight solve starts at 0, so its box must contain 0")
-    b = R.T @ s
+    if not max_iters >= 1:
+        raise ValueError(f"need max_iters >= 1, got {max_iters!r}")
+    problem = Comparator(responses, setpoints, rho, lam, box, ev_params)
+    T, dim = problem.responses.shape
+    b = problem.responses.T @ problem.setpoints
     l1_weight = T * lam
     scale = max(1.0, float(np.abs(2.0 * b).max(initial=0.0)), l1_weight)
     tol = KKT_TOL * scale
-    mu, grad, A, W = np.zeros(dim), -2.0 * b, None, None  # grad is 2 (A mu - b)
+    mu, grad = np.zeros(dim), -2.0 * b  # grad is 2 (A mu - b)
     free, sign = np.zeros(dim, dtype=bool), np.zeros(dim)
     for iterations in range(1, max_iters + 1):
         # The distance from -grad to the subdifferential of l1_weight * |mu_i| plus the box's normal cone.
@@ -551,10 +585,7 @@ def hindsight_optimum(
             break
         if iterations == max_iters:
             raise RuntimeError(f"hindsight solve: KKT violation {worst / scale:.3e} after {max_iters} checks")
-        if A is None:  # the first failed check: only a solve that leaves the origin needs A and the weights
-            if rho and mean_weights is not None:
-                W = _weight_rows(mean_weights, T, dim)
-            A = _penalized_gram(R, rho, W)
+        A = problem.gram  # formed at the first failed check, so an origin exit forms no A and no EV weights
         j = int(np.argmax(np.where(free, 0.0, violation)))
         if not free[j] and violation[j] > tol:
             free[j], sign[j] = True, np.sign(mu[j]) if mu[j] else -np.sign(grad[j])
@@ -582,36 +613,8 @@ def hindsight_optimum(
             grad = 2.0 * (A @ mu - b)
             if not hit.any():
                 break
-    # Weights left unbuilt mean mu = 0 (or rho = 0), whose penalty is 0 under any weights; x + 0.0 keeps x's bits.
-    losses = comparator_round_losses(R, s, mu, rho, lam, W)
+    losses = problem.round_losses(mu)
     return HindsightResult(mu, float(losses.sum()), worst / scale, iterations, losses)
-
-
-def comparator_round_losses(
-    responses, setpoints, signal, rho: float, lam: float, mean_weights=None
-) -> np.ndarray:
-    """Per-round composite loss of a fixed signal, with ``hindsight_optimum``'s running mean m_t.
-
-    The weighted means are formed in slabs of ``core.SLAB_ROWS`` rows, so no
-    block-sized temporary is made.
-    """
-    R = np.asarray(responses, dtype=float)
-    s = np.asarray(setpoints, dtype=float)
-    errs = s - R @ signal
-    losses = errs ** 2 + lam * float(np.abs(signal).sum())
-    if rho:
-        if mean_weights is None:
-            losses = losses + rho * float(signal @ signal)
-        else:
-            W, n = np.asarray(mean_weights, dtype=float), len(signal) // 2
-            penalty = np.empty(len(W))
-            for rows in slabs(len(W)):
-                mean = W[rows, :n] * signal[:n]
-                mean += W[rows, n:] * signal[n:]
-                mean *= mean
-                mean.sum(axis=1, out=penalty[rows])
-            losses = losses + rho * penalty
-    return losses
 
 
 @dataclass
@@ -635,10 +638,8 @@ def empirical_regret(
     T = ledger.rounds if upto is None else int(upto)
     if not 1 <= T <= ledger.rounds:
         raise ValueError("upto must lie in [1, rounds]")
-    R, s = ledger.responses[:T], ledger.setpoint_eff[:T]
-    # The EV weight rows are a (T, dim) block, so they are built only if the solve leaves the origin.
-    weights = None if ledger.ev_params is None else functools.partial(running_mean_weights, ledger.ev_params, R)
-    opt = hindsight_optimum(R, s, ledger.rho_eff, ledger.lam, box, weights, max_iters)
+    opt = hindsight_optimum(ledger.responses[:T], ledger.setpoint_eff[:T], ledger.rho_eff, ledger.lam, box,
+                            ledger.ev_params, max_iters)
     series = np.cumsum(ledger.objective[:T]) - np.cumsum(opt.losses)
     return RegretReport(series=series, total=float(series[-1]), hindsight=opt)
 

@@ -9,7 +9,19 @@ from hypothesis import strategies as st
 
 from loadtrack.core import SIGNAL_TOL, Box
 from loadtrack.harness import ScenarioConfig, hindsight_optimum, run_trial
-from loadtrack.loads import SignalRangeError, ev_decision_box, signal_block, weighted_signal
+from loadtrack.loads import (
+    EvParams,
+    SignalRangeError,
+    ev_decision_box,
+    running_mean_weights,
+    signal_block,
+    weighted_signal,
+)
+
+
+def _in_box(box, x, tol):
+    """Whether every coordinate of ``x`` lies in ``box`` widened by ``tol``."""
+    return bool((x >= box.lo - tol).all() and (x <= box.hi + tol).all())
 
 
 @st.composite
@@ -39,7 +51,7 @@ def test_played_signals_stay_in_the_box_and_mean_norm_follows_them(cfg):
     ledger = trial.ledger
     mean = np.zeros(trial.box.dim)
     for j, played in enumerate(ledger.played):
-        assert trial.box.contains(played)
+        assert _in_box(trial.box, played, 1e-12)
         mean = (j * mean + played) / (j + 1)
         assert ledger.mean_norm[j] == math.sqrt(mean @ mean)
     assert ledger.rounds == cfg.rounds and np.isfinite(ledger.objective).all()
@@ -69,7 +81,7 @@ def test_ev_rows_stay_in_the_box_and_the_weighted_mean_and_charge_follow_them(cf
     box = ev_decision_box(n)
     mean, soc, saturations = np.zeros(n), np.full(n, 0.75), 0
     for j, (resp, played) in enumerate(zip(ledger.responses, ledger.played)):
-        assert box.contains(played)
+        assert _in_box(box, played, 1e-12)
         weighted = weighted_signal(ev, resp[:n], resp[n:], played[:n], played[n:])
         mean = (j * mean + weighted) / (j + 1)
         assert ledger.mean_norm[j] == math.sqrt(mean @ mean)
@@ -125,21 +137,22 @@ def box_qps(draw):
     # lam as a fraction of max |2 R^T s| / T, above which the origin is optimal on a symmetric box.
     lam = draw(st.just(0.0) | st.floats(-4.0, 0.5).map(lambda e: 10.0 ** e))
     lam *= float(np.abs(2.0 * responses.T @ setpoints).max()) / T
-    weights = rng.uniform(0.5, 1.5, size=(T, dim)) if weighted else None
+    ev = EvParams(inj_eff=draw(st.floats(0.5, 1.0)), ext_eff=draw(st.floats(0.5, 1.0))) if weighted else None
     half = dim // 2
     split = Box(np.r_[np.zeros(half), -np.ones(dim - half)], np.r_[np.ones(half), np.zeros(dim - half)])
-    return responses, setpoints, rho, lam, draw(st.sampled_from([Box.symmetric(dim), split])), weights
+    return responses, setpoints, rho, lam, draw(st.sampled_from([Box.symmetric(dim), split])), ev
 
 
 @settings(max_examples=1000, deadline=None)
 @given(box_qps())
 def test_hindsight_solution_meets_the_kkt_conditions(case):
-    responses, setpoints, rho, lam, box, weights = case
-    mu = hindsight_optimum(responses, setpoints, rho, lam, box, None if weights is None else lambda: weights).signal
-    assert box.contains(mu, tol=0.0)
+    responses, setpoints, rho, lam, box, ev = case
+    mu = hindsight_optimum(responses, setpoints, rho, lam, box, ev).signal
+    assert _in_box(box, mu, 0.0)
     # The objective's quadratic form, one round's running-mean map M_t at a time.
     T, dim = responses.shape
     A = responses.T @ responses
+    weights = None if ev is None else running_mean_weights(ev, responses)
     for t in range(T):
         if weights is None:
             M = np.eye(dim)
